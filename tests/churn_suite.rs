@@ -5,22 +5,28 @@
 //! returns to tree schedules between waves (per-wave flood rounds stay
 //! bounded), a golden-pinned churn schedule digest, engine equivalence
 //! of the distributed two-phase churn protocol, and the ≤-1-tree-per-
-//! death degradation guarantee of vertex-disjoint (integral) packings.
+//! death degradation guarantee of vertex-disjoint (integral) packings,
+//! plus a differential pin of the wave loop against the greedy schedule.
 //!
 //! CI sweeps this suite under `DECOMP_ENGINE=sequential`, `sharded:4`,
 //! and `sharded:4:topo`.
 
 use connectivity_decomposition::broadcast::churn::{gossip_under_churn, gossip_under_growth};
-use connectivity_decomposition::broadcast::gossip::{gossip_via_trees_faulty, GossipConfig};
+use connectivity_decomposition::broadcast::gossip::{
+    gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig,
+};
 use connectivity_decomposition::broadcast::gossip_distributed::{
     gossip_protocol_churn, gossip_protocol_growth,
 };
 use connectivity_decomposition::congest::{Fault, FaultPlan, ScheduledFault};
-use connectivity_decomposition::core::cds::centralized::CdsPacking;
+use connectivity_decomposition::core::cds::centralized::{
+    cds_packing_with_state, CdsPacking, CdsPackingConfig,
+};
 use connectivity_decomposition::core::cds::class_state::ClassState;
 use connectivity_decomposition::core::cds::integral::{
     check_vertex_disjoint, integral_cds_packing,
 };
+use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing_with_state;
 use connectivity_decomposition::core::virtual_graph::{VType, VirtualLayout};
 use connectivity_decomposition::graph::{generators, Graph};
 
@@ -493,4 +499,43 @@ fn arrivals_into_broken_classes_restore_certification() {
         r.flood_rounds > 0 || r.repair_events > 0,
         "class 0's messages needed the fallback or a repair move"
     );
+}
+
+#[test]
+fn churn_loop_on_an_empty_plan_is_the_greedy_schedule() {
+    // With nothing to churn, the wave loop's repair hook never fires,
+    // so it must take exactly the greedy schedule over the packing's
+    // certified trees: the churn hook changes only the repair.
+    for f in decomp_testkit::fixtures::standard() {
+        let g = &f.graph;
+        let n = g.n();
+        let origins: Vec<usize> = (0..2 * n).map(|i| (i * 7) % n).collect();
+        for seed in [1u64, 7] {
+            let cfg = CdsPackingConfig::with_known_k(f.kappa.max(2), seed);
+            let (cds, mut state) = cds_packing_with_state(g, &cfg);
+            let packing = to_dom_tree_packing_with_state(g, &cds, &state).packing;
+            let greedy =
+                gossip_via_trees_with(g, &packing, &origins, seed, GossipConfig::default());
+            let churn = gossip_under_churn(g, &cds, &mut state, &origins, seed, &FaultPlan::none())
+                .unwrap();
+            assert_eq!(
+                (
+                    churn.rounds,
+                    churn.schedule_digest,
+                    churn.wasted_bandwidth,
+                    churn.repair_events,
+                    churn.flood_rounds
+                ),
+                (
+                    greedy.rounds,
+                    greedy.schedule_digest,
+                    greedy.wasted_bandwidth,
+                    greedy.repair_events,
+                    greedy.flood_rounds
+                ),
+                "{} seed {seed}",
+                f.name
+            );
+        }
+    }
 }

@@ -7,20 +7,28 @@
 //! on every fixture family (greedy and weighted schedules, vertex and
 //! edge faults), seed-reproducibility of `FaultPlan` schedules,
 //! bit-for-bit equivalence of incremental deletion-aware repacking
-//! against from-scratch rebuilds, and the distributed two-phase repair
-//! protocol on the env-selected engine (CI sweeps `DECOMP_ENGINE`).
+//! against from-scratch rebuilds, the distributed two-phase repair
+//! protocol on the env-selected engine (CI sweeps `DECOMP_ENGINE`), and
+//! a golden pin of every fault path's full report.
 
+use connectivity_decomposition::broadcast::churn::gossip_under_churn;
 use connectivity_decomposition::broadcast::gossip::{
     gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig,
 };
-use connectivity_decomposition::broadcast::gossip_distributed::gossip_protocol_faulty;
+use connectivity_decomposition::broadcast::gossip_distributed::{
+    gossip_protocol_churn, gossip_protocol_faulty,
+};
 use connectivity_decomposition::congest::{Fault, FaultPlan, ScheduledFault};
-use connectivity_decomposition::core::cds::centralized::{cds_packing, CdsPackingConfig};
+use connectivity_decomposition::core::cds::centralized::{
+    cds_packing, cds_packing_with_state, CdsPackingConfig,
+};
 use connectivity_decomposition::core::cds::class_state::ClassState;
-use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing;
+use connectivity_decomposition::core::cds::tree_extract::{
+    to_dom_tree_packing, to_dom_tree_packing_with_state,
+};
 use connectivity_decomposition::core::packing::DomTreePacking;
 use connectivity_decomposition::core::virtual_graph::{VType, VirtualLayout};
-use decomp_testkit::{fixtures, SEEDS};
+use decomp_testkit::{fixtures, golden, SEEDS};
 
 /// The fixture's dominating-tree packing, built the same way the
 /// end-to-end pipeline builds it.
@@ -411,4 +419,95 @@ fn worst_case_plans_target_high_degree_vertices() {
         ref other => panic!("unexpected fault {other:?}"),
     }
     assert_eq!(plan.events()[0].round, 3);
+}
+
+/// FNV-1a over a report's `Debug` rendering: one value that changes
+/// whenever any report field does.
+fn fold_debug(acc: u64, report: &impl std::fmt::Debug) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(acc, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn fault_paths_are_golden_pinned() {
+    // Every fault path — the static-packing schedule under all three
+    // regimes, the churn wave loop, and both two-phase protocols — on
+    // kill, cut, arrival, and mixed plans, folded into one golden value
+    // per (fixture, path). A refactor of the schedule core or the
+    // protocol repair that takes a different schedule anywhere moves a
+    // value here, even where the completion checks above still pass.
+    let paths = [
+        "trees_greedy",
+        "trees_weighted",
+        "trees_rlnc",
+        "churn_loop",
+        "protocol_faulty",
+        "protocol_churn",
+    ];
+    for f in fixtures::standard().into_iter().filter(|f| f.kappa >= 2) {
+        let g = &f.graph;
+        let n = g.n();
+        let cfg = CdsPackingConfig::with_known_k(f.kappa, 4);
+        let (cds, state) = cds_packing_with_state(g, &cfg);
+        let packing = to_dom_tree_packing_with_state(g, &cds, &state).packing;
+        let origins: Vec<usize> = (0..2 * n).map(|i| (i * 7) % n).collect();
+        let plans = [
+            FaultPlan::random_vertices(g, f.kappa - 1, (2, 6), 3),
+            FaultPlan::random_edges(g, f.kappa - 1, (2, 6), 3),
+            FaultPlan::random_arrivals(g, n / 4, (5, 15), 3),
+            FaultPlan::random_vertices(g, f.kappa - 1, (2, 4), 5)
+                .merged(&FaultPlan::random_arrivals(g, n / 4, (8, 20), 6)),
+        ];
+        let mut folds = [0xcbf2_9ce4_8422_2325u64; 6];
+        for plan in &plans {
+            for (i, config) in [
+                GossipConfig::default(),
+                GossipConfig::weighted(),
+                GossipConfig::rlnc(8, 1),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let r = gossip_via_trees_faulty(g, &packing, &origins, 9, config, plan)
+                    .unwrap_or_else(|e| panic!("{}: {e}", f.name));
+                folds[i] = fold_debug(folds[i], &r);
+            }
+            let mut st = state.clone();
+            let r = gossip_under_churn(g, &cds, &mut st, &origins, 9, plan).unwrap();
+            folds[3] = fold_debug(folds[3], &r);
+            let engine = decomp_testkit::engine_from_env();
+            let mut r = gossip_protocol_faulty(
+                g,
+                &packing,
+                &origins,
+                9,
+                GossipConfig::default(),
+                plan,
+                engine,
+            )
+            .unwrap();
+            assert!(r.complete, "{}: faulty protocol must converge", f.name);
+            r.stats = r.stats.locality_blind();
+            folds[4] = fold_debug(folds[4], &r);
+            let mut st = state.clone();
+            let mut r = gossip_protocol_churn(
+                g,
+                &cds,
+                &mut st,
+                &origins,
+                9,
+                GossipConfig::default(),
+                plan,
+                engine,
+            )
+            .unwrap();
+            assert!(r.complete, "{}: churn protocol must converge", f.name);
+            r.stats = r.stats.locality_blind();
+            folds[5] = fold_debug(folds[5], &r);
+        }
+        for (path, value) in paths.iter().zip(folds) {
+            golden::check(&format!("{}/fault_pin/{path}", f.name), value);
+        }
+    }
 }
