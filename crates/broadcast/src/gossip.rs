@@ -67,48 +67,12 @@
 //! survivor still completes (the robustness reading of Theorem 1.1);
 //! [`GossipReport::degradation`] records the per-fault curve.
 
-use decomp_congest::fault::{Fault, FaultPlan};
-use decomp_core::packing::{DomTreePacking, WeightedDomTree};
+use crate::schedule::{run_schedule, tree_ok, BitRows, Greedy, RepairHook, Weighted};
+use decomp_congest::{FaultPlan, FaultState};
+use decomp_core::packing::DomTreePacking;
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// A row-major packed bit matrix: `rows` rows of `n` bits each.
-pub(crate) struct BitRows {
-    words_per_row: usize,
-    bits: Vec<u64>,
-}
-
-impl BitRows {
-    pub(crate) fn new(rows: usize, n: usize) -> Self {
-        let words_per_row = n.div_ceil(64);
-        BitRows {
-            words_per_row,
-            bits: vec![0; rows * words_per_row],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, row: usize, col: usize) -> bool {
-        self.bits[row * self.words_per_row + col / 64] >> (col % 64) & 1 != 0
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, row: usize, col: usize) {
-        self.bits[row * self.words_per_row + col / 64] |= 1 << (col % 64);
-    }
-
-    #[inline]
-    pub(crate) fn clear(&mut self, row: usize, col: usize) {
-        self.bits[row * self.words_per_row + col / 64] &= !(1 << (col % 64));
-    }
-
-    pub(crate) fn words(&self) -> usize {
-        self.bits.len()
-    }
-}
 
 /// Result of a gossip schedule simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,273 +171,6 @@ impl std::fmt::Display for GossipError {
 }
 
 impl std::error::Error for GossipError {}
-
-/// SplitMix-style hash of one relay event; summed per run (within-round
-/// relay order is unobservable, so the fold must be commutative). The
-/// tree schedules hash `(round, vertex, message)`; the RLNC schedule
-/// reuses it as `(round, vertex, generation)`.
-#[inline]
-pub(crate) fn relay_hash(round: usize, v: usize, m: usize) -> u64 {
-    let mut z = (round as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ (((v as u64) << 32) | m as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Sentinel tree id for the flood fallback: when no surviving tree can
-/// carry a message, every live holder relays it and every live receiver
-/// relays onward — BFS over the surviving graph.
-const FLOOD: usize = usize::MAX;
-/// `FLOOD` as a lane key (sorts after every real tree id).
-const FLOOD_LANE: u32 = u32::MAX;
-
-/// The schedulers' live view of a [`FaultPlan`]: which faults have
-/// fired so far, mirroring `decomp_congest::fault::FaultState` for the
-/// gossip round counter (1-based; events at rounds 0 and 1 fire before
-/// the first relay choice).
-pub(crate) struct FaultTracker<'p> {
-    events: &'p [decomp_congest::fault::ScheduledFault],
-    next: usize,
-    dead: Vec<bool>,
-    /// Not-yet-arrived vertices (pre-scanned from the plan's
-    /// `AddVertex` events): in the final topology but unable to relay,
-    /// receive, or be dominated until their arrival round fires.
-    dormant: Vec<bool>,
-    /// Fired edge cuts, normalized and sorted for binary search.
-    cut: Vec<(u32, u32)>,
-    /// Not-yet-arrived edges (pre-scanned `AddEdge` events), normalized
-    /// and sorted; activation removes the entry.
-    inactive: Vec<(u32, u32)>,
-    live: usize,
-    /// Vertices whose arrival fired in the latest `advance` call.
-    woke: Vec<usize>,
-}
-
-impl<'p> FaultTracker<'p> {
-    pub(crate) fn new(plan: &'p FaultPlan, n: usize) -> Self {
-        let mut dormant = vec![false; n];
-        let mut inactive: Vec<(u32, u32)> = Vec::new();
-        let mut live = n;
-        for e in plan.events() {
-            match e.fault {
-                Fault::AddVertex(v) => {
-                    if v < n && !dormant[v] {
-                        dormant[v] = true;
-                        live -= 1;
-                    }
-                }
-                Fault::AddEdge(u, v) => {
-                    let key = (u.min(v) as u32, u.max(v) as u32);
-                    if let Err(pos) = inactive.binary_search(&key) {
-                        inactive.insert(pos, key);
-                    }
-                }
-                Fault::Vertex(_) | Fault::Edge(_, _) => {}
-            }
-        }
-        FaultTracker {
-            events: plan.events(),
-            next: 0,
-            dead: vec![false; n],
-            dormant,
-            cut: Vec::new(),
-            inactive,
-            live,
-            woke: Vec::new(),
-        }
-    }
-
-    /// Fires every event scheduled at a round `≤ round`; vertices that
-    /// died in this call are appended to `newly_dead` (a vertex killed
-    /// while still dormant is included — it will never receive), and
-    /// vertices whose arrival fired land in [`Self::woke`]. Returns
-    /// whether anything fired (the repair-pass trigger).
-    pub(crate) fn advance(&mut self, round: usize, newly_dead: &mut Vec<usize>) -> bool {
-        let mut fired = false;
-        self.woke.clear();
-        while self.next < self.events.len() && self.events[self.next].round <= round {
-            match self.events[self.next].fault {
-                Fault::Vertex(v) => {
-                    if v < self.dead.len() && !self.dead[v] {
-                        self.dead[v] = true;
-                        if !self.dormant[v] {
-                            self.live -= 1;
-                        }
-                        newly_dead.push(v);
-                    }
-                }
-                Fault::Edge(u, v) => {
-                    let key = (u as u32, v as u32);
-                    if let Err(pos) = self.cut.binary_search(&key) {
-                        self.cut.insert(pos, key);
-                    }
-                }
-                Fault::AddVertex(v) => {
-                    // Death wins over arrival: a vertex killed while
-                    // dormant stays dead.
-                    if v < self.dead.len() && self.dormant[v] {
-                        self.dormant[v] = false;
-                        if !self.dead[v] {
-                            self.live += 1;
-                            self.woke.push(v);
-                        }
-                    }
-                }
-                Fault::AddEdge(u, v) => {
-                    let key = (u.min(v) as u32, u.max(v) as u32);
-                    if let Ok(pos) = self.inactive.binary_search(&key) {
-                        self.inactive.remove(pos);
-                    }
-                }
-            }
-            self.next += 1;
-            fired = true;
-        }
-        fired
-    }
-
-    #[inline]
-    pub(crate) fn is_dead(&self, v: usize) -> bool {
-        self.dead[v]
-    }
-
-    #[inline]
-    pub(crate) fn is_dormant(&self, v: usize) -> bool {
-        self.dormant[v]
-    }
-
-    /// Vertices that arrived in the latest `advance` call (alive ones
-    /// only) — the schedulers re-queue their orphaned pending relays.
-    #[inline]
-    pub(crate) fn woke(&self) -> &[usize] {
-        &self.woke
-    }
-
-    /// Round of the next unfired event, if any — the fast-forward
-    /// target when the schedule idles awaiting an arrival.
-    #[inline]
-    pub(crate) fn next_event_round(&self) -> Option<usize> {
-        self.events.get(self.next).map(|e| e.round)
-    }
-
-    /// Vertices currently alive (dormant ones excluded until arrival).
-    #[inline]
-    pub(crate) fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Cumulative fault events fired so far.
-    #[inline]
-    pub(crate) fn fired(&self) -> usize {
-        self.next
-    }
-
-    /// Whether a relay can cross `{u, v}`: both endpoints live and
-    /// present, edge neither cut nor awaiting arrival.
-    #[inline]
-    pub(crate) fn ok_edge(&self, u: usize, v: usize) -> bool {
-        let key = (u.min(v) as u32, u.max(v) as u32);
-        !self.dead[u]
-            && !self.dead[v]
-            && !self.dormant[u]
-            && !self.dormant[v]
-            && self.cut.binary_search(&key).is_err()
-            && (self.inactive.is_empty() || self.inactive.binary_search(&key).is_err())
-    }
-
-    /// Whether tree `t` is still intact: every member alive and present
-    /// (a dormant member cannot relay, so the tree heals only when it
-    /// arrives), every tree edge usable, and every live present vertex
-    /// still dominated (a member, or adjacent to one through a usable
-    /// edge). Dormant vertices are exempt from domination until they
-    /// arrive — at which point the repair pass re-checks and reassigns.
-    pub(crate) fn tree_ok(
-        &self,
-        g: &Graph,
-        t: usize,
-        tree: &WeightedDomTree,
-        member: &BitRows,
-    ) -> bool {
-        for &(u, v) in &tree.edges {
-            if !self.ok_edge(u, v) {
-                return false;
-            }
-        }
-        if let Some(s) = tree.singleton {
-            if self.dead[s] || self.dormant[s] {
-                return false;
-            }
-        }
-        'outer: for v in 0..g.n() {
-            if self.dead[v] || self.dormant[v] || member.get(t, v) {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                if member.get(t, u) && self.ok_edge(v, u) {
-                    continue 'outer;
-                }
-            }
-            return false;
-        }
-        true
-    }
-}
-
-/// Whether a message's in-flight assignment can still reach every
-/// present vertex that lacks it — the repair passes' skip test.
-///
-/// "Some eligible holder has not relayed yet" is NOT enough: after an
-/// arrival (or a cut behind an already-fired relay), the only members
-/// adjacent to a needy vertex may all have relayed, while the unrelayed
-/// ones sit elsewhere on the tree. So take the closure instead:
-/// unrelayed eligible holders relay, and recipients that would requeue —
-/// tree members, or everyone under a flood — relay in turn; every
-/// missing present vertex must be reached.
-///
-/// A *dormant* unrelayed eligible holder (a sleeping origin) makes this
-/// return `true` outright: its relay fires on arrival, and every arrival
-/// fires a wave whose repair pass re-evaluates this exact question — so
-/// waiting is safe and avoids reseed churn. Conversely dormant vertices
-/// need no coverage yet, for the same reason.
-pub(crate) fn assignment_still_covers(
-    g: &Graph,
-    ft: &FaultTracker,
-    origin: usize,
-    is_flood: bool,
-    is_member: impl Fn(usize) -> bool,
-    received: impl Fn(usize) -> bool,
-    relayed: impl Fn(usize) -> bool,
-) -> bool {
-    let n = g.n();
-    let mut relayer = vec![false; n];
-    let mut queue: Vec<usize> = Vec::new();
-    for (v, slot) in relayer.iter_mut().enumerate() {
-        if ft.is_dead(v) || !received(v) || relayed(v) {
-            continue;
-        }
-        if is_flood || is_member(v) || v == origin {
-            if ft.is_dormant(v) {
-                return true;
-            }
-            *slot = true;
-            queue.push(v);
-        }
-    }
-    let mut covered = vec![false; n];
-    while let Some(v) = queue.pop() {
-        for &u in g.neighbors(v) {
-            if covered[u] || received(u) || !ft.ok_edge(v, u) {
-                continue;
-            }
-            covered[u] = true;
-            if (is_flood || is_member(u)) && !relayer[u] {
-                relayer[u] = true;
-                queue.push(u);
-            }
-        }
-    }
-    (0..n).all(|v| ft.is_dead(v) || ft.is_dormant(v) || received(v) || covered[v])
-}
 
 /// A message to gossip: its origin vertex.
 pub type MessageOrigin = NodeId;
@@ -690,7 +387,7 @@ fn run_gossip(
             // Message-to-tree assignment draws first, preserving the
             // historical RNG stream bit for bit.
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut tree_of: Vec<usize> = match config.tree_choice {
+            let tree_of: Vec<usize> = match config.tree_choice {
                 TreeChoice::Uniform => (0..nmsg).map(|_| rng.gen_range(0..num_trees)).collect(),
                 TreeChoice::Weighted => {
                     let sampler = packing.try_sampler().expect("packing must carry weight");
@@ -701,14 +398,22 @@ fn run_gossip(
             for &t in &tree_of {
                 per_tree_load[t] += 1;
             }
-            let outcome = match config.sharing {
+            let ft = faults.map(|p| FaultState::new(p, n));
+            let mut hook = StaticRepair {
+                g,
+                packing,
+                degradation: Vec::new(),
+            };
+            let mut outcome = match config.sharing {
                 Sharing::Greedy => {
-                    greedy_schedule(g, packing, &member, &mut tree_of, origins, faults)
+                    run_schedule(g, origins, member, tree_of, Greedy::new(n), ft, &mut hook)
                 }
                 Sharing::Weighted => {
-                    weighted_schedule(g, packing, &member, &mut tree_of, origins, faults)
+                    let policy = Weighted::new(n, packing);
+                    run_schedule(g, origins, member, tree_of, policy, ft, &mut hook)
                 }
             };
+            outcome.degradation = hook.degradation;
             (outcome, per_tree_load)
         }
         Regime::Rlnc {
@@ -744,671 +449,28 @@ fn run_gossip(
     }
 }
 
-/// What a schedule simulation hands back to [`run_gossip`].
-pub(crate) struct ScheduleOutcome {
-    pub(crate) rounds: usize,
-    pub(crate) schedule_digest: u64,
-    pub(crate) peak_state_words: usize,
-    pub(crate) degradation: Vec<DegradationSample>,
-    pub(crate) lost_messages: usize,
-    pub(crate) wasted_bandwidth: usize,
-    pub(crate) repair_events: usize,
-    pub(crate) flood_rounds: usize,
+/// The static packing's repair hook: a tree broken by a fault stays
+/// broken ([`tree_ok`]), so its messages move to the lowest-id intact
+/// tree holding them, and a flood that still covers keeps flooding.
+struct StaticRepair<'a> {
+    g: &'a Graph,
+    packing: &'a DomTreePacking,
+    degradation: Vec<DegradationSample>,
 }
 
-/// The historical greedy schedule: each vertex relays its lowest-indexed
-/// eligible message each round.
-fn greedy_schedule(
-    g: &Graph,
-    packing: &DomTreePacking,
-    member: &BitRows,
-    tree_of: &mut [usize],
-    origins: &[MessageOrigin],
-    faults: Option<&FaultPlan>,
-) -> ScheduleOutcome {
-    let n = g.n();
-    let nmsg = origins.len();
-    // received: one bit row per message. A vertex's pending relays live
-    // in a min-heap over message indices: the greedy schedule relays the
-    // lowest-indexed eligible message, exactly as the historical
-    // `O(nmsg · n)` table scan chose it. Fault-free, a (message, vertex)
-    // pair enters a heap at most once (on the vertex's 0→1 reception,
-    // members only, plus the origin hand-off), so popping doubles as the
-    // `relayed` table; the fault repair pass reseeds holders, so under a
-    // plan relays are tracked explicitly in the `relayed` bitset.
-    let mut received = BitRows::new(nmsg, n);
-    let mut remaining: Vec<usize> = vec![n - 1; nmsg];
-    let mut pending: Vec<BinaryHeap<Reverse<u32>>> = (0..n).map(|_| BinaryHeap::new()).collect();
-    let mut worklist: Vec<u32> = Vec::new();
-    let mut queued: Vec<bool> = vec![false; n];
-    let mut incomplete = 0usize;
-    for (m, &origin) in origins.iter().enumerate() {
-        received.set(m, origin);
-        if remaining[m] > 0 {
-            incomplete += 1;
-        }
-        pending[origin].push(Reverse(m as u32));
-        if !queued[origin] {
-            queued[origin] = true;
-            worklist.push(origin as u32);
-        }
-    }
-    let mut pending_entries = nmsg;
-    let mut peak_pending = pending_entries;
+impl RepairHook for StaticRepair<'_> {
+    const READMIT_FLOOD: bool = false;
 
-    // Fault-path state; `None` everywhere on the (digest-pinned)
-    // fault-free path.
-    let mut tracker = faults.map(|p| FaultTracker::new(p, n));
-    let mut relayed = faults.map(|_| BitRows::new(nmsg, n));
-    let mut degradation: Vec<DegradationSample> = Vec::new();
-    let mut lost_messages = 0usize;
-    let mut wasted_bandwidth = 0usize;
-    let mut repair_events = 0usize;
-    let mut flood_rounds = 0usize;
-    let mut newly_dead: Vec<usize> = Vec::new();
-
-    let mut rounds = 0usize;
-    let mut schedule_digest = 0u64;
-    let round_limit = 64 * (n + nmsg) + 1024;
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut relays: Vec<(u32, u32)> = Vec::new();
-    while incomplete > 0 {
-        rounds += 1;
-        assert!(
-            rounds <= round_limit,
-            "gossip schedule failed to complete within {round_limit} rounds"
-        );
-        // Phase 0 — faults scheduled at this round fire before any
-        // relay choice is made.
-        if let Some(ft) = tracker.as_mut() {
-            newly_dead.clear();
-            if ft.advance(rounds, &mut newly_dead) {
-                let relayed = relayed.as_mut().expect("fault path tracks relays");
-                // Dead vertices drop their relay queues and no longer
-                // count toward delivery.
-                for &v in &newly_dead {
-                    pending_entries -= pending[v].len();
-                    pending[v].clear();
-                }
-                for (m, rem) in remaining.iter_mut().enumerate() {
-                    if *rem == 0 {
-                        continue;
-                    }
-                    for &v in &newly_dead {
-                        if !received.get(m, v) {
-                            *rem -= 1;
-                            if *rem == 0 {
-                                incomplete -= 1;
-                            }
-                        }
-                    }
-                }
-                // Repair pass: any incomplete message without a live,
-                // unrelayed, relay-eligible holder on an intact tree is
-                // moved to the lowest-id surviving tree holding it —
-                // or floods if no tree can carry it — and its eligible
-                // holders are reseeded (allowed to relay again). The
-                // same pass serves arrivals: a message complete among
-                // the old population has every holder relayed, so the
-                // arrival of a still-needy vertex reseeds it onto a
-                // tree that dominates the newcomer.
-                let alive: Vec<bool> = packing
-                    .trees
-                    .iter()
-                    .enumerate()
-                    .map(|(t, tree)| ft.tree_ok(g, t, tree, member))
-                    .collect();
-                let mut reassigned = 0usize;
-                let mut lost = 0usize;
-                for m in 0..nmsg {
-                    if remaining[m] == 0 {
-                        continue;
-                    }
-                    // Dormant holders count (a dormant origin's message
-                    // is not lost — it arrives with the vertex); their
-                    // reseeded entries wait in the heap until arrival.
-                    let holders: Vec<usize> = (0..n)
-                        .filter(|&v| !ft.is_dead(v) && received.get(m, v))
-                        .collect();
-                    if holders.is_empty() {
-                        remaining[m] = 0;
-                        incomplete -= 1;
-                        lost += 1;
-                        continue;
-                    }
-                    let eligible =
-                        |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
-                    let cur = tree_of[m];
-                    if (cur == FLOOD || alive[cur])
-                        && assignment_still_covers(
-                            g,
-                            ft,
-                            origins[m],
-                            cur == FLOOD,
-                            |v| cur != FLOOD && member.get(cur, v),
-                            |v| received.get(m, v),
-                            |v| relayed.get(m, v),
-                        )
-                    {
-                        continue;
-                    }
-                    let target = (0..packing.num_trees())
-                        .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
-                        .unwrap_or(FLOOD);
-                    tree_of[m] = target;
-                    reassigned += 1;
-                    for &v in &holders {
-                        if eligible(target, v) {
-                            relayed.clear(m, v);
-                            pending[v].push(Reverse(m as u32));
-                            pending_entries += 1;
-                            if !queued[v] {
-                                queued[v] = true;
-                                worklist.push(v as u32);
-                            }
-                        }
-                    }
-                }
-                lost_messages += lost;
-                repair_events += reassigned;
-                // Arrivals whose pending relays were seeded while they
-                // slept (a dormant origin, or a reseed above) rejoin
-                // the worklist now.
-                for &v in ft.woke() {
-                    if !pending[v].is_empty() && !queued[v] {
-                        queued[v] = true;
-                        worklist.push(v as u32);
-                    }
-                }
-                degradation.push(DegradationSample {
-                    round: rounds,
-                    faults_fired: ft.next,
-                    live_vertices: ft.live,
-                    surviving_trees: alive.iter().filter(|&&a| a).count(),
-                    incomplete_messages: incomplete,
-                    reassigned_messages: reassigned,
-                    lost_messages: lost,
-                });
-                if incomplete == 0 {
-                    rounds -= 1;
-                    break;
-                }
-            }
-        }
-        // Phase 1 — choices, from the state at round start: each active
-        // vertex pops its lowest-indexed pending message, lazily
-        // discarding messages that completed in earlier rounds (the old
-        // scan skipped them the same way) and, on the fault path,
-        // entries this vertex already relayed (reseed duplicates).
-        // Dormant vertices sit out (their heaps keep the entries).
-        std::mem::swap(&mut frontier, &mut worklist);
-        relays.clear();
-        for &v in &frontier {
-            queued[v as usize] = false;
-            if tracker
-                .as_ref()
-                .is_some_and(|t| t.is_dead(v as usize) || t.is_dormant(v as usize))
-            {
-                continue;
-            }
-            while let Some(&Reverse(m)) = pending[v as usize].peek() {
-                pending[v as usize].pop();
-                pending_entries -= 1;
-                if remaining[m as usize] > 0
-                    && relayed
-                        .as_ref()
-                        .is_none_or(|r| !r.get(m as usize, v as usize))
-                {
-                    relays.push((v, m));
-                    break;
-                }
-            }
-        }
-        // Phase 2 — apply all relays; receptions push next-round work.
-        let mut flooded = false;
-        for &(v, m) in &relays {
-            schedule_digest =
-                schedule_digest.wrapping_add(relay_hash(rounds, v as usize, m as usize));
-            if let Some(r) = relayed.as_mut() {
-                r.set(m as usize, v as usize);
-            }
-            let tree = tree_of[m as usize];
-            flooded |= tree == FLOOD;
-            for &u in g.neighbors(v as usize) {
-                if tracker.as_ref().is_some_and(|t| !t.ok_edge(v as usize, u)) {
-                    continue;
-                }
-                if !received.get(m as usize, u) {
-                    received.set(m as usize, u);
-                    remaining[m as usize] -= 1;
-                    if remaining[m as usize] == 0 {
-                        incomplete -= 1;
-                    }
-                    if tree == FLOOD || member.get(tree, u) {
-                        pending[u].push(Reverse(m));
-                        pending_entries += 1;
-                        if !queued[u] {
-                            queued[u] = true;
-                            worklist.push(u as u32);
-                        }
-                    }
-                } else {
-                    wasted_bandwidth += 1;
-                }
-            }
-        }
-        flood_rounds += flooded as usize;
-        peak_pending = peak_pending.max(pending_entries);
-        // Vertices that still hold pending relays stay on the frontier.
-        for &v in &frontier {
-            if !pending[v as usize].is_empty() && !queued[v as usize] {
-                queued[v as usize] = true;
-                worklist.push(v);
-            }
-        }
-        frontier.clear();
-        if relays.is_empty() && incomplete > 0 {
-            // The only legitimate idle state is awaiting a scheduled
-            // arrival (e.g. every present vertex is served and the
-            // stragglers have not arrived yet). Idle rounds carry no
-            // relays, so jumping to the eve of the next event leaves
-            // the digest and round count exactly as if we had spun.
-            let Some(r) = tracker.as_ref().and_then(|t| t.next_event_round()) else {
-                panic!(
-                    "gossip schedule stalled: a message can no longer make progress \
-                     (is some tree not dominating, or did faults disconnect the survivors?)"
-                );
-            };
-            rounds = rounds.max(r.saturating_sub(1));
-        }
-    }
-    // Heap entries are u32s: count them in 64-bit words (2 per word).
-    let peak_state_words = received.words() + member.words() + peak_pending.div_ceil(2);
-    ScheduleOutcome {
-        rounds,
-        schedule_digest,
-        peak_state_words,
-        degradation,
-        lost_messages,
-        wasted_bandwidth,
-        repair_events,
-        flood_rounds,
-    }
-}
-
-/// One (vertex, tree) lane of the weighted credit scheduler: the trees
-/// through a vertex each hold their own min-heap of pending messages and
-/// a credit accumulator. Lanes are kept sorted by tree id so credit
-/// accrual and the arg-max walk visit trees in ascending-id order — the
-/// float-op order the reference oracle reproduces exactly.
-struct TreeLane {
-    tree: u32,
-    credit: f64,
-    heap: BinaryHeap<Reverse<u32>>,
-}
-
-/// The weighted time-sharing schedule of the fractional regime
-/// ([`Sharing::Weighted`]): per round, every tree with an eligible
-/// pending message at a vertex earns `x_τ` credit; the highest-credit
-/// tree (ties to the lowest tree id) relays its lowest-indexed pending
-/// message and is charged the round's total accrual across the vertex's
-/// active trees. A lane whose heap has drained *and* whose tree has no
-/// incomplete message left anywhere retires — nothing can ever refill
-/// it, so keeping it would only let a finished tree's credit shadow
-/// live ones (and inflate the state peak).
-fn weighted_schedule(
-    g: &Graph,
-    packing: &DomTreePacking,
-    member: &BitRows,
-    tree_of: &mut [usize],
-    origins: &[MessageOrigin],
-    faults: Option<&FaultPlan>,
-) -> ScheduleOutcome {
-    let n = g.n();
-    let nmsg = origins.len();
-    let num_trees = packing.num_trees();
-    let weight: Vec<f64> = packing.trees.iter().map(|t| t.weight).collect();
-    // Slot per tree plus one for the flood fallback.
-    let tid = |t: usize| if t == FLOOD { num_trees } else { t };
-    let lane_key = |t: usize| if t == FLOOD { FLOOD_LANE } else { t as u32 };
-    let mut tree_incomplete = vec![0usize; num_trees + 1];
-    let mut received = BitRows::new(nmsg, n);
-    let mut remaining: Vec<usize> = vec![n - 1; nmsg];
-    let mut lanes: Vec<Vec<TreeLane>> = (0..n).map(|_| Vec::new()).collect();
-    let mut live_lanes = 0usize;
-    let mut worklist: Vec<u32> = Vec::new();
-    let mut queued: Vec<bool> = vec![false; n];
-    let mut incomplete = 0usize;
-    let mut pending_entries = 0usize;
-
-    // Pushes message `m` into vertex `v`'s lane for its tree, creating
-    // the lane on first use (lanes stay sorted by tree id; the flood
-    // lane's key sorts last).
-    fn push_pending(
-        lanes: &mut [Vec<TreeLane>],
-        live_lanes: &mut usize,
-        v: usize,
-        tree: u32,
-        m: u32,
-    ) {
-        let vl = &mut lanes[v];
-        let i = match vl.binary_search_by_key(&tree, |l| l.tree) {
-            Ok(i) => i,
-            Err(i) => {
-                vl.insert(
-                    i,
-                    TreeLane {
-                        tree,
-                        credit: 0.0,
-                        heap: BinaryHeap::new(),
-                    },
-                );
-                *live_lanes += 1;
-                i
-            }
-        };
-        vl[i].heap.push(Reverse(m));
+    fn carriers(&mut self, _round: usize, ft: &FaultState<'_>, member: &mut BitRows) -> Vec<bool> {
+        let member = &*member;
+        let trees = self.packing.trees.iter().enumerate();
+        trees
+            .map(|(t, tree)| tree_ok(self.g, ft, t, tree, member))
+            .collect()
     }
 
-    for (m, &origin) in origins.iter().enumerate() {
-        received.set(m, origin);
-        if remaining[m] > 0 {
-            incomplete += 1;
-            tree_incomplete[tid(tree_of[m])] += 1;
-        }
-        push_pending(
-            &mut lanes,
-            &mut live_lanes,
-            origin,
-            tree_of[m] as u32,
-            m as u32,
-        );
-        pending_entries += 1;
-        if !queued[origin] {
-            queued[origin] = true;
-            worklist.push(origin as u32);
-        }
-    }
-    let mut peak_pending = pending_entries;
-    let mut peak_lanes = live_lanes;
-
-    // Fault-path state; `None` everywhere on the (digest-pinned)
-    // fault-free path.
-    let mut tracker = faults.map(|p| FaultTracker::new(p, n));
-    let mut relayed = faults.map(|_| BitRows::new(nmsg, n));
-    let mut degradation: Vec<DegradationSample> = Vec::new();
-    let mut lost_messages = 0usize;
-    let mut wasted_bandwidth = 0usize;
-    let mut repair_events = 0usize;
-    let mut flood_rounds = 0usize;
-    let mut newly_dead: Vec<usize> = Vec::new();
-
-    let mut rounds = 0usize;
-    let mut schedule_digest = 0u64;
-    let round_limit = 64 * (n + nmsg) + 1024;
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut relays: Vec<(u32, u32)> = Vec::new();
-    while incomplete > 0 {
-        rounds += 1;
-        assert!(
-            rounds <= round_limit,
-            "gossip schedule failed to complete within {round_limit} rounds"
-        );
-        // Phase 0 — faults scheduled at this round fire before any
-        // relay choice is made (mirrors `greedy_schedule`).
-        if let Some(ft) = tracker.as_mut() {
-            newly_dead.clear();
-            if ft.advance(rounds, &mut newly_dead) {
-                let relayed = relayed.as_mut().expect("fault path tracks relays");
-                for &v in &newly_dead {
-                    for l in &lanes[v] {
-                        pending_entries -= l.heap.len();
-                    }
-                    live_lanes -= lanes[v].len();
-                    lanes[v].clear();
-                }
-                for m in 0..nmsg {
-                    if remaining[m] == 0 {
-                        continue;
-                    }
-                    for &v in &newly_dead {
-                        if !received.get(m, v) {
-                            remaining[m] -= 1;
-                            if remaining[m] == 0 {
-                                incomplete -= 1;
-                                tree_incomplete[tid(tree_of[m])] -= 1;
-                            }
-                        }
-                    }
-                }
-                let alive: Vec<bool> = packing
-                    .trees
-                    .iter()
-                    .enumerate()
-                    .map(|(t, tree)| ft.tree_ok(g, t, tree, member))
-                    .collect();
-                let mut reassigned = 0usize;
-                let mut lost = 0usize;
-                for m in 0..nmsg {
-                    if remaining[m] == 0 {
-                        continue;
-                    }
-                    let holders: Vec<usize> = (0..n)
-                        .filter(|&v| !ft.is_dead(v) && received.get(m, v))
-                        .collect();
-                    if holders.is_empty() {
-                        remaining[m] = 0;
-                        incomplete -= 1;
-                        tree_incomplete[tid(tree_of[m])] -= 1;
-                        lost += 1;
-                        continue;
-                    }
-                    let eligible =
-                        |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
-                    let cur = tree_of[m];
-                    if (cur == FLOOD || alive[cur])
-                        && assignment_still_covers(
-                            g,
-                            ft,
-                            origins[m],
-                            cur == FLOOD,
-                            |v| cur != FLOOD && member.get(cur, v),
-                            |v| received.get(m, v),
-                            |v| relayed.get(m, v),
-                        )
-                    {
-                        continue;
-                    }
-                    let target = (0..num_trees)
-                        .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
-                        .unwrap_or(FLOOD);
-                    tree_incomplete[tid(cur)] -= 1;
-                    tree_incomplete[tid(target)] += 1;
-                    tree_of[m] = target;
-                    reassigned += 1;
-                    for &v in &holders {
-                        if eligible(target, v) {
-                            relayed.clear(m, v);
-                            push_pending(
-                                &mut lanes,
-                                &mut live_lanes,
-                                v,
-                                lane_key(target),
-                                m as u32,
-                            );
-                            pending_entries += 1;
-                            if !queued[v] {
-                                queued[v] = true;
-                                worklist.push(v as u32);
-                            }
-                        }
-                    }
-                }
-                lost_messages += lost;
-                repair_events += reassigned;
-                // Arrivals with lane entries seeded while they slept
-                // rejoin the worklist now (mirrors `greedy_schedule`).
-                for &v in ft.woke() {
-                    if !queued[v] && lanes[v].iter().any(|l| !l.heap.is_empty()) {
-                        queued[v] = true;
-                        worklist.push(v as u32);
-                    }
-                }
-                degradation.push(DegradationSample {
-                    round: rounds,
-                    faults_fired: ft.next,
-                    live_vertices: ft.live,
-                    surviving_trees: alive.iter().filter(|&&a| a).count(),
-                    incomplete_messages: incomplete,
-                    reassigned_messages: reassigned,
-                    lost_messages: lost,
-                });
-                if incomplete == 0 {
-                    rounds -= 1;
-                    break;
-                }
-            }
-        }
-        // Phase 1 — choices, from the state at round start: every active
-        // tree at a vertex (one with an eligible pending message, after
-        // lazily discarding messages that completed in earlier rounds —
-        // and, on the fault path, entries this vertex already relayed)
-        // earns its weight in credit, in ascending tree-id order; the
-        // highest-credit active tree wins the relay slot and is charged
-        // the round's total accrual. Drained lanes of finished trees
-        // retire here. Dormant vertices sit out until their arrival.
-        std::mem::swap(&mut frontier, &mut worklist);
-        relays.clear();
-        for &v in &frontier {
-            queued[v as usize] = false;
-            if tracker
-                .as_ref()
-                .is_some_and(|t| t.is_dead(v as usize) || t.is_dormant(v as usize))
-            {
-                continue;
-            }
-            let vl = &mut lanes[v as usize];
-            vl.retain_mut(|l| {
-                while let Some(&Reverse(m)) = l.heap.peek() {
-                    let stale = remaining[m as usize] == 0
-                        || relayed
-                            .as_ref()
-                            .is_some_and(|r| r.get(m as usize, v as usize));
-                    if !stale {
-                        break;
-                    }
-                    l.heap.pop();
-                    pending_entries -= 1;
-                }
-                let t = if l.tree == FLOOD_LANE {
-                    num_trees
-                } else {
-                    l.tree as usize
-                };
-                if l.heap.is_empty() && tree_incomplete[t] == 0 {
-                    live_lanes -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            let mut accrued = 0.0f64;
-            let mut best: Option<usize> = None;
-            for i in 0..vl.len() {
-                if vl[i].heap.is_empty() {
-                    continue;
-                }
-                let w = if vl[i].tree == FLOOD_LANE {
-                    1.0
-                } else {
-                    weight[vl[i].tree as usize]
-                };
-                vl[i].credit += w;
-                accrued += w;
-                best = match best {
-                    Some(b) if vl[i].credit <= vl[b].credit => Some(b),
-                    _ => Some(i),
-                };
-            }
-            if let Some(b) = best {
-                vl[b].credit -= accrued;
-                let Reverse(m) = vl[b].heap.pop().expect("active lane has a message");
-                pending_entries -= 1;
-                relays.push((v, m));
-            }
-        }
-        // Phase 2 — apply all relays; receptions push next-round work.
-        let mut flooded = false;
-        for &(v, m) in &relays {
-            schedule_digest =
-                schedule_digest.wrapping_add(relay_hash(rounds, v as usize, m as usize));
-            if let Some(r) = relayed.as_mut() {
-                r.set(m as usize, v as usize);
-            }
-            let tree = tree_of[m as usize];
-            flooded |= tree == FLOOD;
-            for &u in g.neighbors(v as usize) {
-                if tracker.as_ref().is_some_and(|t| !t.ok_edge(v as usize, u)) {
-                    continue;
-                }
-                if !received.get(m as usize, u) {
-                    received.set(m as usize, u);
-                    remaining[m as usize] -= 1;
-                    if remaining[m as usize] == 0 {
-                        incomplete -= 1;
-                        tree_incomplete[tid(tree)] -= 1;
-                    }
-                    if tree == FLOOD || member.get(tree, u) {
-                        push_pending(&mut lanes, &mut live_lanes, u, lane_key(tree), m);
-                        pending_entries += 1;
-                        if !queued[u] {
-                            queued[u] = true;
-                            worklist.push(u as u32);
-                        }
-                    }
-                } else {
-                    wasted_bandwidth += 1;
-                }
-            }
-        }
-        flood_rounds += flooded as usize;
-        peak_pending = peak_pending.max(pending_entries);
-        peak_lanes = peak_lanes.max(live_lanes);
-        // Vertices that still hold pending relays stay on the frontier.
-        for &v in &frontier {
-            if !queued[v as usize] && lanes[v as usize].iter().any(|l| !l.heap.is_empty()) {
-                queued[v as usize] = true;
-                worklist.push(v);
-            }
-        }
-        frontier.clear();
-        if relays.is_empty() && incomplete > 0 {
-            // Idle only while a scheduled arrival is still due; jump to
-            // its eve (digest-neutral, mirrors `greedy_schedule`).
-            let Some(r) = tracker.as_ref().and_then(|t| t.next_event_round()) else {
-                panic!(
-                    "gossip schedule stalled: a message can no longer make progress \
-                     (is some tree not dominating, or did faults disconnect the survivors?)"
-                );
-            };
-            rounds = rounds.max(r.saturating_sub(1));
-        }
-    }
-    // Heap entries are u32s (2 per word); a lane adds a tree id, a
-    // credit, and a heap header (~5 words). Lanes retire as their trees
-    // finish, so the lane term is the concurrent peak, not the total
-    // ever created.
-    let peak_state_words =
-        received.words() + member.words() + peak_pending.div_ceil(2) + 5 * peak_lanes;
-    ScheduleOutcome {
-        rounds,
-        schedule_digest,
-        peak_state_words,
-        degradation,
-        lost_messages,
-        wasted_bandwidth,
-        repair_events,
-        flood_rounds,
+    fn record(&mut self, wave: DegradationSample, _flood_rounds: usize) {
+        self.degradation.push(wave);
     }
 }
 
@@ -1435,7 +497,8 @@ pub fn gossip_single_tree_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decomp_congest::fault::ScheduledFault;
+    use crate::schedule::relay_hash;
+    use decomp_congest::fault::{Fault, ScheduledFault};
     use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
     use decomp_core::cds::tree_extract::to_dom_tree_packing;
     use decomp_graph::generators;

@@ -33,4 +33,5 @@ pub mod gossip;
 pub mod gossip_distributed;
 pub mod oblivious;
 pub mod rlnc;
+mod schedule;
 pub mod throughput;

@@ -41,10 +41,9 @@
 //! (symbols whose every independent combination died are counted lost,
 //! exactly like a tree origin dying before its first relay).
 
-use crate::gossip::{
-    relay_hash, BitRows, DegradationSample, FaultTracker, MessageOrigin, ScheduleOutcome,
-};
-use decomp_congest::fault::FaultPlan;
+use crate::gossip::{DegradationSample, MessageOrigin};
+use crate::schedule::{relay_hash, tree_ok, BitRows, ScheduleOutcome};
+use decomp_congest::{FaultPlan, FaultState};
 use decomp_core::packing::DomTreePacking;
 use decomp_graph::Graph;
 use rand::rngs::StdRng;
@@ -595,7 +594,7 @@ impl<'g> RlncState<'g> {
     /// rank of the survivors' combined span (symbols beyond it are
     /// lost — every independent combination died). Returns the number
     /// of symbols lost by this pass.
-    fn shrink_caps(&mut self, ft: &FaultTracker<'_>, scratch: &mut [u8], pkt: &mut [u8]) -> usize {
+    fn shrink_caps(&mut self, ft: &FaultState<'_>, scratch: &mut [u8], pkt: &mut [u8]) -> usize {
         let mut lost = 0usize;
         for gen in 0..self.gens {
             if self.incomplete_at[gen] == 0 {
@@ -707,8 +706,7 @@ pub(crate) fn rlnc_schedule(
         debug_assert!(innovative, "distinct unit seeds are always innovative");
     }
 
-    let mut tracker = faults.map(|p| FaultTracker::new(p, n));
-    let mut newly_dead: Vec<usize> = Vec::new();
+    let mut tracker = faults.map(|p| FaultState::new(p, n));
     let mut lost_messages = 0usize;
     let mut rounds = 0usize;
     let mut schedule_digest = 0u64;
@@ -722,12 +720,11 @@ pub(crate) fn rlnc_schedule(
             rounds <= round_limit,
             "gossip schedule failed to complete within {round_limit} rounds"
         );
-        // Phase 0 — faults fire before any relay choice (mirrors the
-        // tree schedules' round structure).
+        // Phase 0 — faults fire before any relay choice, as in the
+        // tree schedules' round structure.
         if let Some(ft) = tracker.as_mut() {
-            newly_dead.clear();
-            if ft.advance(rounds, &mut newly_dead) {
-                for &v in &newly_dead {
+            if ft.advance_to(rounds) {
+                for &v in ft.newly_dead() {
                     st.kill(v);
                 }
                 let lost = st.shrink_caps(ft, &mut scratch_slab, &mut pkt);
@@ -736,7 +733,7 @@ pub(crate) fn rlnc_schedule(
                     .trees
                     .iter()
                     .enumerate()
-                    .filter(|(t, tree)| ft.tree_ok(g, *t, tree, member))
+                    .filter(|(t, tree)| tree_ok(g, ft, *t, tree, member))
                     .count();
                 degradation.push(DegradationSample {
                     round: rounds,
@@ -810,7 +807,10 @@ pub(crate) fn rlnc_schedule(
         for (ri, &(v, gen)) in relays.iter().enumerate() {
             let coeffs = &arena[ri * gsize..(ri + 1) * gsize];
             for &u in g.neighbors(v as usize) {
-                if tracker.as_ref().is_some_and(|t| !t.ok_edge(v as usize, u)) {
+                if tracker
+                    .as_ref()
+                    .is_some_and(|t| !t.deliverable(v as usize, u))
+                {
                     continue;
                 }
                 pkt.copy_from_slice(coeffs);

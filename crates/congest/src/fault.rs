@@ -217,21 +217,6 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// Distinct rounds at which at least one fault fires, ascending.
-    pub fn fault_rounds(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.events.iter().map(|e| e.round).collect();
-        out.dedup();
-        out
-    }
-
-    /// Whether the plan contains any arrival events
-    /// ([`Fault::AddVertex`] / [`Fault::AddEdge`]).
-    pub fn has_arrivals(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.fault, Fault::AddVertex(_) | Fault::AddEdge(..)))
-    }
-
     /// Vertices dead once every fault scheduled at a round `≤ round` has
     /// fired, ascending. Kills only — dormancy is reported by
     /// [`FaultPlan::dormant_vertices_after`].
@@ -534,11 +519,13 @@ fn draw_round(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
     rng.gen_range(lo..=hi)
 }
 
-/// The engines' live view of a plan: which faults have fired so far.
-/// Each sharded worker derives its own copy from the shared plan and
-/// advances it in lockstep — the state is a pure function of
-/// `(plan, round)`, so all workers agree without communication.
-pub(crate) struct FaultState<'p> {
+/// The live view of a plan: which faults have fired so far. The one
+/// fault tracker of the workspace — both round engines and the gossip
+/// schedules (tree and coded) advance it. Each sharded worker derives
+/// its own copy from the shared plan and advances it in lockstep — the
+/// state is a pure function of `(plan, round)`, so all workers agree
+/// without communication.
+pub struct FaultState<'p> {
     plan: &'p FaultPlan,
     /// Index of the first unfired event.
     next: usize,
@@ -552,10 +539,18 @@ pub(crate) struct FaultState<'p> {
     /// and sorted; entries are removed as activations fire.
     inactive_edges: Vec<(u32, u32)>,
     any: bool,
+    /// Vertices alive and present (neither dead nor dormant).
+    live: usize,
+    /// Vertices killed by the latest [`FaultState::advance_to`] call.
+    newly_dead: Vec<NodeId>,
+    /// Vertices whose arrival fired in the latest call (alive ones).
+    woke: Vec<NodeId>,
 }
 
 impl<'p> FaultState<'p> {
-    pub(crate) fn new(plan: &'p FaultPlan, n: usize) -> Self {
+    /// The state before any event fires: arrival targets dormant, their
+    /// edges inactive, nobody dead. `n` is the (final) topology's size.
+    pub fn new(plan: &'p FaultPlan, n: usize) -> Self {
         let mut dormant = vec![false; n];
         let mut inactive_edges: Vec<(u32, u32)> = Vec::new();
         for e in plan.events() {
@@ -571,10 +566,11 @@ impl<'p> FaultState<'p> {
         }
         inactive_edges.sort_unstable();
         inactive_edges.dedup();
+        let live = n - dormant.iter().filter(|&&d| d).count();
         // Arrivals restrict delivery from round 0 (dormant endpoints and
         // inactive edges), so the filtering fast path must be on before
         // any event fires.
-        let any = dormant.iter().any(|&d| d) || !inactive_edges.is_empty();
+        let any = live < n || !inactive_edges.is_empty();
         FaultState {
             plan,
             next: 0,
@@ -583,19 +579,33 @@ impl<'p> FaultState<'p> {
             cut_edges: Vec::new(),
             inactive_edges,
             any,
+            live,
+            newly_dead: Vec::new(),
+            woke: Vec::new(),
         }
     }
 
     /// Fires every event scheduled at a round `≤ round`; returns whether
-    /// any event fired in this call (the purge + wake trigger).
-    pub(crate) fn advance_to(&mut self, round: usize) -> bool {
+    /// any event fired in this call (the purge + wake + repair trigger).
+    /// The vertices this call killed (a vertex killed while still
+    /// dormant included — it will never receive) and woke are listed by
+    /// [`FaultState::newly_dead`] and [`FaultState::woke`] until the
+    /// next call. Death wins over arrival: a vertex killed while dormant
+    /// stays dead.
+    pub fn advance_to(&mut self, round: usize) -> bool {
         let events = self.plan.events();
-        let mut fired = false;
+        let start = self.next;
+        self.newly_dead.clear();
+        self.woke.clear();
         while self.next < events.len() && events[self.next].round <= round {
             match events[self.next].fault {
                 Fault::Vertex(v) => {
-                    if v < self.dead.len() {
+                    if v < self.dead.len() && !self.dead[v] {
                         self.dead[v] = true;
+                        if !self.dormant[v] {
+                            self.live -= 1;
+                        }
+                        self.newly_dead.push(v);
                     }
                 }
                 Fault::Edge(u, v) => {
@@ -605,8 +615,12 @@ impl<'p> FaultState<'p> {
                     }
                 }
                 Fault::AddVertex(v) => {
-                    if v < self.dormant.len() {
+                    if v < self.dormant.len() && self.dormant[v] {
                         self.dormant[v] = false;
+                        if !self.dead[v] {
+                            self.live += 1;
+                            self.woke.push(v);
+                        }
                     }
                 }
                 Fault::AddEdge(u, v) => {
@@ -617,32 +631,36 @@ impl<'p> FaultState<'p> {
                 }
             }
             self.next += 1;
-            fired = true;
-            self.any = true;
         }
+        let fired = self.next > start;
+        self.any |= fired;
         fired
     }
 
     /// Whether any fault has fired so far — or, with arrivals in the
     /// plan, from round 0 (fast path: `false` means delivery filtering
     /// can be skipped wholesale).
-    pub(crate) fn any_fired(&self) -> bool {
+    pub fn any_fired(&self) -> bool {
         self.any
     }
 
-    pub(crate) fn is_dead(&self, v: NodeId) -> bool {
+    /// Whether `v` has been killed.
+    #[inline]
+    pub fn is_dead(&self, v: NodeId) -> bool {
         self.dead[v]
     }
 
     /// Whether `v` has not yet arrived.
-    pub(crate) fn is_dormant(&self, v: NodeId) -> bool {
+    #[inline]
+    pub fn is_dormant(&self, v: NodeId) -> bool {
         self.dormant[v]
     }
 
     /// Whether a message from `from` to `to` survives: both endpoints
     /// live (not dead, not dormant) and the edge between them neither
     /// cut nor still inactive.
-    pub(crate) fn deliverable(&self, from: NodeId, to: NodeId) -> bool {
+    #[inline]
+    pub fn deliverable(&self, from: NodeId, to: NodeId) -> bool {
         let key = (from.min(to) as u32, from.max(to) as u32);
         !self.dead[from]
             && !self.dead[to]
@@ -650,6 +668,35 @@ impl<'p> FaultState<'p> {
             && !self.dormant[to]
             && self.cut_edges.binary_search(&key).is_err()
             && self.inactive_edges.binary_search(&key).is_err()
+    }
+
+    /// Vertices currently alive and present (dormant ones excluded until
+    /// they arrive).
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Vertices killed by the latest [`FaultState::advance_to`] call.
+    pub fn newly_dead(&self) -> &[NodeId] {
+        &self.newly_dead
+    }
+
+    /// Vertices (alive ones) whose arrival fired in the latest
+    /// [`FaultState::advance_to`] call.
+    pub fn woke(&self) -> &[NodeId] {
+        &self.woke
+    }
+
+    /// Cumulative events fired so far — also the index of the first
+    /// unfired event in [`FaultPlan::events`].
+    pub fn fired(&self) -> usize {
+        self.next
+    }
+
+    /// Round of the next unfired event, if any — the fast-forward target
+    /// of a schedule idling until an arrival.
+    pub fn next_event_round(&self) -> Option<usize> {
+        self.plan.events().get(self.next).map(|e| e.round)
     }
 }
 
@@ -672,7 +719,6 @@ mod tests {
         ]);
         assert_eq!(plan.events()[0].round, 2);
         assert_eq!(plan.events()[1].fault, Fault::Edge(1, 3));
-        assert_eq!(plan.fault_rounds(), vec![2, 5]);
     }
 
     #[test]
@@ -854,7 +900,6 @@ mod tests {
         let a = FaultPlan::random_arrivals(&g, 5, (1, 9), 7);
         assert_eq!(a, FaultPlan::random_arrivals(&g, 5, (1, 9), 7));
         assert_ne!(a, FaultPlan::random_arrivals(&g, 5, (1, 9), 8));
-        assert!(a.has_arrivals());
         assert_eq!(a.len(), 5);
         assert_eq!(a.validate(&g), Ok(()));
         let e = FaultPlan::random_edge_arrivals(&g, 3, (0, 4), 11);
@@ -1016,9 +1061,15 @@ mod tests {
         assert!(!fs.deliverable(1, 2));
         assert!(!fs.deliverable(0, 3), "inactive edge drops traffic");
         assert!(fs.deliverable(3, 4));
+        assert_eq!((fs.live(), fs.next_event_round()), (4, Some(2)));
         assert!(!fs.advance_to(1));
         assert!(fs.advance_to(2));
         assert!(!fs.is_dormant(1));
+        assert_eq!(fs.woke(), &[1]);
+        assert_eq!(
+            (fs.live(), fs.fired(), fs.next_event_round()),
+            (5, 1, Some(4))
+        );
         assert!(fs.deliverable(0, 1));
         assert!(!fs.deliverable(0, 3));
         assert!(fs.advance_to(4));
@@ -1044,11 +1095,17 @@ mod tests {
         assert!(fs.deliverable(0, 1));
         assert!(fs.advance_to(2));
         assert!(fs.is_dead(1));
+        assert_eq!((fs.newly_dead(), fs.live()), (&[1][..], 3));
         assert!(!fs.deliverable(0, 1));
         assert!(!fs.deliverable(1, 0));
         assert!(fs.deliverable(0, 2));
         assert!(!fs.advance_to(3));
         assert!(fs.advance_to(4));
+        assert!(
+            fs.newly_dead().is_empty(),
+            "lists hold the latest call only"
+        );
+        assert_eq!((fs.fired(), fs.next_event_round()), (2, None));
         assert!(!fs.deliverable(0, 2));
         assert!(!fs.deliverable(2, 0));
         assert!(fs.deliverable(2, 3));

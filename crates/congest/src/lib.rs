@@ -68,6 +68,6 @@ pub mod multiflood;
 pub mod sim;
 
 pub use engine::{EngineKind, PartitionKind, RoundEngine, SequentialEngine, ShardedEngine};
-pub use fault::{Fault, FaultPlan, FaultPlanError, ScheduledFault};
+pub use fault::{Fault, FaultPlan, FaultPlanError, FaultState, ScheduledFault};
 pub use message::{Message, MsgView, INLINE_WORDS};
 pub use sim::{Inbox, InboxIter, Model, NodeCtx, NodeProgram, RunStats, SimError, Simulator};
