@@ -135,7 +135,7 @@ pub struct ChurnGossipReport {
 /// ([`ClassState::component_count`]), every live present vertex
 /// dominated through a usable edge, and the members spanning under the
 /// tracker's edge filter.
-fn certify_class(
+pub(crate) fn certify_class(
     g: &Graph,
     ft: &FaultState<'_>,
     state: &ClassState,

@@ -368,18 +368,13 @@ fn run_gossip(
     let num_trees = packing.num_trees();
 
     // Per-tree membership, 1 bit per vertex.
-    let mut member = BitRows::new(num_trees, n);
-    let mut max_diam = 0usize;
-    for (t, tree) in packing.trees.iter().enumerate() {
-        for &(u, v) in &tree.edges {
-            member.set(t, u);
-            member.set(t, v);
-        }
-        if let Some(s) = tree.singleton {
-            member.set(t, s);
-        }
-        max_diam = max_diam.max(tree.diameter(n));
-    }
+    let member = BitRows::from_trees(packing, n);
+    let max_diam = packing
+        .trees
+        .iter()
+        .map(|t| t.diameter(n))
+        .max()
+        .unwrap_or(0);
 
     let nmsg = origins.len();
     let (outcome, per_tree_load) = match config.regime {

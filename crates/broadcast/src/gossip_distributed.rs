@@ -24,22 +24,28 @@
 //! streams (the model's private coins), which is what makes the run
 //! bit-identical across engines.
 
+use crate::churn::certify_class;
 use crate::gossip::{GossipConfig, Regime, TreeChoice};
 use crate::rlnc::{symbol_word, RlncDecoder};
+use crate::schedule::{dominates, tree_ok, BitRows};
 use decomp_congest::{
-    EngineKind, Fault, FaultPlan, Inbox, Message, Model, NodeCtx, NodeProgram, RunStats,
-    ScheduledFault, SimError, Simulator,
+    EngineKind, Fault, FaultPlan, FaultPlanError, FaultState, Inbox, Message, Model, NodeCtx,
+    NodeProgram, RunStats, ScheduledFault, SimError, Simulator,
 };
+use decomp_core::cds::centralized::CdsPacking;
+use decomp_core::cds::class_state::ClassState;
+use decomp_core::cds::tree_extract::to_dom_tree_packing_with_state;
 use decomp_core::packing::DomTreePacking;
 use decomp_graph::{Graph, GrowableGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeSet, VecDeque};
 
 struct GossipProgram {
     /// Sorted tree ids this node belongs to.
     trees: Vec<u32>,
     /// Tokens to relay, FIFO: (msg id, tree id).
-    queue: std::collections::VecDeque<(u64, u64)>,
+    queue: VecDeque<(u64, u64)>,
     /// Message ids already queued/relayed here (keyed on the message
     /// alone — a message rides exactly one tree, chosen at its origin,
     /// so one relay per node covers it). Origins enter at injection
@@ -49,7 +55,7 @@ struct GossipProgram {
     /// All message ids received.
     received: std::collections::HashSet<u64>,
     /// Initial injections for messages originating here.
-    inject: std::collections::VecDeque<(u64, u64)>,
+    inject: VecDeque<(u64, u64)>,
     /// Deliveries of messages this node already held
     /// ([`RunStats::wasted_bandwidth`]).
     wasted: usize,
@@ -293,45 +299,8 @@ pub fn gossip_protocol_on(
         return rlnc_protocol_on(sim, packing, origins, generation_size);
     }
     let n = g.n();
-    let mut rng = StdRng::seed_from_u64(seed);
-    // membership[v] = sorted tree ids containing v
-    let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (t, tree) in packing.trees.iter().enumerate() {
-        for v in tree.vertices(n) {
-            membership[v].push(t as u32);
-        }
-    }
-    let mut injections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
-    let sampler = match config.tree_choice {
-        TreeChoice::Uniform => None,
-        TreeChoice::Weighted => Some(packing.sampler()),
-    };
-    let mut per_tree_load = vec![0usize; packing.num_trees()];
-    for (i, &origin) in origins.iter().enumerate() {
-        let tree = match &sampler {
-            None => rng.gen_range(0..packing.num_trees()) as u64,
-            Some(s) => s.sample(&mut rng) as u64,
-        };
-        per_tree_load[tree as usize] += 1;
-        injections[origin].push_back((i as u64, tree));
-    }
-    let programs: Vec<GossipProgram> = (0..n)
-        .map(|v| {
-            let inject = std::mem::take(&mut injections[v]);
-            GossipProgram {
-                trees: membership[v].clone(),
-                queue: Default::default(),
-                // Injected messages are seen at injection: the origin
-                // broadcasts each exactly once, so a tree-member origin
-                // must not re-queue its own message when the echo
-                // arrives.
-                seen: inject.iter().map(|&(m, _)| m).collect(),
-                received: Default::default(),
-                inject,
-                wasted: 0,
-            }
-        })
-        .collect();
+    let (injections, per_tree_load) = assign_trees(packing, origins, seed, config.tree_choice, n);
+    let programs = gossip_programs(tree_membership(packing, n), injections);
     let (programs, mut stats) = sim.run(programs, 64 * (n + origins.len()) + 4096)?;
     stats.wasted_bandwidth = programs.iter().map(|p| p.wasted).sum();
     let complete = programs.iter().all(|p| p.received.len() == origins.len());
@@ -340,6 +309,68 @@ pub fn gossip_protocol_on(
         per_tree_load,
         stats,
     })
+}
+
+/// Injection queues per origin: message `i` starts at `origins[i]` on a
+/// tree drawn from `seed`'s stream — uniformly, or weight-proportionally
+/// under [`TreeChoice::Weighted`] — with the per-tree load.
+fn assign_trees(
+    packing: &DomTreePacking,
+    origins: &[NodeId],
+    seed: u64,
+    choice: TreeChoice,
+    n: usize,
+) -> (Vec<VecDeque<(u64, u64)>>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = match choice {
+        TreeChoice::Uniform => None,
+        TreeChoice::Weighted => Some(packing.sampler()),
+    };
+    let mut injections: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); n];
+    let mut per_tree_load = vec![0usize; packing.num_trees()];
+    for (i, &origin) in origins.iter().enumerate() {
+        let tree = match &sampler {
+            None => rng.gen_range(0..packing.num_trees()),
+            Some(s) => s.sample(&mut rng),
+        };
+        per_tree_load[tree] += 1;
+        injections[origin].push_back((i as u64, tree as u64));
+    }
+    (injections, per_tree_load)
+}
+
+/// `membership[v]`: the sorted ids of the trees containing `v`.
+fn tree_membership(packing: &DomTreePacking, n: usize) -> Vec<Vec<u32>> {
+    let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (t, tree) in packing.trees.iter().enumerate() {
+        for v in tree.vertices(n) {
+            membership[v].push(t as u32);
+        }
+    }
+    membership
+}
+
+/// One [`GossipProgram`] per node: it relays tokens of the carriers in
+/// `membership[v]` and starts by injecting `injections[v]`.
+fn gossip_programs(
+    membership: Vec<Vec<u32>>,
+    injections: Vec<VecDeque<(u64, u64)>>,
+) -> Vec<GossipProgram> {
+    membership
+        .into_iter()
+        .zip(injections)
+        .map(|(trees, inject)| GossipProgram {
+            trees,
+            queue: VecDeque::new(),
+            // Injected messages are seen at injection: the origin
+            // broadcasts each exactly once, so a tree-member origin must
+            // not re-queue its own message when the echo arrives.
+            seen: inject.iter().map(|&(m, _)| m).collect(),
+            received: Default::default(),
+            inject,
+            wasted: 0,
+        })
+        .collect()
 }
 
 /// The [`Regime::Rlnc`] body of [`gossip_protocol_on`]: one
@@ -422,6 +453,49 @@ pub struct FaultyDistGossipReport {
     pub stats: RunStats,
 }
 
+/// Why a two-phase protocol run ([`gossip_protocol_faulty`],
+/// [`gossip_protocol_churn`], [`gossip_protocol_growth`]) refused to
+/// run or failed.
+#[derive(Debug)]
+pub enum DistGossipError {
+    /// The fault plan failed [`FaultPlan::validate`].
+    Plan(FaultPlanError),
+    /// The packing holds no trees (for the churn protocols: no class
+    /// certifies over the final topology).
+    EmptyPacking,
+    /// The (final) topology is disconnected.
+    Disconnected,
+    /// A simulator phase exceeded its round cap.
+    Sim(SimError),
+}
+
+impl std::fmt::Display for DistGossipError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DistGossipError::Plan(e) => write!(f, "invalid fault plan: {e}"),
+            DistGossipError::EmptyPacking => write!(f, "packing holds no trees"),
+            DistGossipError::Disconnected => {
+                write!(f, "gossip requires a connected final graph")
+            }
+            DistGossipError::Sim(e) => write!(f, "simulator phase failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for DistGossipError {}
+
+impl From<FaultPlanError> for DistGossipError {
+    fn from(e: FaultPlanError) -> Self {
+        DistGossipError::Plan(e)
+    }
+}
+
+impl From<SimError> for DistGossipError {
+    fn from(e: SimError) -> Self {
+        DistGossipError::Sim(e)
+    }
+}
+
 /// Sentinel token tree id: a flood token, relayed by every surviving
 /// node instead of one tree's members.
 const FLOOD_TOKEN: u32 = u32::MAX;
@@ -442,11 +516,13 @@ const FLOOD_TOKEN: u32 = u32::MAX;
 /// [`crate::gossip::gossip_via_trees_faulty`].
 ///
 /// # Errors
-/// Propagates simulator round-limit errors from either phase.
+/// The plan is [validated](FaultPlan::validate) first; an empty packing
+/// or a disconnected `g` come back as typed errors, and simulator
+/// round-limit errors from either phase as [`DistGossipError::Sim`].
 ///
 /// # Panics
-/// Panics if the packing is empty (or carries no weight under
-/// [`TreeChoice::Weighted`]) or `g` is disconnected.
+/// Panics under [`Regime::Rlnc`] (the repair reasons about trees), or
+/// if the packing carries no weight under [`TreeChoice::Weighted`].
 pub fn gossip_protocol_faulty(
     g: &Graph,
     packing: &DomTreePacking,
@@ -455,215 +531,36 @@ pub fn gossip_protocol_faulty(
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-) -> Result<FaultyDistGossipReport, SimError> {
-    assert!(packing.num_trees() > 0, "need at least one tree");
-    assert!(
-        decomp_graph::traversal::is_connected(g),
-        "gossip requires a connected graph"
-    );
-    // The repair phase reasons about surviving *trees*; coded gossip has
-    // no tree-bound repair story at the protocol layer — the
-    // schedule-level `gossip_via_trees_faulty` covers RLNC under faults.
-    assert_eq!(
-        config.regime,
-        Regime::Trees,
-        "gossip_protocol_faulty supports the tree regimes only"
-    );
-    let n = g.n();
-    let nmsg = origins.len();
-    let num_trees = packing.num_trees();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (t, tree) in packing.trees.iter().enumerate() {
-        for v in tree.vertices(n) {
-            membership[v].push(t as u32);
-        }
-    }
-    let sampler = match config.tree_choice {
-        TreeChoice::Uniform => None,
-        TreeChoice::Weighted => Some(packing.sampler()),
+) -> Result<FaultyDistGossipReport, DistGossipError> {
+    check_two_phase(g, config, plan)?;
+    let phase1 = Phase1 {
+        graph: g,
+        growth: None,
+        packing,
+        origins,
+        seed,
+        config,
+        plan,
+        engine,
     };
-    let mut per_tree_load = vec![0usize; num_trees];
-    let mut tree_of: Vec<u64> = Vec::with_capacity(nmsg);
-    let mut injections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
-    for (i, &origin) in origins.iter().enumerate() {
-        let tree = match &sampler {
-            None => rng.gen_range(0..num_trees) as u64,
-            Some(s) => s.sample(&mut rng) as u64,
-        };
-        per_tree_load[tree as usize] += 1;
-        tree_of.push(tree);
-        injections[origin].push_back((i as u64, tree));
-    }
-    let make_programs = |membership: &[Vec<u32>],
-                         mut injections: Vec<std::collections::VecDeque<(u64, u64)>>|
-     -> Vec<GossipProgram> {
-        (0..n)
-            .map(|v| {
-                let inject = std::mem::take(&mut injections[v]);
-                GossipProgram {
-                    trees: membership[v].clone(),
-                    queue: Default::default(),
-                    seen: inject.iter().map(|&(m, _)| m).collect(),
-                    received: Default::default(),
-                    inject,
-                    wasted: 0,
-                }
-            })
-            .collect()
-    };
-    let cap = 64 * (n + nmsg) + 4096;
-
-    // Phase 1: the protocol under fire.
-    let mut sim = Simulator::with_seed(g, Model::VCongest, seed)
-        .with_engine(engine)
-        .with_faults(plan.clone());
-    let (phase1, mut stats) = sim.run(make_programs(&membership, injections), cap)?;
-    stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
-
-    // The survivors' view once every fault has fired.
-    let dead_list = plan.dead_vertices_after(usize::MAX);
-    let mut dead = vec![false; n];
-    for &v in &dead_list {
-        dead[v] = true;
-    }
-    // Arrivals have all fired by `usize::MAX`, so the survivors' view
-    // only needs the cuts (an activated edge is just a live edge).
-    let mut cut: Vec<(usize, usize)> = plan
-        .events()
-        .iter()
-        .filter_map(|e| match e.fault {
-            Fault::Edge(u, v) => Some((u, v)),
-            _ => None,
-        })
-        .collect();
-    cut.sort_unstable();
-    let edge_ok = |u: usize, v: usize| {
-        !dead[u] && !dead[v] && cut.binary_search(&(u.min(v), u.max(v))).is_err()
-    };
-    let is_member = |t: usize, v: usize| membership[v].binary_search(&(t as u32)).is_ok();
-    // A tree is intact on the survivors iff its members are all alive,
-    // its edges all uncut, and every survivor is still dominated
-    // through a live edge.
-    let tree_intact = |t: usize| {
-        packing.trees[t].edges.iter().all(|&(u, v)| edge_ok(u, v))
-            && packing.trees[t].singleton.is_none_or(|s| !dead[s])
-            && (0..n).filter(|&v| !dead[v] && !is_member(t, v)).all(|v| {
-                g.neighbors(v)
-                    .iter()
-                    .any(|&u| is_member(t, u) && edge_ok(v, u))
-            })
-    };
-    let intact: Vec<bool> = (0..num_trees).map(&tree_intact).collect();
-
-    // Repair: re-inject every message some survivor is still missing,
-    // from a live holder, on a surviving tree (or as a flood).
-    let mut reinjections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
-    let mut lost = vec![false; nmsg];
-    let mut reinjected = 0usize;
-    for m in 0..nmsg {
-        let missing = (0..n).any(|v| !dead[v] && !phase1[v].received.contains(&(m as u64)));
-        if !missing {
-            continue;
-        }
-        let holders: Vec<usize> = (0..n)
-            .filter(|&v| !dead[v] && phase1[v].received.contains(&(m as u64)))
+    // Phase-2 carriers: the packing's trees still intact on the
+    // survivors.
+    let run = run_two_phase(phase1, |ft| {
+        let member = BitRows::from_trees(packing, g.n());
+        let trees = packing.trees.iter().enumerate();
+        let intact = trees
+            .map(|(t, tree)| tree_ok(g, ft, t, tree, &member))
             .collect();
-        if holders.is_empty() {
-            lost[m] = true;
-            continue;
-        }
-        let eligible = |t: usize, v: usize| is_member(t, v) || v == origins[m];
-        let carrier = (0..num_trees)
-            .find(|&t| intact[t] && holders.iter().any(|&v| eligible(t, v)))
-            .map(|t| t as u32)
-            .unwrap_or(FLOOD_TOKEN);
-        let injector = *holders
-            .iter()
-            .find(|&&v| carrier == FLOOD_TOKEN || eligible(carrier as usize, v))
-            .expect("carrier choice guarantees an eligible holder");
-        reinjections[injector].push_back((m as u64, carrier as u64));
-        reinjected += 1;
-    }
-
-    // Messages neither delivered everywhere nor re-injected are lost —
-    // with no survivor holding a copy, the repair phase has nothing to
-    // work with, so completeness is judged over the rest.
-    stats.repair_events += reinjected;
-    let any_flood = reinjections
-        .iter()
-        .flatten()
-        .any(|&(_, c)| c == FLOOD_TOKEN as u64);
-    let mut complete = true;
-    if reinjected > 0 {
-        // Every survivor relays flood tokens; tree tokens keep their
-        // membership.
-        let membership2: Vec<Vec<u32>> = (0..n)
-            .map(|v| {
-                let mut t = membership[v].clone();
-                t.push(FLOOD_TOKEN);
-                t
-            })
-            .collect();
-        // Same final topology, quiesced: every fault fires at round 0.
-        let plan0 = FaultPlan::new(plan.events().iter().map(|e| ScheduledFault {
-            round: 0,
-            fault: e.fault,
-        }));
-        let mut sim2 = Simulator::with_seed(g, Model::VCongest, seed ^ 0xf1f0_0d17)
-            .with_engine(engine)
-            .with_faults(plan0);
-        let (phase2, stats2) = sim2.run(make_programs(&membership2, reinjections), cap)?;
-        // Every phase-2 round may carry flood tokens, so the flood
-        // column charges the whole repair run when any message fell
-        // back to flooding (no surviving tree could carry it).
-        if any_flood {
-            stats.flood_rounds += stats2.rounds;
-        }
-        stats.absorb(stats2);
-        stats.wasted_bandwidth += phase2.iter().map(|p| p.wasted).sum::<usize>();
-        complete = (0..n).filter(|&v| !dead[v]).all(|v| {
-            (0..nmsg).all(|m| {
-                lost[m]
-                    || phase1[v].received.contains(&(m as u64))
-                    || phase2[v].received.contains(&(m as u64))
-            })
-        });
-    }
-
+        (member, intact)
+    })?;
     Ok(FaultyDistGossipReport {
-        complete,
-        lost_messages: lost.iter().filter(|&&l| l).count(),
-        reinjected,
-        per_tree_load,
-        stats,
+        complete: run.complete,
+        lost_messages: run.lost_messages,
+        reinjected: run.reinjected,
+        per_tree_load: run.per_tree_load,
+        stats: run.stats,
     })
 }
-
-/// Why [`gossip_protocol_churn`] refused to run or failed.
-#[derive(Debug)]
-pub enum ChurnProtocolError {
-    /// The fault plan failed [`FaultPlan::validate`].
-    Plan(decomp_congest::FaultPlanError),
-    /// The final topology is disconnected.
-    Disconnected,
-    /// A simulator phase exceeded its round cap.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for ChurnProtocolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChurnProtocolError::Plan(e) => write!(f, "invalid churn plan: {e}"),
-            ChurnProtocolError::Disconnected => {
-                write!(f, "churn gossip requires a connected final graph")
-            }
-            ChurnProtocolError::Sim(e) => write!(f, "simulator phase failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ChurnProtocolError {}
 
 /// Result of a churn-injected protocol run ([`gossip_protocol_churn`]).
 #[derive(Clone, Debug)]
@@ -698,17 +595,21 @@ pub struct ChurnDistGossipReport {
 /// membership no-ops here (the state already holds the final
 /// population), so only deaths and cuts repack — each touching only
 /// its own classes.
+///
+/// # Errors
+/// As [`gossip_protocol_faulty`]; [`DistGossipError::EmptyPacking`]
+/// when no class certifies over the final topology.
 #[allow(clippy::too_many_arguments)] // churn protocol plumbing
 pub fn gossip_protocol_churn(
     g: &Graph,
-    cds: &decomp_core::cds::centralized::CdsPacking,
-    state: &mut decomp_core::cds::class_state::ClassState,
+    cds: &CdsPacking,
+    state: &mut ClassState,
     origins: &[NodeId],
     seed: u64,
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-) -> Result<ChurnDistGossipReport, ChurnProtocolError> {
+) -> Result<ChurnDistGossipReport, DistGossipError> {
     run_protocol_churn(g, None, cds, state, origins, seed, config, plan, engine)
 }
 
@@ -730,17 +631,20 @@ pub fn gossip_protocol_churn(
 /// arrival rounds. Engine choice never changes any output — the growing
 /// run is bit-identical across `sequential` / `sharded` backends and
 /// shard counts, exactly like the settled one.
+///
+/// # Errors
+/// As [`gossip_protocol_churn`].
 #[allow(clippy::too_many_arguments)] // churn protocol plumbing
 pub fn gossip_protocol_growth(
     gg: &GrowableGraph,
-    cds: &decomp_core::cds::centralized::CdsPacking,
-    state: &mut decomp_core::cds::class_state::ClassState,
+    cds: &CdsPacking,
+    state: &mut ClassState,
     origins: &[NodeId],
     seed: u64,
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-) -> Result<ChurnDistGossipReport, ChurnProtocolError> {
+) -> Result<ChurnDistGossipReport, DistGossipError> {
     let gfull = gg.final_graph();
     run_protocol_churn(
         &gfull,
@@ -755,265 +659,258 @@ pub fn gossip_protocol_growth(
     )
 }
 
-/// Shared body of [`gossip_protocol_churn`] (settled, `growth: None`)
-/// and [`gossip_protocol_growth`]. `g` is always the final topology;
-/// `growth` carries the phase-1 delivery view when the run grows.
+/// The churn protocols' carriers: [`gossip_protocol_churn`] (settled,
+/// `growth: None`) and [`gossip_protocol_growth`] route phase 1 on the
+/// trees certified over the final topology `g`, then apply the churn to
+/// the class state and re-certify the touched classes for phase 2.
 #[allow(clippy::too_many_arguments)] // churn protocol plumbing
 fn run_protocol_churn(
     g: &Graph,
     growth: Option<&GrowableGraph>,
-    cds: &decomp_core::cds::centralized::CdsPacking,
-    state: &mut decomp_core::cds::class_state::ClassState,
+    cds: &CdsPacking,
+    state: &mut ClassState,
     origins: &[NodeId],
     seed: u64,
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-) -> Result<ChurnDistGossipReport, ChurnProtocolError> {
-    use decomp_core::cds::tree_extract::{reextract_class_tree, to_dom_tree_packing_with_state};
-
-    plan.validate(g).map_err(ChurnProtocolError::Plan)?;
-    if !decomp_graph::traversal::is_connected(g) {
-        return Err(ChurnProtocolError::Disconnected);
-    }
-    assert_eq!(
-        config.regime,
-        Regime::Trees,
-        "gossip_protocol_churn supports the tree regimes only"
-    );
+) -> Result<ChurnDistGossipReport, DistGossipError> {
+    check_two_phase(g, config, plan)?;
     let n = g.n();
-    let nmsg = origins.len();
     let num_classes = cds.num_classes();
-
     // Phase-1 routing: trees certified over the final topology (dormant
     // members simply stay silent until they arrive).
     let packing = to_dom_tree_packing_with_state(g, cds, state).packing;
-    assert!(packing.num_trees() > 0, "need at least one certified class");
-    let num_trees = packing.num_trees();
-    let mut membership: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (t, tree) in packing.trees.iter().enumerate() {
-        for v in tree.vertices(n) {
-            membership[v].push(t as u32);
-        }
-    }
-    let sampler = match config.tree_choice {
-        TreeChoice::Uniform => None,
-        TreeChoice::Weighted => Some(packing.sampler()),
+    let phase1 = Phase1 {
+        graph: g,
+        growth,
+        packing: &packing,
+        origins,
+        seed,
+        config,
+        plan,
+        engine,
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut injections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
-    for (i, &origin) in origins.iter().enumerate() {
-        let tree = match &sampler {
-            None => rng.gen_range(0..num_trees) as u64,
-            Some(s) => s.sample(&mut rng) as u64,
-        };
-        injections[origin].push_back((i as u64, tree));
-    }
-    let make_programs = |membership: &[Vec<u32>],
-                         mut injections: Vec<std::collections::VecDeque<(u64, u64)>>|
-     -> Vec<GossipProgram> {
-        (0..n)
-            .map(|v| {
-                let inject = std::mem::take(&mut injections[v]);
-                GossipProgram {
-                    trees: membership[v].clone(),
-                    queue: Default::default(),
-                    seen: inject.iter().map(|&(m, _)| m).collect(),
-                    received: Default::default(),
-                    inject,
-                    wasted: 0,
+    let (mut admitted_via_packing, mut flood_served, mut reextractions) = (0, 0, 0);
+    let mut run = run_two_phase(phase1, |ft| {
+        // Apply the churn to the class state. The state already holds
+        // the final membership of every *packed* vertex, so those
+        // arrivals repack nothing; deaths and cuts each repair exactly
+        // their touched classes. A class-free arrival — a vertex the
+        // packing predates — is admitted incrementally in growth mode
+        // (tree service for the newcomer) and counted against the flood
+        // fallback otherwise.
+        let g_surv = plan.surviving_graph(g, usize::MAX);
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        for e in plan.events() {
+            let entered = match e.fault {
+                Fault::Vertex(v) => state.delete_vertex(&g_surv, v),
+                Fault::Edge(u, v) => state.delete_edge(&g_surv, u, v),
+                Fault::AddVertex(v) if !ft.is_dead(v) && state.classes_at(v).is_empty() => {
+                    let entered = if growth.is_some() {
+                        state.admit_vertex(&g_surv, v)
+                    } else {
+                        Vec::new()
+                    };
+                    if entered.is_empty() {
+                        flood_served += 1;
+                    } else {
+                        admitted_via_packing += 1;
+                    }
+                    entered
                 }
-            })
-            .collect()
-    };
+                Fault::AddVertex(_) | Fault::AddEdge(..) => Vec::new(),
+            };
+            touched.extend(entered.into_iter().map(|c| c as usize));
+        }
+        let mut member = BitRows::new(num_classes, n);
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_classes];
+        for v in 0..n {
+            for &c in state.classes_at(v) {
+                member.set(c as usize, v);
+                members[c as usize].push(v);
+            }
+        }
+        // Re-extraction between the phases: untouched certified classes
+        // keep their tree (members and tree edges intact — only
+        // domination can break, through a cut to a non-member); touched
+        // ones re-certify from the repaired state, which can also revive
+        // classes that were invalid over the full topology.
+        let mut certified = vec![false; num_classes];
+        for tree in &packing.trees {
+            certified[tree.id] = !touched.contains(&tree.id) && dominates(g, ft, &member, tree.id);
+        }
+        for &c in &touched {
+            certified[c] = certify_class(g, ft, state, &member, &members[c], c).is_some();
+            reextractions += certified[c] as usize;
+        }
+        (member, certified)
+    })?;
+    run.stats.admitted_via_packing = admitted_via_packing;
+    run.stats.flood_served = flood_served;
+    Ok(ChurnDistGossipReport {
+        complete: run.complete,
+        lost_messages: run.lost_messages,
+        reinjected: run.reinjected,
+        reextractions,
+        certified_classes: run.carriers,
+        stats: run.stats,
+    })
+}
+
+/// The front-door checks every two-phase protocol shares.
+fn check_two_phase(
+    g: &Graph,
+    config: GossipConfig,
+    plan: &FaultPlan,
+) -> Result<(), DistGossipError> {
+    plan.validate(g)?;
+    if !decomp_graph::traversal::is_connected(g) {
+        return Err(DistGossipError::Disconnected);
+    }
+    // The repair phase reasons about surviving *trees*; coded gossip has
+    // no tree-bound repair story at the protocol layer — the
+    // schedule-level `gossip_via_trees_faulty` covers RLNC under faults.
+    assert_eq!(
+        config.regime,
+        Regime::Trees,
+        "the two-phase protocols support the tree regimes only"
+    );
+    Ok(())
+}
+
+/// Phase 1 of a two-phase run: the protocol over `packing` on a
+/// simulator of `graph` (the final topology) under `plan`, delivering
+/// through `growth`'s view when the topology grows.
+struct Phase1<'a> {
+    graph: &'a Graph,
+    growth: Option<&'a GrowableGraph>,
+    packing: &'a DomTreePacking,
+    origins: &'a [NodeId],
+    seed: u64,
+    config: GossipConfig,
+    plan: &'a FaultPlan,
+    engine: EngineKind,
+}
+
+/// What [`run_two_phase`] hands back to its entry point.
+struct TwoPhaseRun {
+    complete: bool,
+    lost_messages: usize,
+    reinjected: usize,
+    per_tree_load: Vec<usize>,
+    /// Carriers intact on the survivors.
+    carriers: usize,
+    stats: RunStats,
+}
+
+/// The one two-phase body: phase 1 runs the protocol under the plan;
+/// then `carriers`, given the survivors' view (every event fired),
+/// returns per carrier id its membership row and whether it is intact;
+/// every message a survivor still misses is re-injected from a live
+/// holder on the lowest-id intact carrier it can join, or as a flood
+/// token, and phase 2 runs the re-injections on a fault-quiesced
+/// simulator (every event at round 0, seed `seed ^ 0xf1f0_0d17`).
+fn run_two_phase(
+    p: Phase1<'_>,
+    carriers: impl FnOnce(&FaultState<'_>) -> (BitRows, Vec<bool>),
+) -> Result<TwoPhaseRun, DistGossipError> {
+    if p.packing.num_trees() == 0 {
+        return Err(DistGossipError::EmptyPacking);
+    }
+    let (g, origins) = (p.graph, p.origins);
+    let n = g.n();
+    let nmsg = origins.len();
+    let (injections, per_tree_load) =
+        assign_trees(p.packing, origins, p.seed, p.config.tree_choice, n);
     // The run idles until the last arrival if it must.
-    let last_event = plan.events().last().map_or(0, |e| e.round);
+    let last_event = p.plan.events().last().map_or(0, |e| e.round);
     let cap = 64 * (n + nmsg) + 4096 + last_event;
 
-    // Phase 1: the protocol under churn. A growing run delivers over
-    // the view (base CSR + epoch-stamped overlay) — the base is the
-    // engines' bookkeeping topology, never their adjacency source.
-    let mut sim = Simulator::with_seed(growth.map_or(g, |gg| gg.base()), Model::VCongest, seed)
-        .with_engine(engine)
-        .with_faults(plan.clone());
-    if let Some(gg) = growth {
+    // Phase 1: the protocol under fire. A growing run delivers over the
+    // view (base CSR + epoch-stamped overlay) — the base is the engines'
+    // bookkeeping topology, never their adjacency source.
+    let mut sim = Simulator::with_seed(p.growth.map_or(g, |gg| gg.base()), Model::VCongest, p.seed)
+        .with_engine(p.engine)
+        .with_faults(p.plan.clone());
+    if let Some(gg) = p.growth {
         sim = sim.with_growth(gg);
     }
-    let (phase1, mut stats) = sim
-        .run(make_programs(&membership, injections), cap)
-        .map_err(ChurnProtocolError::Sim)?;
+    let programs = gossip_programs(tree_membership(p.packing, n), injections);
+    let (phase1, mut stats) = sim.run(programs, cap)?;
     stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
 
-    // The survivors' final view; arrivals have all fired.
-    let dead_list = plan.dead_vertices_after(usize::MAX);
-    let mut dead = vec![false; n];
-    for &v in &dead_list {
-        dead[v] = true;
-    }
-    let mut cut: Vec<(usize, usize)> = plan
-        .events()
-        .iter()
-        .filter_map(|e| match e.fault {
-            Fault::Edge(u, v) => Some((u, v)),
-            _ => None,
-        })
-        .collect();
-    cut.sort_unstable();
-    let edge_ok = |u: usize, v: usize| {
-        !dead[u] && !dead[v] && cut.binary_search(&(u.min(v), u.max(v))).is_err()
-    };
-
-    // Apply the churn to the class state. The state already holds the
-    // final membership of every *packed* vertex, so those arrivals
-    // repack nothing; deaths and cuts each repair exactly their touched
-    // classes. A class-free arrival — a vertex the packing predates —
-    // is admitted incrementally in growth mode (tree service for the
-    // newcomer) and counted against the flood fallback otherwise.
-    let g_surv = plan.surviving_graph(g, usize::MAX);
-    let mut touched: std::collections::BTreeSet<usize> = Default::default();
-    let mut admitted_via_packing = 0usize;
-    let mut flood_served = 0usize;
-    for e in plan.events() {
-        match e.fault {
-            Fault::Vertex(v) => {
-                for c in state.delete_vertex(&g_surv, v) {
-                    touched.insert(c as usize);
-                }
-            }
-            Fault::Edge(u, v) => {
-                for c in state.delete_edge(&g_surv, u, v) {
-                    touched.insert(c as usize);
-                }
-            }
-            Fault::AddVertex(v) => {
-                if !dead[v] && state.classes_at(v).is_empty() {
-                    if growth.is_some() {
-                        let entered = state.admit_vertex(&g_surv, v);
-                        if entered.is_empty() {
-                            flood_served += 1;
-                        } else {
-                            admitted_via_packing += 1;
-                        }
-                        for c in entered {
-                            touched.insert(c as usize);
-                        }
-                    } else {
-                        flood_served += 1;
-                    }
-                }
-            }
-            Fault::AddEdge(_, _) => {}
-        }
-    }
-    stats.admitted_via_packing = admitted_via_packing;
-    stats.flood_served = flood_served;
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_classes];
-    for v in 0..n {
-        for &c in state.classes_at(v) {
-            members[c as usize].push(v);
-        }
-    }
-    let dominates = |ms: &[NodeId]| {
-        let mut is_m = vec![false; n];
-        for &v in ms {
-            is_m[v] = true;
-        }
-        (0..n)
-            .filter(|&v| !dead[v] && !is_m[v])
-            .all(|v| g.neighbors(v).iter().any(|&u| is_m[u] && edge_ok(v, u)))
-    };
-
-    // Tree re-extraction between the phases: untouched certified
-    // classes keep their tree (members and tree edges intact — only
-    // domination can break, through a cut to a non-member); touched
-    // ones re-extract from the repaired state, which can also revive
-    // classes that were invalid over the full topology.
-    let mut repaired: Vec<Option<decomp_core::packing::WeightedDomTree>> = vec![None; num_classes];
-    for tree in &packing.trees {
-        if !touched.contains(&tree.id) && dominates(&members[tree.id]) {
-            repaired[tree.id] = Some(tree.clone());
-        }
-    }
-    let mut reextractions = 0usize;
-    for &c in &touched {
-        if state.component_count(c) == 1 && dominates(&members[c]) {
-            repaired[c] = reextract_class_tree(g, c, &members[c], edge_ok);
-            if repaired[c].is_some() {
-                reextractions += 1;
-            }
-        }
-    }
-    let certified_classes = repaired.iter().filter(|t| t.is_some()).count();
-    let class_member = |c: usize, v: usize| members[c].binary_search(&v).is_ok();
+    // The survivors' view once every event has fired: arrivals are all
+    // present, so only kills and cuts remain.
+    let mut ft = FaultState::new(p.plan, n);
+    ft.advance_to(usize::MAX);
+    let (member, intact) = carriers(&ft);
 
     // Repair: re-inject every message some survivor is still missing,
-    // from a live holder, on a re-extracted certified class (or as a
-    // flood when no class can carry it).
-    let mut reinjections: Vec<std::collections::VecDeque<(u64, u64)>> = vec![Default::default(); n];
+    // from a live holder, on an intact carrier (or as a flood).
+    let mut reinjections: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); n];
     let mut lost = vec![false; nmsg];
     let mut reinjected = 0usize;
-    for m in 0..nmsg {
-        let missing = (0..n).any(|v| !dead[v] && !phase1[v].received.contains(&(m as u64)));
-        if !missing {
+    let mut any_flood = false;
+    for (m, &origin) in origins.iter().enumerate() {
+        let has = |v: usize| phase1[v].received.contains(&(m as u64));
+        if (0..n).all(|v| ft.is_dead(v) || has(v)) {
             continue;
         }
-        let holders: Vec<usize> = (0..n)
-            .filter(|&v| !dead[v] && phase1[v].received.contains(&(m as u64)))
-            .collect();
+        let holders: Vec<usize> = (0..n).filter(|&v| !ft.is_dead(v) && has(v)).collect();
         if holders.is_empty() {
             lost[m] = true;
             continue;
         }
-        let eligible = |c: usize, v: usize| class_member(c, v) || v == origins[m];
-        let carrier = (0..num_classes)
-            .find(|&c| repaired[c].is_some() && holders.iter().any(|&v| eligible(c, v)))
-            .map(|c| c as u32)
-            .unwrap_or(FLOOD_TOKEN);
+        let eligible = |c: usize, v: usize| member.get(c, v) || v == origin;
+        let carrier = (0..intact.len())
+            .find(|&c| intact[c] && holders.iter().any(|&v| eligible(c, v)))
+            .map_or(FLOOD_TOKEN, |c| c as u32);
         let injector = *holders
             .iter()
             .find(|&&v| carrier == FLOOD_TOKEN || eligible(carrier as usize, v))
             .expect("carrier choice guarantees an eligible holder");
         reinjections[injector].push_back((m as u64, carrier as u64));
         reinjected += 1;
+        any_flood |= carrier == FLOOD_TOKEN;
     }
-    stats.repair_events += reinjected;
-    let any_flood = reinjections
-        .iter()
-        .flatten()
-        .any(|&(_, c)| c == FLOOD_TOKEN as u64);
 
+    // Messages neither delivered everywhere nor re-injected are lost —
+    // with no survivor holding a copy, the repair phase has nothing to
+    // work with, so completeness is judged over the rest.
+    stats.repair_events += reinjected;
     let mut complete = true;
     if reinjected > 0 {
-        // Phase-2 tokens are keyed by *class id*; members of certified
-        // classes relay their class, every survivor relays floods.
-        let membership2: Vec<Vec<u32>> = (0..n)
+        // Members of intact carriers relay their carrier's tokens; every
+        // survivor relays floods.
+        let membership: Vec<Vec<u32>> = (0..n)
             .map(|v| {
-                let mut t: Vec<u32> = (0..num_classes)
-                    .filter(|&c| repaired[c].is_some() && class_member(c, v))
+                (0..intact.len())
+                    .filter(|&c| intact[c] && member.get(c, v))
                     .map(|c| c as u32)
-                    .collect();
-                t.push(FLOOD_TOKEN);
-                t
+                    .chain([FLOOD_TOKEN])
+                    .collect()
             })
             .collect();
-        // Same final topology, quiesced: every fault fires at round 0
+        // Same final topology, quiesced: every event fires at round 0
         // (arrivals at round 0 are simply present from the start).
-        let plan0 = FaultPlan::new(plan.events().iter().map(|e| ScheduledFault {
+        let plan0 = FaultPlan::new(p.plan.events().iter().map(|e| ScheduledFault {
             round: 0,
             fault: e.fault,
         }));
-        let mut sim2 = Simulator::with_seed(g, Model::VCongest, seed ^ 0xf1f0_0d17)
-            .with_engine(engine)
+        let mut sim2 = Simulator::with_seed(g, Model::VCongest, p.seed ^ 0xf1f0_0d17)
+            .with_engine(p.engine)
             .with_faults(plan0);
-        let (phase2, stats2) = sim2
-            .run(make_programs(&membership2, reinjections), cap)
-            .map_err(ChurnProtocolError::Sim)?;
+        let (phase2, stats2) = sim2.run(gossip_programs(membership, reinjections), cap)?;
+        // Every phase-2 round may carry flood tokens, so the flood
+        // column charges the whole repair run when any message fell
+        // back to flooding (no intact carrier could take it).
         if any_flood {
             stats.flood_rounds += stats2.rounds;
         }
         stats.absorb(stats2);
         stats.wasted_bandwidth += phase2.iter().map(|p| p.wasted).sum::<usize>();
-        complete = (0..n).filter(|&v| !dead[v]).all(|v| {
+        complete = (0..n).filter(|&v| !ft.is_dead(v)).all(|v| {
             (0..nmsg).all(|m| {
                 lost[m]
                     || phase1[v].received.contains(&(m as u64))
@@ -1021,13 +918,12 @@ fn run_protocol_churn(
             })
         });
     }
-
-    Ok(ChurnDistGossipReport {
+    Ok(TwoPhaseRun {
         complete,
         lost_messages: lost.iter().filter(|&&l| l).count(),
         reinjected,
-        reextractions,
-        certified_classes,
+        per_tree_load,
+        carriers: intact.iter().filter(|&&c| c).count(),
         stats,
     })
 }
@@ -1462,7 +1358,76 @@ mod tests {
             EngineKind::Sequential,
         )
         .unwrap_err();
-        assert!(matches!(err, ChurnProtocolError::Plan(_)), "{err}");
+        assert!(matches!(err, DistGossipError::Plan(_)), "{err}");
+    }
+
+    #[test]
+    fn churn_protocol_rejects_a_packing_with_no_certified_class() {
+        // One class with no members: nothing certifies, so phase 1 has
+        // no tree to route on.
+        use decomp_core::virtual_graph::VirtualLayout;
+        let g = generators::cycle(6);
+        let layout = VirtualLayout::new(g.n(), 4);
+        let cds = CdsPacking {
+            layout,
+            num_classes: 1,
+            class_of: vec![None; layout.total()],
+            classes: vec![Vec::new()],
+            trace: Vec::new(),
+        };
+        let mut state = ClassState::new(layout, 1);
+        let err = gossip_protocol_churn(
+            &g,
+            &cds,
+            &mut state,
+            &[0],
+            1,
+            GossipConfig::default(),
+            &FaultPlan::none(),
+            EngineKind::Sequential,
+        )
+        .unwrap_err();
+        assert!(matches!(err, DistGossipError::EmptyPacking), "{err}");
+    }
+
+    /// The error [`gossip_protocol_faulty`] returns on these inputs.
+    fn faulty_error(g: &Graph, packing: &DomTreePacking, plan: &FaultPlan) -> DistGossipError {
+        gossip_protocol_faulty(
+            g,
+            packing,
+            &[0],
+            7,
+            GossipConfig::default(),
+            plan,
+            EngineKind::Sequential,
+        )
+        .unwrap_err()
+    }
+
+    #[test]
+    fn faulty_protocol_validates_its_plan() {
+        let g = generators::harary(4, 16);
+        let packing = packing_for(&g, 4, 2);
+        let plan = FaultPlan::new([ScheduledFault {
+            round: 2,
+            fault: Fault::Vertex(99),
+        }]);
+        let err = faulty_error(&g, &packing, &plan);
+        assert!(matches!(err, DistGossipError::Plan(_)), "{err}");
+    }
+
+    #[test]
+    fn faulty_protocol_rejects_an_empty_packing() {
+        let g = generators::harary(4, 16);
+        let err = faulty_error(&g, &DomTreePacking::default(), &FaultPlan::none());
+        assert!(matches!(err, DistGossipError::EmptyPacking), "{err}");
+    }
+
+    #[test]
+    fn faulty_protocol_rejects_a_disconnected_graph() {
+        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
+        let err = faulty_error(&g, &DomTreePacking::default(), &FaultPlan::none());
+        assert!(matches!(err, DistGossipError::Disconnected), "{err}");
     }
 
     #[test]

@@ -58,6 +58,22 @@ impl BitRows {
     pub(crate) fn words(&self) -> usize {
         self.bits.len()
     }
+
+    /// One row per tree of `packing`: its members (edge endpoints, or
+    /// the singleton).
+    pub(crate) fn from_trees(packing: &DomTreePacking, n: usize) -> Self {
+        let mut rows = BitRows::new(packing.num_trees(), n);
+        for (t, tree) in packing.trees.iter().enumerate() {
+            for &(u, v) in &tree.edges {
+                rows.set(t, u);
+                rows.set(t, v);
+            }
+            if let Some(s) = tree.singleton {
+                rows.set(t, s);
+            }
+        }
+        rows
+    }
 }
 
 /// SplitMix-style hash of one relay event; summed per run (within-round
