@@ -369,12 +369,8 @@ fn run_gossip(
 
     // Per-tree membership, 1 bit per vertex.
     let member = BitRows::from_trees(packing, n);
-    let max_diam = packing
-        .trees
-        .iter()
-        .map(|t| t.diameter(n))
-        .max()
-        .unwrap_or(0);
+    let diameters = packing.trees.iter().map(|t| t.diameter(n));
+    let max_diam = diameters.max().unwrap_or(0);
 
     let nmsg = origins.len();
     let (outcome, per_tree_load) = match config.regime {
@@ -457,11 +453,9 @@ impl RepairHook for StaticRepair<'_> {
     const READMIT_FLOOD: bool = false;
 
     fn carriers(&mut self, _round: usize, ft: &FaultState<'_>, member: &mut BitRows) -> Vec<bool> {
-        let member = &*member;
-        let trees = self.packing.trees.iter().enumerate();
-        trees
-            .map(|(t, tree)| tree_ok(self.g, ft, t, tree, member))
-            .collect()
+        let (g, member) = (self.g, &*member);
+        let ok = |(t, tree)| tree_ok(g, ft, t, tree, member);
+        self.packing.trees.iter().enumerate().map(ok).collect()
     }
 
     fn record(&mut self, wave: DegradationSample, _flood_rounds: usize) {

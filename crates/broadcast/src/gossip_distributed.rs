@@ -212,8 +212,8 @@ impl NodeProgram for RlncGossipProgram {
 pub struct DistGossipReport {
     /// Whether every node received every message.
     pub complete: bool,
-    /// Tokens assigned to each tree (mirrors
-    /// [`crate::gossip::GossipReport::per_tree_load`]).
+    /// Tokens assigned to each tree, as in
+    /// [`crate::gossip::GossipReport::per_tree_load`].
     pub per_tree_load: Vec<usize>,
     /// Full simulator statistics for the run — rounds, messages, words,
     /// and the peak-memory counters (`peak_queued_messages` /
@@ -484,18 +484,6 @@ impl std::fmt::Display for DistGossipError {
 
 impl std::error::Error for DistGossipError {}
 
-impl From<FaultPlanError> for DistGossipError {
-    fn from(e: FaultPlanError) -> Self {
-        DistGossipError::Plan(e)
-    }
-}
-
-impl From<SimError> for DistGossipError {
-    fn from(e: SimError) -> Self {
-        DistGossipError::Sim(e)
-    }
-}
-
 /// Sentinel token tree id: a flood token, relayed by every surviving
 /// node instead of one tree's members.
 const FLOOD_TOKEN: u32 = u32::MAX;
@@ -533,33 +521,19 @@ pub fn gossip_protocol_faulty(
     engine: EngineKind,
 ) -> Result<FaultyDistGossipReport, DistGossipError> {
     check_two_phase(g, config, plan)?;
-    let phase1 = Phase1 {
-        graph: g,
-        growth: None,
-        packing,
-        origins,
-        seed,
-        config,
-        plan,
-        engine,
-    };
     // Phase-2 carriers: the packing's trees still intact on the
     // survivors.
-    let run = run_two_phase(phase1, |ft| {
+    let carriers = |ft: &FaultState<'_>| {
         let member = BitRows::from_trees(packing, g.n());
         let trees = packing.trees.iter().enumerate();
         let intact = trees
             .map(|(t, tree)| tree_ok(g, ft, t, tree, &member))
             .collect();
         (member, intact)
-    })?;
-    Ok(FaultyDistGossipReport {
-        complete: run.complete,
-        lost_messages: run.lost_messages,
-        reinjected: run.reinjected,
-        per_tree_load: run.per_tree_load,
-        stats: run.stats,
-    })
+    };
+    run_two_phase(
+        g, None, packing, origins, seed, config, plan, engine, carriers,
+    )
 }
 
 /// Result of a churn-injected protocol run ([`gossip_protocol_churn`]).
@@ -681,18 +655,9 @@ fn run_protocol_churn(
     // Phase-1 routing: trees certified over the final topology (dormant
     // members simply stay silent until they arrive).
     let packing = to_dom_tree_packing_with_state(g, cds, state).packing;
-    let phase1 = Phase1 {
-        graph: g,
-        growth,
-        packing: &packing,
-        origins,
-        seed,
-        config,
-        plan,
-        engine,
-    };
-    let (mut admitted_via_packing, mut flood_served, mut reextractions) = (0, 0, 0);
-    let mut run = run_two_phase(phase1, |ft| {
+    let (mut admitted_via_packing, mut flood_served) = (0, 0);
+    let (mut reextractions, mut certified_classes) = (0, 0);
+    let carriers = |ft: &FaultState<'_>| {
         // Apply the churn to the class state. The state already holds
         // the final membership of every *packed* vertex, so those
         // arrivals repack nothing; deaths and cuts each repair exactly
@@ -744,17 +709,22 @@ fn run_protocol_churn(
             certified[c] = certify_class(g, ft, state, &member, &members[c], c).is_some();
             reextractions += certified[c] as usize;
         }
+        certified_classes = certified.iter().filter(|&&c| c).count();
         (member, certified)
-    })?;
-    run.stats.admitted_via_packing = admitted_via_packing;
-    run.stats.flood_served = flood_served;
+    };
+    let run = run_two_phase(
+        g, growth, &packing, origins, seed, config, plan, engine, carriers,
+    )?;
+    let mut stats = run.stats;
+    stats.admitted_via_packing = admitted_via_packing;
+    stats.flood_served = flood_served;
     Ok(ChurnDistGossipReport {
         complete: run.complete,
         lost_messages: run.lost_messages,
         reinjected: run.reinjected,
         reextractions,
-        certified_classes: run.carriers,
-        stats: run.stats,
+        certified_classes,
+        stats,
     })
 }
 
@@ -764,7 +734,7 @@ fn check_two_phase(
     config: GossipConfig,
     plan: &FaultPlan,
 ) -> Result<(), DistGossipError> {
-    plan.validate(g)?;
+    plan.validate(g).map_err(DistGossipError::Plan)?;
     if !decomp_graph::traversal::is_connected(g) {
         return Err(DistGossipError::Disconnected);
     }
@@ -779,70 +749,53 @@ fn check_two_phase(
     Ok(())
 }
 
-/// Phase 1 of a two-phase run: the protocol over `packing` on a
-/// simulator of `graph` (the final topology) under `plan`, delivering
-/// through `growth`'s view when the topology grows.
-struct Phase1<'a> {
-    graph: &'a Graph,
-    growth: Option<&'a GrowableGraph>,
-    packing: &'a DomTreePacking,
-    origins: &'a [NodeId],
+/// The one two-phase body. Phase 1 runs the protocol over `packing` on
+/// a simulator of `g` (the final topology) under `plan`, delivering
+/// through `growth`'s view when the topology grows. Then `carriers`,
+/// given the survivors' view (every event fired), returns per carrier
+/// id its membership row and whether it is intact; every message a
+/// survivor still misses is re-injected from a live holder on the
+/// lowest-id intact carrier it can join, or as a flood token, and
+/// phase 2 runs the re-injections on a fault-quiesced simulator (every
+/// event at round 0, seed `seed ^ 0xf1f0_0d17`).
+#[allow(clippy::too_many_arguments)] // two-phase protocol plumbing
+fn run_two_phase(
+    g: &Graph,
+    growth: Option<&GrowableGraph>,
+    packing: &DomTreePacking,
+    origins: &[NodeId],
     seed: u64,
     config: GossipConfig,
-    plan: &'a FaultPlan,
+    plan: &FaultPlan,
     engine: EngineKind,
-}
-
-/// What [`run_two_phase`] hands back to its entry point.
-struct TwoPhaseRun {
-    complete: bool,
-    lost_messages: usize,
-    reinjected: usize,
-    per_tree_load: Vec<usize>,
-    /// Carriers intact on the survivors.
-    carriers: usize,
-    stats: RunStats,
-}
-
-/// The one two-phase body: phase 1 runs the protocol under the plan;
-/// then `carriers`, given the survivors' view (every event fired),
-/// returns per carrier id its membership row and whether it is intact;
-/// every message a survivor still misses is re-injected from a live
-/// holder on the lowest-id intact carrier it can join, or as a flood
-/// token, and phase 2 runs the re-injections on a fault-quiesced
-/// simulator (every event at round 0, seed `seed ^ 0xf1f0_0d17`).
-fn run_two_phase(
-    p: Phase1<'_>,
     carriers: impl FnOnce(&FaultState<'_>) -> (BitRows, Vec<bool>),
-) -> Result<TwoPhaseRun, DistGossipError> {
-    if p.packing.num_trees() == 0 {
+) -> Result<FaultyDistGossipReport, DistGossipError> {
+    if packing.num_trees() == 0 {
         return Err(DistGossipError::EmptyPacking);
     }
-    let (g, origins) = (p.graph, p.origins);
     let n = g.n();
     let nmsg = origins.len();
-    let (injections, per_tree_load) =
-        assign_trees(p.packing, origins, p.seed, p.config.tree_choice, n);
+    let (injections, per_tree_load) = assign_trees(packing, origins, seed, config.tree_choice, n);
     // The run idles until the last arrival if it must.
-    let last_event = p.plan.events().last().map_or(0, |e| e.round);
+    let last_event = plan.events().last().map_or(0, |e| e.round);
     let cap = 64 * (n + nmsg) + 4096 + last_event;
 
     // Phase 1: the protocol under fire. A growing run delivers over the
     // view (base CSR + epoch-stamped overlay) — the base is the engines'
     // bookkeeping topology, never their adjacency source.
-    let mut sim = Simulator::with_seed(p.growth.map_or(g, |gg| gg.base()), Model::VCongest, p.seed)
-        .with_engine(p.engine)
-        .with_faults(p.plan.clone());
-    if let Some(gg) = p.growth {
+    let mut sim = Simulator::with_seed(growth.map_or(g, |gg| gg.base()), Model::VCongest, seed)
+        .with_engine(engine)
+        .with_faults(plan.clone());
+    if let Some(gg) = growth {
         sim = sim.with_growth(gg);
     }
-    let programs = gossip_programs(tree_membership(p.packing, n), injections);
-    let (phase1, mut stats) = sim.run(programs, cap)?;
+    let programs = gossip_programs(tree_membership(packing, n), injections);
+    let (phase1, mut stats) = sim.run(programs, cap).map_err(DistGossipError::Sim)?;
     stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
 
     // The survivors' view once every event has fired: arrivals are all
     // present, so only kills and cuts remain.
-    let mut ft = FaultState::new(p.plan, n);
+    let mut ft = FaultState::new(plan, n);
     ft.advance_to(usize::MAX);
     let (member, intact) = carriers(&ft);
 
@@ -894,14 +847,16 @@ fn run_two_phase(
             .collect();
         // Same final topology, quiesced: every event fires at round 0
         // (arrivals at round 0 are simply present from the start).
-        let plan0 = FaultPlan::new(p.plan.events().iter().map(|e| ScheduledFault {
+        let plan0 = FaultPlan::new(plan.events().iter().map(|e| ScheduledFault {
             round: 0,
             fault: e.fault,
         }));
-        let mut sim2 = Simulator::with_seed(g, Model::VCongest, p.seed ^ 0xf1f0_0d17)
-            .with_engine(p.engine)
+        let mut sim2 = Simulator::with_seed(g, Model::VCongest, seed ^ 0xf1f0_0d17)
+            .with_engine(engine)
             .with_faults(plan0);
-        let (phase2, stats2) = sim2.run(gossip_programs(membership, reinjections), cap)?;
+        let (phase2, stats2) = sim2
+            .run(gossip_programs(membership, reinjections), cap)
+            .map_err(DistGossipError::Sim)?;
         // Every phase-2 round may carry flood tokens, so the flood
         // column charges the whole repair run when any message fell
         // back to flooding (no intact carrier could take it).
@@ -918,12 +873,11 @@ fn run_two_phase(
             })
         });
     }
-    Ok(TwoPhaseRun {
+    Ok(FaultyDistGossipReport {
         complete,
         lost_messages: lost.iter().filter(|&&l| l).count(),
         reinjected,
         per_tree_load,
-        carriers: intact.iter().filter(|&&c| c).count(),
         stats,
     })
 }

@@ -42,7 +42,7 @@
 //! exactly like a tree origin dying before its first relay).
 
 use crate::gossip::{DegradationSample, MessageOrigin};
-use crate::schedule::{relay_hash, tree_ok, BitRows, ScheduleOutcome};
+use crate::schedule::{idle_until_next_event, relay_hash, tree_ok, BitRows, ScheduleOutcome};
 use decomp_congest::{FaultPlan, FaultState};
 use decomp_core::packing::DomTreePacking;
 use decomp_graph::Graph;
@@ -678,18 +678,6 @@ pub(crate) fn rlnc_schedule(
         "generation_size must be in 1..={MAX_GENERATION}"
     );
     let mut degradation: Vec<DegradationSample> = Vec::new();
-    if nmsg == 0 {
-        return ScheduleOutcome {
-            rounds: 0,
-            schedule_digest: 0,
-            peak_state_words: member.words(),
-            degradation,
-            lost_messages: 0,
-            wasted_bandwidth: 0,
-            repair_events: 0,
-            flood_rounds: 0,
-        };
-    }
     let gens = nmsg.div_ceil(gsize);
     let mut st = RlncState::new(g, gens, gsize, nmsg);
     // One stream for every coefficient draw: run seed mixed with the
@@ -819,16 +807,8 @@ pub(crate) fn rlnc_schedule(
         }
         if relays.is_empty() && st.total_incomplete > 0 {
             // Idle only while a scheduled arrival is still due (e.g. a
-            // dormant origin holds the sole copy of its generation);
-            // jump to its eve — idle rounds draw no coefficients, so
-            // the RNG stream and digest match a spun-out wait.
-            let Some(r) = tracker.as_ref().and_then(|t| t.next_event_round()) else {
-                panic!(
-                    "gossip schedule stalled: a message can no longer make progress \
-                     (is some tree not dominating, or did faults disconnect the survivors?)"
-                );
-            };
-            rounds = rounds.max(r.saturating_sub(1));
+            // dormant origin holds the sole copy of its generation).
+            rounds = idle_until_next_event(tracker.as_ref(), rounds);
         }
     }
     let peak_state_words =

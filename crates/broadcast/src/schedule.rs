@@ -229,11 +229,6 @@ impl Weighted {
             peak: 0,
         }
     }
-
-    /// `tree`'s slot in `tree_incomplete` (the flood fallback last).
-    fn slot(&self, tree: usize) -> usize {
-        tree.min(self.weight.len())
-    }
 }
 
 impl RelayPolicy for Weighted {
@@ -334,13 +329,11 @@ impl RelayPolicy for Weighted {
     }
 
     fn carried(&mut self, tree: usize) {
-        let s = self.slot(tree);
-        self.tree_incomplete[s] += 1;
+        self.tree_incomplete[tree.min(self.weight.len())] += 1;
     }
 
     fn dropped(&mut self, tree: usize) {
-        let s = self.slot(tree);
-        self.tree_incomplete[s] -= 1;
+        self.tree_incomplete[tree.min(self.weight.len())] -= 1;
     }
 
     fn note_peak(&mut self) {
@@ -462,13 +455,40 @@ fn assignment_still_covers(
     (0..n).all(|v| ft.is_dead(v) || ft.is_dormant(v) || received(v) || covered[v])
 }
 
+/// The round to resume from when a round relayed nothing with messages
+/// still incomplete. The only legitimate idle state is awaiting a
+/// scheduled arrival (e.g. every present vertex is served and the
+/// stragglers have not arrived yet): idle rounds carry no relays (and
+/// draw no coefficients), so jumping to the eve of the next event leaves
+/// the digest and round count exactly as if the schedule had spun.
+///
+/// # Panics
+/// Panics when no event is due: the schedule has stalled.
+pub(crate) fn idle_until_next_event(faults: Option<&FaultState<'_>>, rounds: usize) -> usize {
+    let Some(r) = faults.and_then(|ft| ft.next_event_round()) else {
+        panic!(
+            "gossip schedule stalled: a message can no longer make progress \
+             (is some tree not dominating, or did faults disconnect the survivors?)"
+        );
+    };
+    rounds.max(r.saturating_sub(1))
+}
+
+/// Puts `v` on next round's worklist, once.
+#[inline]
+fn enqueue(queued: &mut [bool], worklist: &mut Vec<u32>, v: usize) {
+    if !queued[v] {
+        queued[v] = true;
+        worklist.push(v as u32);
+    }
+}
+
 /// Runs the schedule to completion: message `m` starts at `origins[m]`
 /// on carrier `tree_of[m]` (a row of `member`, or [`FLOOD`]). With
 /// `faults`, every round first advances the tracker and, when events
 /// fire, runs the repair pass through `hook`; events at rounds 0 and 1
 /// fire before the first relay choice. Idle rounds while an arrival is
-/// still due fast-forward to its eve — they carry no relays, so the
-/// digest and round count match a spun-out wait.
+/// still due fast-forward to its eve ([`idle_until_next_event`]).
 ///
 /// # Panics
 /// Panics if a message can no longer make progress (a tree that does not
@@ -502,10 +522,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
             policy.carried(tree_of[m]);
         }
         policy.push(origin, tree_of[m], m as u32);
-        if !queued[origin] {
-            queued[origin] = true;
-            worklist.push(origin as u32);
-        }
+        enqueue(&mut queued, &mut worklist, origin);
     }
     policy.note_peak();
 
@@ -615,10 +632,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                         if eligible(next, v) {
                             relayed.clear(m, v);
                             policy.push(v, next, m as u32);
-                            if !queued[v] {
-                                queued[v] = true;
-                                worklist.push(v as u32);
-                            }
+                            enqueue(&mut queued, &mut worklist, v);
                         }
                     }
                 }
@@ -628,9 +642,8 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                 // slept (a dormant origin, or a reseed above) rejoin
                 // the worklist now.
                 for &v in ft.woke() {
-                    if !queued[v] && policy.has_pending(v) {
-                        queued[v] = true;
-                        worklist.push(v as u32);
+                    if policy.has_pending(v) {
+                        enqueue(&mut queued, &mut worklist, v);
                     }
                 }
                 hook.record(
@@ -697,10 +710,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                     }
                     if tree == FLOOD || member.get(tree, u) {
                         policy.push(u, tree, m as u32);
-                        if !queued[u] {
-                            queued[u] = true;
-                            worklist.push(u as u32);
-                        }
+                        enqueue(&mut queued, &mut worklist, u);
                     }
                 } else {
                     wasted_bandwidth += 1;
@@ -711,23 +721,13 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
         policy.note_peak();
         // Vertices that still hold pending relays stay on the frontier.
         for &v in &frontier {
-            if !queued[v as usize] && policy.has_pending(v as usize) {
-                queued[v as usize] = true;
-                worklist.push(v);
+            if policy.has_pending(v as usize) {
+                enqueue(&mut queued, &mut worklist, v as usize);
             }
         }
         frontier.clear();
         if relays.is_empty() && incomplete > 0 {
-            // The only legitimate idle state is awaiting a scheduled
-            // arrival (e.g. every present vertex is served and the
-            // stragglers have not arrived yet).
-            let Some(r) = faults.as_ref().and_then(|ft| ft.next_event_round()) else {
-                panic!(
-                    "gossip schedule stalled: a message can no longer make progress \
-                     (is some tree not dominating, or did faults disconnect the survivors?)"
-                );
-            };
-            rounds = rounds.max(r.saturating_sub(1));
+            rounds = idle_until_next_event(faults.as_ref(), rounds);
         }
     }
     ScheduleOutcome {

@@ -538,12 +538,9 @@ pub struct FaultState<'p> {
     /// Not-yet-activated edges (pre-scanned `AddEdge` events), normalized
     /// and sorted; entries are removed as activations fire.
     inactive_edges: Vec<(u32, u32)>,
-    any: bool,
-    /// Vertices alive and present (neither dead nor dormant).
     live: usize,
-    /// Vertices killed by the latest [`FaultState::advance_to`] call.
+    /// Vertices killed / woken by the latest [`FaultState::advance_to`].
     newly_dead: Vec<NodeId>,
-    /// Vertices whose arrival fired in the latest call (alive ones).
     woke: Vec<NodeId>,
 }
 
@@ -567,10 +564,6 @@ impl<'p> FaultState<'p> {
         inactive_edges.sort_unstable();
         inactive_edges.dedup();
         let live = n - dormant.iter().filter(|&&d| d).count();
-        // Arrivals restrict delivery from round 0 (dormant endpoints and
-        // inactive edges), so the filtering fast path must be on before
-        // any event fires.
-        let any = live < n || !inactive_edges.is_empty();
         FaultState {
             plan,
             next: 0,
@@ -578,7 +571,6 @@ impl<'p> FaultState<'p> {
             dormant,
             cut_edges: Vec::new(),
             inactive_edges,
-            any,
             live,
             newly_dead: Vec::new(),
             woke: Vec::new(),
@@ -632,16 +624,15 @@ impl<'p> FaultState<'p> {
             }
             self.next += 1;
         }
-        let fired = self.next > start;
-        self.any |= fired;
-        fired
+        self.next > start
     }
 
     /// Whether any fault has fired so far — or, with arrivals in the
-    /// plan, from round 0 (fast path: `false` means delivery filtering
-    /// can be skipped wholesale).
+    /// plan, from round 0: dormant endpoints and inactive edges restrict
+    /// delivery before any event fires (fast path: `false` means
+    /// delivery filtering can be skipped wholesale).
     pub fn any_fired(&self) -> bool {
-        self.any
+        self.next > 0 || self.live < self.dead.len() || !self.inactive_edges.is_empty()
     }
 
     /// Whether `v` has been killed.
