@@ -1,8 +1,7 @@
 //! # decomp-bench
 //!
-//! Experiment harness for the reproduction: one binary per paper claim
-//! (see `EXPERIMENTS.md` at the workspace root for the index), plus
-//! criterion benches for runtime scaling.
+//! Experiment harness for the reproduction: one `exp_*` binary per
+//! paper claim (`src/bin/`), plus criterion benches for runtime scaling.
 //!
 //! Run an experiment with e.g.
 //! `cargo run --release -p decomp-bench --bin exp_cds_packing`.

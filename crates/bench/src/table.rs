@@ -115,22 +115,6 @@ pub fn d(x: impl std::fmt::Display) -> String {
     format!("{x}")
 }
 
-/// Serializes a displayable value to one JSON line with an experiment
-/// tag. Finite numbers are emitted verbatim; everything else (strings,
-/// NaN, infinities) is emitted as an escaped JSON string so the line
-/// always parses.
-pub fn json_line<T: std::fmt::Display>(experiment: &str, value: &T) -> String {
-    let raw = value.to_string();
-    let data = match raw.parse::<f64>() {
-        Ok(x) if x.is_finite() => raw,
-        _ => json_string(&raw),
-    };
-    format!(
-        "{{\"experiment\": {}, \"data\": {data}}}",
-        json_string(experiment)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,25 +132,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new("demo", &["a"]);
         t.row(&[d(1), d(2)]);
-    }
-
-    #[test]
-    fn json_line_contains_tag() {
-        let line = json_line("exp", &42);
-        assert!(line.contains("\"exp\""));
-        assert!(line.contains("42"));
-    }
-
-    #[test]
-    fn json_line_quotes_non_numeric_values() {
-        assert_eq!(
-            json_line("exp", &"harary"),
-            "{\"experiment\": \"exp\", \"data\": \"harary\"}"
-        );
-        assert_eq!(
-            json_line("exp", &f64::NAN),
-            "{\"experiment\": \"exp\", \"data\": \"NaN\"}"
-        );
     }
 
     #[test]

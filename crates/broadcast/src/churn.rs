@@ -171,7 +171,7 @@ pub fn gossip_under_churn(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<ChurnGossipReport, ChurnError> {
-    run_churn(g, cds, state, origins, seed, plan, false)
+    schedule_under_churn(g, cds, state, origins, seed, plan, false)
 }
 
 /// [`gossip_under_churn`] over a *growing* topology: the graph arrives
@@ -201,10 +201,10 @@ pub fn gossip_under_growth(
     plan: &FaultPlan,
 ) -> Result<ChurnGossipReport, ChurnError> {
     let gfull = gg.final_graph();
-    run_churn(&gfull, cds, state, origins, seed, plan, true)
+    schedule_under_churn(&gfull, cds, state, origins, seed, plan, true)
 }
 
-fn run_churn(
+fn schedule_under_churn(
     g: &Graph,
     cds: &CdsPacking,
     state: &mut ClassState,

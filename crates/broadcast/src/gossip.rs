@@ -38,7 +38,9 @@
 //! message at a vertex earns `x_τ` credit, the highest-credit tree
 //! (ties to the lowest tree id) relays its lowest-indexed message, and
 //! the served tree is charged the round's total accrued credit. Both
-//! schedules are digest-pinned against verbatim reference scans.
+//! schedules are digest-pinned against verbatim reference scans, and
+//! both — faulty or not, like [`crate::churn`]'s wave loop — run the
+//! one round loop of the private `schedule` module.
 //!
 //! ## The network-coded regime (beyond the paper)
 //!

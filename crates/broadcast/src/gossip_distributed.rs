@@ -546,7 +546,7 @@ pub struct ChurnDistGossipReport {
     /// Messages the repair phase re-injected.
     pub reinjected: usize,
     /// Touched classes whose dominating tree was re-extracted from the
-    /// incrementally repacked [`ClassState`](decomp_core::cds::class_state::ClassState) for the repair phase.
+    /// incrementally repacked [`ClassState`] for the repair phase.
     pub reextractions: usize,
     /// Classes certified over the survivors (tree available to repair).
     pub certified_classes: usize,
@@ -559,10 +559,10 @@ pub struct ChurnDistGossipReport {
 /// [`Fault::AddVertex`] / [`Fault::AddEdge`] events (the engines handle
 /// dormancy natively), and the repair phase re-injects on trees
 /// **re-extracted between the phases** from the incrementally
-/// repacked [`ClassState`](decomp_core::cds::class_state::ClassState) — flood fallback only when a message's
+/// repacked [`ClassState`] — flood fallback only when a message's
 /// holders sit outside every certified class.
 ///
-/// `state` must be the [`ClassState`](decomp_core::cds::class_state::ClassState) the `cds` packing was built with
+/// `state` must be the [`ClassState`] the `cds` packing was built with
 /// over the **final** topology
 /// ([`cds_packing_with_state`](decomp_core::cds::centralized::cds_packing_with_state));
 /// on return it reflects the post-churn membership. Arrivals are
@@ -593,7 +593,7 @@ pub fn gossip_protocol_churn(
 /// edges with activation epoch `<= round`, so no engine ever sees the
 /// final adjacency up front. Class-free arrivals (vertices the packing
 /// predates) are *admitted* into the maintained class state between the
-/// phases ([`ClassState::admit_vertex`](decomp_core::cds::class_state::ClassState::admit_vertex)),
+/// phases ([`ClassState::admit_vertex`]),
 /// so repair re-injection serves them from re-extracted trees instead of
 /// flooding; [`RunStats::admitted_via_packing`] /
 /// [`RunStats::flood_served`] report the split. The repair phase itself
