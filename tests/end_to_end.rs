@@ -2,7 +2,10 @@
 //! across crates (graph substrate, core algorithms, broadcast apps),
 //! running on testkit fixtures with oracle-known connectivity.
 
-use connectivity_decomposition::broadcast::gossip::gossip_via_trees;
+use connectivity_decomposition::broadcast::gossip::{
+    gossip_via_trees, gossip_via_trees_with, GossipConfig,
+};
+use connectivity_decomposition::broadcast::gossip_distributed::gossip_protocol_on;
 use connectivity_decomposition::broadcast::oblivious::vertex_congestion;
 use connectivity_decomposition::broadcast::throughput::edge_throughput;
 use connectivity_decomposition::congest::Model;
@@ -53,6 +56,35 @@ fn vertex_pipeline_harary() {
     // Oblivious congestion sane.
     let cong = vertex_congestion(&f.graph, &trees.packing, f.kappa, 1000, 3);
     assert!(cong.max_congestion >= cong.opt_lower_bound);
+}
+
+#[test]
+fn schedule_and_protocol_draw_the_same_assignment() {
+    // The schedule and the protocol assign message `i` to a tree from
+    // the same seeded draw, so their per-tree loads agree exactly, for
+    // both the uniform and the weight-proportional tree choice.
+    for f in fixtures::standard() {
+        let g = &f.graph;
+        let n = g.n();
+        let cds = cds_packing(g, &CdsPackingConfig::with_known_k(f.kappa.max(2), 4));
+        let packing = to_dom_tree_packing(g, &cds).packing;
+        let origins: Vec<usize> = (0..2 * n).map(|i| (i * 7) % n).collect();
+        for config in [GossipConfig::default(), GossipConfig::weighted()] {
+            for seed in [1u64, 7] {
+                let schedule = gossip_via_trees_with(g, &packing, &origins, seed, config);
+                assert_eq!(schedule.lost_messages, 0, "{} seed {seed}", f.name);
+                let mut sim = decomp_testkit::sim(g, Model::VCongest);
+                let protocol = gossip_protocol_on(&mut sim, &packing, &origins, seed, config)
+                    .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", f.name));
+                assert!(protocol.complete, "{} seed {seed} {config:?}", f.name);
+                assert_eq!(
+                    schedule.per_tree_load, protocol.per_tree_load,
+                    "{} seed {seed} {config:?}",
+                    f.name
+                );
+            }
+        }
+    }
 }
 
 #[test]
