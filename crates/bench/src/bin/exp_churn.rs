@@ -15,11 +15,12 @@
 //! E12 (PR 10) — settled vs growth admission: newcomers whose adjacency
 //! is revealed only at the arrival round. The settled run serves the
 //! class-free arrivals through the flood fallback; the growth run
-//! (`gossip_under_growth`) admits them into the packing through the
-//! maintained aggregates and serves them from the trees.
+//! (`gossip_under_churn` on a `GrowableGraph`) admits them into the
+//! packing through the maintained aggregates and serves them from the
+//! trees.
 
 use decomp_bench::table::{d, Table};
-use decomp_broadcast::churn::{gossip_under_churn, gossip_under_growth};
+use decomp_broadcast::churn::gossip_under_churn;
 use decomp_broadcast::gossip::{gossip_via_trees_faulty, GossipConfig};
 use decomp_broadcast::gossip_distributed::gossip_protocol_churn;
 use decomp_congest::{EngineKind, Fault, FaultPlan, ScheduledFault};
@@ -127,7 +128,7 @@ fn main() {
             let certified = r
                 .waves
                 .last()
-                .map_or(cds.num_classes(), |w| w.certified_trees);
+                .map_or(cds.num_classes(), |w| w.surviving_trees);
             t2.row(&[
                 name.to_string(),
                 d(2 * c),
@@ -179,9 +180,9 @@ fn main() {
                 d(2 * c),
                 d(r.stats.rounds),
                 d(r.stats.messages),
-                d(r.reinjected),
+                d(r.stats.repair_events),
                 d(r.reextractions),
-                d(r.certified_classes),
+                d(r.intact_carriers),
                 d(r.complete),
             ]);
         }
@@ -256,7 +257,7 @@ fn main() {
                     }
                 }
                 let r = if growth {
-                    gossip_under_growth(&gg, &cds, &mut st, &origins, 5, &plan).unwrap()
+                    gossip_under_churn(&gg, &cds, &mut st, &origins, 5, &plan).unwrap()
                 } else {
                     gossip_under_churn(g, &cds, &mut st, &origins, 5, &plan).unwrap()
                 };

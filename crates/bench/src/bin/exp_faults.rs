@@ -57,9 +57,9 @@ fn main() {
                 let r =
                     gossip_via_trees_faulty(g, trees, &origins, 5, GossipConfig::weighted(), &plan)
                         .unwrap();
-                let reassigned: usize = r.degradation.iter().map(|s| s.reassigned_messages).sum();
+                let reassigned: usize = r.waves.iter().map(|s| s.reassigned_messages).sum();
                 let trees_left = r
-                    .degradation
+                    .waves
                     .last()
                     .map_or(trees.num_trees(), |s| s.surviving_trees);
                 t.row(&[
@@ -118,7 +118,7 @@ fn main() {
                 d(f),
                 d(r.stats.rounds),
                 d(r.stats.messages),
-                d(r.reinjected),
+                d(r.stats.repair_events),
                 d(r.stats.repair_events),
                 d(r.stats.flood_rounds),
                 d(r.lost_messages),

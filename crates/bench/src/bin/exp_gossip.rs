@@ -9,6 +9,8 @@
 use decomp_bench::packings::disjoint_pair_packing;
 use decomp_bench::table::{d, f, Table};
 use decomp_broadcast::gossip::{gossip_single_tree_baseline, gossip_via_trees_with, GossipConfig};
+use decomp_broadcast::gossip_distributed::gossip_protocol_on;
+use decomp_congest::{Model, Simulator};
 use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
 use decomp_core::cds::tree_extract::to_dom_tree_packing;
 use decomp_graph::generators;
@@ -103,10 +105,8 @@ fn main() {
     let origins: Vec<usize> = (0..g.n()).collect();
     for (sched, config) in configs {
         let sched_r = gossip_via_trees_with(&g, &trees, &origins, 5, config);
-        let proto = decomp_broadcast::gossip_distributed::gossip_protocol_with(
-            &g, &trees, &origins, 5, config,
-        )
-        .unwrap();
+        let mut sim = Simulator::with_seed(&g, Model::VCongest, 5);
+        let proto = gossip_protocol_on(&mut sim, &trees, &origins, 5, config).unwrap();
         t2.row(&[
             "harary".into(),
             d(g.n()),

@@ -21,114 +21,20 @@
 //! The round loop is the greedy schedule of [`crate::gossip`] — the
 //! one schedule core, with this module's repair hook in place of the
 //! static packing's — so digests are comparable run to run: same graph,
-//! plan, seed, and origins → same [`ChurnGossipReport::schedule_digest`],
+//! plan, seed, and origins → same [`GossipReport::schedule_digest`],
 //! and an empty plan takes exactly the greedy schedule.
 
-use crate::gossip::{DegradationSample, MessageOrigin};
+use crate::gossip::{GossipError, GossipReport, MessageOrigin};
 use crate::schedule::{dominates, run_schedule, BitRows, Greedy, RepairHook, FLOOD};
-use decomp_congest::{Fault, FaultPlan, FaultPlanError, FaultState};
+use decomp_congest::{Fault, FaultPlan, FaultState};
 use decomp_core::cds::centralized::CdsPacking;
 use decomp_core::cds::class_state::ClassState;
 use decomp_core::cds::tree_extract::reextract_class_tree;
 use decomp_core::packing::WeightedDomTree;
-use decomp_graph::{Graph, GrowableGraph, NodeId};
+use decomp_graph::{Graph, NodeId, TopologyView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-
-/// Why a churn run refused to start.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChurnError {
-    /// The fault plan failed [`FaultPlan::validate`].
-    Plan(FaultPlanError),
-    /// The final topology is disconnected; no schedule can complete.
-    Disconnected,
-}
-
-impl std::fmt::Display for ChurnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChurnError::Plan(e) => write!(f, "invalid churn plan: {e}"),
-            ChurnError::Disconnected => write!(f, "churn gossip requires a connected final graph"),
-        }
-    }
-}
-
-impl std::error::Error for ChurnError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ChurnError::Plan(e) => Some(e),
-            ChurnError::Disconnected => None,
-        }
-    }
-}
-
-impl From<FaultPlanError> for ChurnError {
-    fn from(e: FaultPlanError) -> Self {
-        ChurnError::Plan(e)
-    }
-}
-
-/// One fault wave's snapshot, recorded in order in
-/// [`ChurnGossipReport::waves`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChurnWaveSample {
-    /// Schedule round (1-based) at whose start the wave fired.
-    pub round: usize,
-    /// Vertices alive and present after the wave.
-    pub live_vertices: usize,
-    /// Classes holding a certified dominating tree after re-extraction.
-    pub certified_trees: usize,
-    /// Touched classes whose tree was successfully re-extracted this
-    /// wave (a broken class that re-certified, or a certified class
-    /// whose tree was rebuilt over the new survivor set).
-    pub reextracted_classes: usize,
-    /// Messages moved, re-admitted, or reseeded by this wave's repair.
-    pub reassigned_messages: usize,
-    /// Messages declared lost by this wave (every copy dead).
-    pub lost_messages: usize,
-    /// Messages not yet delivered everywhere after the wave.
-    pub incomplete_messages: usize,
-    /// Cumulative flood rounds when the wave fired — consecutive
-    /// samples difference to the per-wave flood cost, which stays
-    /// bounded when re-extraction keeps restoring tree schedules.
-    pub flood_rounds_before: usize,
-}
-
-/// Result of [`gossip_under_churn`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChurnGossipReport {
-    /// Rounds until every present vertex held every surviving message.
-    pub rounds: usize,
-    /// Messages disseminated.
-    pub num_messages: usize,
-    /// Whether no message was lost outright.
-    pub complete: bool,
-    /// Messages whose every copy sat on a dead vertex.
-    pub lost_messages: usize,
-    /// Deliveries that taught the receiver nothing.
-    pub wasted_bandwidth: usize,
-    /// Messages moved/re-admitted/reseeded across all repair passes.
-    pub repair_events: usize,
-    /// Rounds in which at least one relay served a flooding message.
-    pub flood_rounds: usize,
-    /// Successful per-class tree re-extractions across all waves.
-    pub reextractions: usize,
-    /// Order-independent fingerprint of the relay schedule (same fold
-    /// as [`crate::gossip::GossipReport::schedule_digest`]).
-    pub schedule_digest: u64,
-    /// One snapshot per fault wave, in firing order.
-    pub waves: Vec<ChurnWaveSample>,
-    /// Class-free arrivals admitted into the packing incrementally
-    /// ([`ClassState::admit_vertex`]) and served from trees. Always 0
-    /// under [`gossip_under_churn`] — only [`gossip_under_growth`]
-    /// admits.
-    pub admitted_via_packing: usize,
-    /// Class-free arrivals no class could absorb, left to domination
-    /// or the flood fallback. Settled runs count every class-free
-    /// arrival here.
-    pub flood_served: usize,
-}
 
 /// Certifies class `c` over the current survivors and re-extracts its
 /// dominating tree: non-empty, one component
@@ -150,8 +56,24 @@ pub(crate) fn certify_class(
 }
 
 /// Runs seeded greedy gossip over the CDS packing's classes while the
-/// fault plan churns the graph underneath it, re-extracting dominating
-/// trees for the repaired classes between waves (see the module docs).
+/// fault plan churns the topology underneath it, re-extracting
+/// dominating trees for the repaired classes between waves (see the
+/// module docs).
+///
+/// `topology` is a settled `&Graph` or a growing `&GrowableGraph`
+/// (`plan.growth_topology(&base)`, whose overlay edges activate at their
+/// plan rounds, so adjacency is revealed only at arrival). The one
+/// behavioral difference: on a growing topology a class-free newcomer
+/// (an arrival the packing never assigned) is *admitted* into a class
+/// incrementally ([`ClassState::admit_vertex`] — argmax component-merge,
+/// bit-identical to a from-scratch repack), so re-extraction serves it
+/// from trees; a settled run leaves it to domination and the flood
+/// fallback. Either way [`GossipReport::admitted_via_packing`] and
+/// [`GossipReport::flood_served`] count the split. The relay schedule
+/// runs over the final topology under the tracker's activation filter —
+/// exactly the adjacency `gg.neighbors_at(v, round)` exposes — so a
+/// growing run on a settled plan (empty overlay, no class-free
+/// arrivals) is byte-identical to the settled one.
 ///
 /// `state` is the [`ClassState`] the packing was built with
 /// ([`cds_packing_with_state`](decomp_core::cds::centralized::cds_packing_with_state)
@@ -163,60 +85,21 @@ pub(crate) fn certify_class(
 /// re-extraction is BFS over fixed adjacency, and idle waits
 /// fast-forward without touching any stream — one digest per
 /// `(graph, packing, origins, seed, plan)`.
-pub fn gossip_under_churn(
-    g: &Graph,
+pub fn gossip_under_churn<'g>(
+    topology: impl Into<TopologyView<'g>>,
     cds: &CdsPacking,
     state: &mut ClassState,
     origins: &[MessageOrigin],
     seed: u64,
     plan: &FaultPlan,
-) -> Result<ChurnGossipReport, ChurnError> {
-    schedule_under_churn(g, cds, state, origins, seed, plan, false)
-}
-
-/// [`gossip_under_churn`] over a *growing* topology: the graph arrives
-/// as a [`GrowableGraph`] whose overlay edges activate at their plan
-/// rounds (`gg = plan.growth_topology(&base)`), so adjacency is
-/// revealed only at arrival — no caller ever builds the final CSR.
-///
-/// The one behavioral difference from the settled run: a class-free
-/// newcomer (an arrival the packing never assigned) is *admitted* into
-/// a class incrementally ([`ClassState::admit_vertex`] — argmax
-/// component-merge, bit-identical to a from-scratch repack), so
-/// re-extraction serves it from trees. Only when no class can absorb
-/// it does the run fall back to domination/flood, counted in
-/// [`ChurnGossipReport::flood_served`].
-///
-/// The relay schedule itself runs over the final topology under the
-/// tracker's activation filter — exactly the adjacency
-/// `gg.neighbors_at(v, round)` exposes — so a growth run on a settled
-/// plan (empty overlay, no class-free arrivals) is byte-identical to
-/// [`gossip_under_churn`].
-pub fn gossip_under_growth(
-    gg: &GrowableGraph,
-    cds: &CdsPacking,
-    state: &mut ClassState,
-    origins: &[MessageOrigin],
-    seed: u64,
-    plan: &FaultPlan,
-) -> Result<ChurnGossipReport, ChurnError> {
-    let gfull = gg.final_graph();
-    schedule_under_churn(&gfull, cds, state, origins, seed, plan, true)
-}
-
-fn schedule_under_churn(
-    g: &Graph,
-    cds: &CdsPacking,
-    state: &mut ClassState,
-    origins: &[MessageOrigin],
-    seed: u64,
-    plan: &FaultPlan,
-    admit: bool,
-) -> Result<ChurnGossipReport, ChurnError> {
-    plan.validate(g)?;
+) -> Result<GossipReport, GossipError> {
+    let view = topology.into();
+    let g = view.final_graph();
+    let g: &Graph = &g;
+    plan.validate(g).map_err(GossipError::Plan)?;
     let n = g.n();
     if n == 0 || !decomp_graph::traversal::is_connected(g) {
-        return Err(ChurnError::Disconnected);
+        return Err(GossipError::Disconnected);
     }
     let t = cds.num_classes();
     let ft = FaultState::new(plan, n);
@@ -229,7 +112,7 @@ fn schedule_under_churn(
     let mut hook = ChurnRepair {
         g,
         plan,
-        admit,
+        admit: !view.is_static(),
         // Final-topology class memberships, captured before churn
         // mutates the state (arrivals re-enter exactly their original
         // classes).
@@ -239,11 +122,8 @@ fn schedule_under_churn(
         trees: Vec::new(),
         applied: 0,
         dead_applied: vec![false; n],
-        reextracted: 0,
-        reextractions: 0,
         admitted_via_packing: 0,
         flood_served: 0,
-        waves: Vec::new(),
     };
 
     // Round-0 view: not-yet-arrived vertices and edges leave the class
@@ -279,8 +159,10 @@ fn schedule_under_churn(
             }
         })
         .collect();
+    let diameters = hook.trees.iter().flatten().map(|tree| tree.diameter(n));
+    let max_tree_diameter = diameters.max().unwrap_or(0);
 
-    let outcome = run_schedule(
+    let report = run_schedule(
         g,
         origins,
         member,
@@ -289,19 +171,11 @@ fn schedule_under_churn(
         Some(ft),
         &mut hook,
     );
-    Ok(ChurnGossipReport {
-        rounds: outcome.rounds,
-        num_messages: origins.len(),
-        complete: outcome.lost_messages == 0,
-        lost_messages: outcome.lost_messages,
-        wasted_bandwidth: outcome.wasted_bandwidth,
-        repair_events: outcome.repair_events,
-        flood_rounds: outcome.flood_rounds,
-        reextractions: hook.reextractions,
-        schedule_digest: outcome.schedule_digest,
-        waves: hook.waves,
+    Ok(GossipReport {
+        max_tree_diameter,
         admitted_via_packing: hook.admitted_via_packing,
         flood_served: hook.flood_served,
+        ..report
     })
 }
 
@@ -313,8 +187,8 @@ struct ChurnRepair<'a> {
     g: &'a Graph,
     plan: &'a FaultPlan,
     state: &'a mut ClassState,
-    /// Whether a class-free arrival is admitted into a class
-    /// ([`gossip_under_growth`]) or left to domination and flood.
+    /// Whether a class-free arrival is admitted into a class (a growing
+    /// topology) or left to domination and flood (a settled one).
     admit: bool,
     original: Vec<Vec<u32>>,
     /// Per class, its sorted members (the rows of the loop's `member`).
@@ -326,12 +200,8 @@ struct ChurnRepair<'a> {
     /// Kills already applied to the class state — "death wins" is
     /// replayed in event order, exactly as the tracker sees it.
     dead_applied: Vec<bool>,
-    /// Classes re-extracted by the latest wave.
-    reextracted: usize,
-    reextractions: usize,
     admitted_via_packing: usize,
     flood_served: usize,
-    waves: Vec<ChurnWaveSample>,
 }
 
 impl ChurnRepair<'_> {
@@ -353,7 +223,12 @@ impl ChurnRepair<'_> {
 impl RepairHook for ChurnRepair<'_> {
     const READMIT_FLOOD: bool = true;
 
-    fn carriers(&mut self, round: usize, ft: &FaultState<'_>, member: &mut BitRows) -> Vec<bool> {
+    fn carriers(
+        &mut self,
+        round: usize,
+        ft: &FaultState<'_>,
+        member: &mut BitRows,
+    ) -> (Vec<bool>, usize) {
         let g_live = self.plan.surviving_graph(self.g, round);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for e in &self.plan.events()[self.applied..ft.fired()] {
@@ -409,26 +284,15 @@ impl RepairHook for ChurnRepair<'_> {
         // everything else keeps its tree untouched. An arrival can also
         // break certification (the newcomer may be undominated), in
         // which case the class floods until a later wave heals it.
-        self.reextracted = 0;
+        let mut reextracted = 0;
         for &c in &touched {
             self.trees[c] = certify_class(self.g, ft, self.state, member, &self.members[c], c);
-            self.reextracted += self.trees[c].is_some() as usize;
+            reextracted += self.trees[c].is_some() as usize;
         }
-        self.reextractions += self.reextracted;
-        self.trees.iter().map(Option::is_some).collect()
-    }
-
-    fn record(&mut self, wave: DegradationSample, flood_rounds: usize) {
-        self.waves.push(ChurnWaveSample {
-            round: wave.round,
-            live_vertices: wave.live_vertices,
-            certified_trees: wave.surviving_trees,
-            reextracted_classes: self.reextracted,
-            reassigned_messages: wave.reassigned_messages,
-            lost_messages: wave.lost_messages,
-            incomplete_messages: wave.incomplete_messages,
-            flood_rounds_before: flood_rounds,
-        });
+        (
+            self.trees.iter().map(Option::is_some).collect(),
+            reextracted,
+        )
     }
 }
 
@@ -437,7 +301,7 @@ mod tests {
     use super::*;
     use decomp_congest::ScheduledFault;
     use decomp_core::cds::centralized::{cds_packing_with_state, CdsPackingConfig};
-    use decomp_graph::generators;
+    use decomp_graph::{generators, GrowableGraph};
 
     fn setup(g: &Graph, t: usize, seed: u64) -> (CdsPacking, ClassState) {
         cds_packing_with_state(g, &CdsPackingConfig::with_classes(t, seed))
@@ -470,7 +334,7 @@ mod tests {
         let err = gossip_under_churn(&g, &cds, &mut st, &[0], 1, &plan).unwrap_err();
         assert!(matches!(
             err,
-            ChurnError::Plan(FaultPlanError::NodeOutOfRange { node: 99, .. })
+            GossipError::Plan(decomp_congest::FaultPlanError::NodeOutOfRange { node: 99, .. })
         ));
     }
 
@@ -495,7 +359,7 @@ mod tests {
         assert_eq!(w.live_vertices, g.n() - 1);
         // Every touched class re-certified: the survivors keep full
         // tree schedules, so any flooding is confined to the wave.
-        if w.certified_trees == cds.num_classes() {
+        if w.surviving_trees == cds.num_classes() {
             assert!(
                 r.flood_rounds <= 2,
                 "re-extraction should cap flooding, saw {}",
@@ -575,7 +439,7 @@ mod tests {
         let settled = gossip_under_churn(&g, &cds, &mut st, &origins, 21, &plan).unwrap();
         let gg = GrowableGraph::from_base(g.clone());
         let (cds2, mut st2) = setup(&g, 4, 5);
-        let grown = gossip_under_growth(&gg, &cds2, &mut st2, &origins, 21, &plan).unwrap();
+        let grown = gossip_under_churn(&gg, &cds2, &mut st2, &origins, 21, &plan).unwrap();
         assert_eq!(grown, settled);
         assert_eq!(grown.admitted_via_packing, 0);
         assert_eq!(grown.flood_served, 0);
@@ -624,7 +488,7 @@ mod tests {
                 }
             }
             if admit {
-                gossip_under_growth(&gg, &cds, &mut st, &origins, 11, &plan).unwrap()
+                gossip_under_churn(&gg, &cds, &mut st, &origins, 11, &plan).unwrap()
             } else {
                 gossip_under_churn(&gfull, &cds, &mut st, &origins, 11, &plan).unwrap()
             }

@@ -67,25 +67,31 @@
 //! none does, to a flood fallback where every live holder relays. With
 //! `f < k` failures against a `k`-connected packing delivery to every
 //! survivor still completes (the robustness reading of Theorem 1.1);
-//! [`GossipReport::degradation`] records the per-fault curve.
+//! [`GossipReport::waves`] records the per-fault curve.
 
 use crate::schedule::{run_schedule, tree_ok, BitRows, Greedy, RepairHook, Weighted};
-use decomp_congest::{FaultPlan, FaultState};
+use decomp_congest::{FaultPlan, FaultPlanError, FaultState, SimError};
 use decomp_core::packing::DomTreePacking;
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Result of a gossip schedule simulation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Result of a gossip schedule: the tree schedules, the coded regime,
+/// and the churn wave loop ([`crate::churn`]) all report here.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GossipReport {
-    /// Rounds until every message reached every vertex.
+    /// Rounds until every message reached every (live, present) vertex.
     pub rounds: usize,
     /// Number of messages disseminated.
     pub num_messages: usize,
-    /// Messages assigned to each tree.
+    /// Whether no message was lost outright.
+    pub complete: bool,
+    /// Messages assigned to each tree (each class, under churn) at the
+    /// start; all zeros under [`Regime::Rlnc`], whose packets ride no
+    /// tree.
     pub per_tree_load: Vec<usize>,
-    /// Largest tree diameter in the packing (the `O~(n/k)` term).
+    /// Largest diameter among the trees carrying messages at the start
+    /// (the `O~(n/k)` term).
     pub max_tree_diameter: usize,
     /// Peak resident words of the schedule state: the packed
     /// received/membership bitsets plus the peak total size of the
@@ -99,9 +105,9 @@ pub struct GossipReport {
     /// regression tests compare this against a verbatim copy of the
     /// historical `O(nmsg · n)` scan.
     pub schedule_digest: u64,
-    /// One sample per fault round (empty on fault-free runs): the
-    /// degradation curve of the schedule as the plan fires.
-    pub degradation: Vec<DegradationSample>,
+    /// One sample per fault wave, in firing order (empty on fault-free
+    /// runs): the degradation curve of the schedule as the plan fires.
+    pub waves: Vec<WaveSample>,
     /// Messages abandoned because every copy was on a dead vertex
     /// (possible only when a message's origin dies before its first
     /// relay, or when faults exceed the packing's connectivity).
@@ -113,66 +119,101 @@ pub struct GossipReport {
     /// receiver had already reached full rank). The bandwidth half of
     /// the rounds-vs-bandwidth trade the regimes are benchmarked on.
     pub wasted_bandwidth: usize,
-    /// Messages moved to another tree (or reseeded in place) by the
-    /// fault repair passes — the cumulative `reassigned_messages` column
-    /// of [`GossipReport::degradation`]. Zero on fault-free runs and
-    /// under [`Regime::Rlnc`] (coding needs no repair).
+    /// Messages moved to another carrier, re-admitted from the flood, or
+    /// reseeded in place by the repair passes — the cumulative
+    /// `reassigned_messages` column of [`GossipReport::waves`]. Zero on
+    /// fault-free runs and under [`Regime::Rlnc`] (coding needs no
+    /// repair).
     pub repair_events: usize,
     /// Rounds in which at least one relay served a message on the flood
     /// fallback. Stays zero while every message rides a real tree; under
     /// churn with re-extraction it is bounded per fault wave rather than
     /// growing with the run.
     pub flood_rounds: usize,
+    /// Successful per-class tree re-extractions across all waves (churn
+    /// only; a static packing never re-extracts).
+    pub reextractions: usize,
+    /// Class-free arrivals admitted into the packing incrementally
+    /// ([`ClassState::admit_vertex`](decomp_core::cds::class_state::ClassState::admit_vertex))
+    /// and served from trees. Nonzero only on a growing topology.
+    pub admitted_via_packing: usize,
+    /// Class-free arrivals no class could absorb, left to domination or
+    /// the flood fallback. A settled churn run counts every class-free
+    /// arrival here.
+    pub flood_served: usize,
 }
 
-/// A snapshot of schedule health taken each time faults fire, recorded
-/// in order in [`GossipReport::degradation`].
+/// A snapshot of schedule health taken each time a fault wave fires,
+/// recorded in order in [`GossipReport::waves`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DegradationSample {
+pub struct WaveSample {
     /// Schedule round (1-based) at whose start the faults fired.
     pub round: usize,
     /// Cumulative fault events fired so far, this round included.
     pub faults_fired: usize,
-    /// Vertices still alive after this round's faults.
+    /// Vertices alive and present after this round's faults.
     pub live_vertices: usize,
-    /// Trees still intact: members alive, tree edges uncut, and the
-    /// live survivors still dominated through live edges.
+    /// Carriers still intact (trees, or classes holding a certified
+    /// tree under churn): members alive, tree edges uncut, and the live
+    /// survivors still dominated through live edges.
     pub surviving_trees: usize,
     /// Messages not yet delivered to every live vertex.
     pub incomplete_messages: usize,
-    /// Messages moved to a surviving tree (or the flood fallback) by
-    /// this round's repair pass.
+    /// Messages moved to an intact carrier (or the flood fallback),
+    /// re-admitted, or reseeded by this round's repair pass.
     pub reassigned_messages: usize,
     /// Messages declared lost by this round's repair pass.
     pub lost_messages: usize,
+    /// Touched classes whose tree this wave re-extracted (churn only).
+    pub reextracted_classes: usize,
+    /// Cumulative flood rounds when the wave fired — consecutive
+    /// samples difference to the per-wave flood cost, which stays
+    /// bounded when re-extraction keeps restoring tree schedules.
+    pub flood_rounds_before: usize,
 }
 
-/// Why [`gossip_via_trees_faulty`] refused to run (the conditions the
-/// panicking entry points `assert!` on).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Why a gossip run refused to start or failed: the conditions the
+/// panicking [`gossip_via_trees_with`] `assert!`s on, plus an invalid
+/// plan and a simulator phase that ran out of rounds.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipError {
-    /// The packing holds no trees at all.
+    /// The fault plan failed [`FaultPlan::validate`].
+    Plan(FaultPlanError),
+    /// The packing holds no trees (for the churn protocol: no class
+    /// certifies over the final topology).
     EmptyPacking,
     /// [`TreeChoice::Weighted`] was requested but no tree carries
     /// positive weight, so the sampler has nothing to draw from.
     ZeroWeightPacking,
-    /// The input graph is disconnected; no schedule can complete.
+    /// The (final) topology is disconnected; no run can complete.
     Disconnected,
+    /// A simulator phase exceeded its round cap.
+    Sim(SimError),
 }
 
 impl std::fmt::Display for GossipError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            GossipError::Plan(e) => write!(f, "invalid fault plan: {e}"),
             GossipError::EmptyPacking => write!(f, "packing holds no trees"),
             GossipError::ZeroWeightPacking => {
                 write!(f, "weighted tree choice needs positive total weight")
             }
             GossipError::Disconnected => write!(f, "gossip requires a connected graph"),
+            GossipError::Sim(e) => write!(f, "simulator phase failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for GossipError {}
+impl std::error::Error for GossipError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            GossipError::Plan(e) => Some(e),
+            GossipError::Sim(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// A message to gossip: its origin vertex.
 pub type MessageOrigin = NodeId;
@@ -272,34 +313,21 @@ impl GossipConfig {
     }
 }
 
-/// Simulates the tree-parallel gossip schedule of Appendix A.
+/// Simulates the tree-parallel gossip schedule of Appendix A under an
+/// explicit [`GossipConfig`].
 ///
-/// `origins[i]` holds message `i`. Each message is assigned to a uniformly
-/// random tree of `packing`; vertices relay greedily (FIFO), one message
-/// per vertex per round (V-CONGEST). Terminates when every message has
-/// reached every vertex.
-///
-/// # Panics
-/// Panics if the packing is empty, a tree fails to dominate, or the graph
-/// is disconnected (the schedule would never complete).
-pub fn gossip_via_trees(
-    g: &Graph,
-    packing: &DomTreePacking,
-    origins: &[MessageOrigin],
-    seed: u64,
-) -> GossipReport {
-    gossip_via_trees_with(g, packing, origins, seed, GossipConfig::default())
-}
-
-/// [`gossip_via_trees`] with an explicit [`GossipConfig`]: tree choice
-/// (uniform vs. weight-proportional) and relay-slot sharing (greedy vs.
-/// the weighted credit scheduler of the fractional regime). The default
-/// config takes exactly the historical schedule, RNG stream included.
+/// `origins[i]` holds message `i`. Each message is assigned to a tree of
+/// `packing` (uniformly, or weight-proportionally); vertices relay one
+/// message per round (V-CONGEST), picked greedily or by the weighted
+/// credit scheduler of the fractional regime. Terminates when every
+/// message has reached every vertex. The default config takes exactly
+/// the historical schedule, RNG stream included.
 ///
 /// # Panics
 /// Panics if the packing is empty (or, under [`TreeChoice::Weighted`],
 /// carries no weight), a tree fails to dominate, or the graph is
-/// disconnected.
+/// disconnected — [`gossip_via_trees_faulty`] returns these as
+/// [`GossipError`]s instead.
 pub fn gossip_via_trees_with(
     g: &Graph,
     packing: &DomTreePacking,
@@ -321,9 +349,10 @@ pub fn gossip_via_trees_with(
 /// no longer count toward delivery, cut edges drop relays in both
 /// directions, and each fault round runs a repair pass that reassigns
 /// stuck messages to surviving trees (or a flood fallback). Returns the
-/// report with its [`degradation`](GossipReport::degradation) curve
-/// filled in; input validation failures come back as [`GossipError`]s
-/// instead of the panics of the fault-free entry points.
+/// report with its [`waves`](GossipReport::waves) curve filled in; input
+/// validation failures come back as [`GossipError`]s instead of the
+/// panics of the fault-free entry point. The plan itself is not
+/// validated: the schedule tolerates events on dead or unknown ends.
 ///
 /// The *initial* graph must be connected; completion of every
 /// non-[`lost`](GossipReport::lost_messages) message further requires
@@ -338,11 +367,23 @@ pub fn gossip_via_trees_faulty(
     config: GossipConfig,
     plan: &FaultPlan,
 ) -> Result<GossipReport, GossipError> {
-    if packing.num_trees() == 0 {
-        return Err(GossipError::EmptyPacking);
-    }
+    check_inputs(g, packing, config)?;
+    Ok(run_gossip(g, packing, origins, seed, config, Some(plan)))
+}
+
+/// The checks every fallible entry point runs before it starts: a
+/// connected graph, at least one tree, and positive weight where the
+/// tree choice samples by weight.
+pub(crate) fn check_inputs(
+    g: &Graph,
+    packing: &DomTreePacking,
+    config: GossipConfig,
+) -> Result<(), GossipError> {
     if !decomp_graph::traversal::is_connected(g) {
         return Err(GossipError::Disconnected);
+    }
+    if packing.num_trees() == 0 {
+        return Err(GossipError::EmptyPacking);
     }
     if config.regime == Regime::Trees
         && config.tree_choice == TreeChoice::Weighted
@@ -350,14 +391,36 @@ pub fn gossip_via_trees_faulty(
     {
         return Err(GossipError::ZeroWeightPacking);
     }
-    Ok(run_gossip(g, packing, origins, seed, config, Some(plan)))
+    Ok(())
+}
+
+/// Message `i`'s tree, drawn in order from `seed`'s stream: uniformly,
+/// or weight-proportionally under [`TreeChoice::Weighted`] (the shared
+/// [`decomp_core::packing::TreeSampler`]). The schedule and the protocol
+/// both draw here, so one seed assigns the same trees in either.
+pub(crate) fn assign_trees(
+    packing: &DomTreePacking,
+    nmsg: usize,
+    seed: u64,
+    choice: TreeChoice,
+) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    match choice {
+        TreeChoice::Uniform => (0..nmsg)
+            .map(|_| rng.gen_range(0..packing.num_trees()))
+            .collect(),
+        TreeChoice::Weighted => {
+            let sampler = packing.try_sampler().expect("packing must carry weight");
+            (0..nmsg).map(|_| sampler.sample(&mut rng)).collect()
+        }
+    }
 }
 
 /// Shared body of the gossip entry points: membership bitsets, tree
 /// assignment, schedule dispatch. Inputs are pre-validated (panicking
-/// asserts in the infallible entries, [`GossipError`]s in the faulty
-/// one — except the weighted-sampler panic, kept here so
-/// [`gossip_via_trees_with`] preserves its historical message).
+/// asserts in [`gossip_via_trees_with`], [`GossipError`]s in the faulty
+/// entry — except the weighted-sampler panic, kept in [`assign_trees`]
+/// so [`gossip_via_trees_with`] preserves its historical message).
 fn run_gossip(
     g: &Graph,
     packing: &DomTreePacking,
@@ -367,37 +430,16 @@ fn run_gossip(
     faults: Option<&FaultPlan>,
 ) -> GossipReport {
     let n = g.n();
-    let num_trees = packing.num_trees();
-
     // Per-tree membership, 1 bit per vertex.
     let member = BitRows::from_trees(packing, n);
-    let diameters = packing.trees.iter().map(|t| t.diameter(n));
-    let max_diam = diameters.max().unwrap_or(0);
-
-    let nmsg = origins.len();
-    let (outcome, per_tree_load) = match config.regime {
+    let report = match config.regime {
         Regime::Trees => {
             // Message-to-tree assignment draws first, preserving the
             // historical RNG stream bit for bit.
-            let mut rng = StdRng::seed_from_u64(seed);
-            let tree_of: Vec<usize> = match config.tree_choice {
-                TreeChoice::Uniform => (0..nmsg).map(|_| rng.gen_range(0..num_trees)).collect(),
-                TreeChoice::Weighted => {
-                    let sampler = packing.try_sampler().expect("packing must carry weight");
-                    (0..nmsg).map(|_| sampler.sample(&mut rng)).collect()
-                }
-            };
-            let mut per_tree_load = vec![0usize; num_trees];
-            for &t in &tree_of {
-                per_tree_load[t] += 1;
-            }
+            let tree_of = assign_trees(packing, origins.len(), seed, config.tree_choice);
             let ft = faults.map(|p| FaultState::new(p, n));
-            let mut hook = StaticRepair {
-                g,
-                packing,
-                degradation: Vec::new(),
-            };
-            let mut outcome = match config.sharing {
+            let mut hook = StaticRepair { g, packing };
+            match config.sharing {
                 Sharing::Greedy => {
                     run_schedule(g, origins, member, tree_of, Greedy::new(n), ft, &mut hook)
                 }
@@ -405,40 +447,26 @@ fn run_gossip(
                     let policy = Weighted::new(n, packing);
                     run_schedule(g, origins, member, tree_of, policy, ft, &mut hook)
                 }
-            };
-            outcome.degradation = hook.degradation;
-            (outcome, per_tree_load)
+            }
         }
         Regime::Rlnc {
             generation_size,
             seed: coeff_seed,
-        } => (
-            crate::rlnc::rlnc_schedule(
-                g,
-                packing,
-                &member,
-                origins,
-                seed,
-                generation_size,
-                coeff_seed,
-                faults,
-            ),
-            // Coded packets ride no tree: the load column is all zeros.
-            vec![0usize; num_trees],
+        } => crate::rlnc::rlnc_schedule(
+            g,
+            packing,
+            &member,
+            origins,
+            seed,
+            generation_size,
+            coeff_seed,
+            faults,
         ),
     };
+    let diameters = packing.trees.iter().map(|t| t.diameter(n));
     GossipReport {
-        rounds: outcome.rounds,
-        num_messages: nmsg,
-        per_tree_load,
-        max_tree_diameter: max_diam,
-        peak_state_words: outcome.peak_state_words,
-        schedule_digest: outcome.schedule_digest,
-        degradation: outcome.degradation,
-        lost_messages: outcome.lost_messages,
-        wasted_bandwidth: outcome.wasted_bandwidth,
-        repair_events: outcome.repair_events,
-        flood_rounds: outcome.flood_rounds,
+        max_tree_diameter: diameters.max().unwrap_or(0),
+        ..report
     }
 }
 
@@ -448,20 +476,20 @@ fn run_gossip(
 struct StaticRepair<'a> {
     g: &'a Graph,
     packing: &'a DomTreePacking,
-    degradation: Vec<DegradationSample>,
 }
 
 impl RepairHook for StaticRepair<'_> {
     const READMIT_FLOOD: bool = false;
 
-    fn carriers(&mut self, _round: usize, ft: &FaultState<'_>, member: &mut BitRows) -> Vec<bool> {
+    fn carriers(
+        &mut self,
+        _round: usize,
+        ft: &FaultState<'_>,
+        member: &mut BitRows,
+    ) -> (Vec<bool>, usize) {
         let (g, member) = (self.g, &*member);
         let ok = |(t, tree)| tree_ok(g, ft, t, tree, member);
-        self.packing.trees.iter().enumerate().map(ok).collect()
-    }
-
-    fn record(&mut self, wave: DegradationSample, _flood_rounds: usize) {
-        self.degradation.push(wave);
+        (self.packing.trees.iter().enumerate().map(ok).collect(), 0)
     }
 }
 
@@ -482,7 +510,7 @@ pub fn gossip_single_tree_baseline(
             singleton: if g.n() == 1 { Some(0) } else { None },
         }],
     };
-    gossip_via_trees(g, &packing, origins, seed)
+    gossip_via_trees_with(g, &packing, origins, seed, GossipConfig::default())
 }
 
 #[cfg(test)]
@@ -493,6 +521,11 @@ mod tests {
     use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
     use decomp_core::cds::tree_extract::to_dom_tree_packing;
     use decomp_graph::generators;
+
+    /// The default (uniform, greedy) schedule.
+    fn greedy(g: &Graph, packing: &DomTreePacking, origins: &[usize], seed: u64) -> GossipReport {
+        gossip_via_trees_with(g, packing, origins, seed, GossipConfig::default())
+    }
 
     fn packing_for(g: &Graph, k: usize, seed: u64) -> DomTreePacking {
         let p = cds_packing(g, &CdsPackingConfig::with_known_k(k, seed));
@@ -506,7 +539,7 @@ mod tests {
         let g = generators::harary(12, 48);
         let packing = packing_for(&g, 12, 1);
         let origins: Vec<usize> = (0..g.n()).collect(); // one message per node
-        let r = gossip_via_trees(&g, &packing, &origins, 9);
+        let r = greedy(&g, &packing, &origins, 9);
         assert_eq!(r.num_messages, 48);
         assert!(r.rounds > 0);
         let total: usize = r.per_tree_load.iter().sum();
@@ -537,7 +570,7 @@ mod tests {
     fn disjoint_trees_beat_single_tree() {
         let (g, packing) = disjoint_pair_packing(8, 64);
         let origins: Vec<usize> = (0..4 * g.n()).map(|i| i % g.n()).collect();
-        let multi = gossip_via_trees(&g, &packing, &origins, 5);
+        let multi = greedy(&g, &packing, &origins, 5);
         let single = gossip_single_tree_baseline(&g, &origins, 5);
         assert!(
             2 * multi.rounds < single.rounds,
@@ -555,7 +588,7 @@ mod tests {
         let packing = packing_for(&g, 16, 3);
         assert!(packing.num_trees() >= 4);
         let origins: Vec<usize> = (0..2 * g.n()).map(|i| i % g.n()).collect();
-        let multi = gossip_via_trees(&g, &packing, &origins, 5);
+        let multi = greedy(&g, &packing, &origins, 5);
         let single = gossip_single_tree_baseline(&g, &origins, 5);
         assert!(
             multi.rounds <= 2 * single.rounds + 10,
@@ -569,7 +602,7 @@ mod tests {
     fn single_message_reaches_everyone() {
         let g = generators::cycle(10);
         let packing = packing_for(&g, 2, 0);
-        let r = gossip_via_trees(&g, &packing, &[3], 1);
+        let r = greedy(&g, &packing, &[3], 1);
         assert_eq!(r.num_messages, 1);
         // one message over a cycle: roughly diameter rounds
         assert!(r.rounds <= 3 * 10);
@@ -579,7 +612,7 @@ mod tests {
     fn empty_workload() {
         let g = generators::cycle(5);
         let packing = packing_for(&g, 2, 0);
-        let r = gossip_via_trees(&g, &packing, &[], 0);
+        let r = greedy(&g, &packing, &[], 0);
         assert_eq!(r.rounds, 0);
         assert_eq!(r.num_messages, 0);
     }
@@ -591,7 +624,7 @@ mod tests {
         let g = generators::harary(16, 64);
         let packing = packing_for(&g, 16, 7);
         let origins: Vec<usize> = (0..g.n()).collect();
-        let r = gossip_via_trees(&g, &packing, &origins, 3);
+        let r = greedy(&g, &packing, &origins, 3);
         let naive = g.n() + decomp_graph::traversal::diameter(&g).unwrap();
         assert!(
             r.rounds < 4 * naive,
@@ -605,7 +638,7 @@ mod tests {
     #[should_panic(expected = "at least one tree")]
     fn rejects_empty_packing() {
         let g = generators::cycle(4);
-        gossip_via_trees(&g, &DomTreePacking::default(), &[0], 0);
+        greedy(&g, &DomTreePacking::default(), &[0], 0);
     }
 
     /// The historical `O(nmsg · n)` schedule loop, kept verbatim as the
@@ -880,7 +913,7 @@ mod tests {
         let g = generators::harary(16, 64);
         let packing = packing_for(&g, 16, 2);
         let origins: Vec<usize> = (0..4 * g.n()).map(|i| i % g.n()).collect();
-        let greedy = gossip_via_trees(&g, &packing, &origins, 5);
+        let greedy = greedy(&g, &packing, &origins, 5);
         let weighted = gossip_via_trees_with(&g, &packing, &origins, 5, GossipConfig::weighted());
         assert!(
             weighted.rounds < greedy.rounds,
@@ -900,7 +933,7 @@ mod tests {
             weighted.per_tree_load[0], 0,
             "zero-weight tree must carry no messages under weighted choice"
         );
-        let uniform = gossip_via_trees(&g, &packing, &origins, 4);
+        let uniform = greedy(&g, &packing, &origins, 4);
         assert!(
             uniform.per_tree_load[0] > 0,
             "uniform choice ignores weights (premise of the comparison)"
@@ -938,7 +971,7 @@ mod tests {
         for (g, packing) in &cases {
             for seed in [0u64, 5, 9] {
                 let origins: Vec<usize> = (0..2 * g.n()).map(|i| (i * 7) % g.n()).collect();
-                let r = gossip_via_trees(g, packing, &origins, seed);
+                let r = greedy(g, packing, &origins, seed);
                 let (ref_rounds, ref_digest, recv_round) =
                     reference_schedule(g, packing, &origins, seed);
                 assert_eq!(
@@ -1027,8 +1060,8 @@ mod tests {
                 let r =
                     gossip_via_trees_faulty(&g, &packing, &origins, seed, config, &plan).unwrap();
                 assert_eq!(r.lost_messages, 0, "seed {seed} {config:?}");
-                assert!(!r.degradation.is_empty(), "fault rounds must be sampled");
-                let last = r.degradation.last().unwrap();
+                assert!(!r.waves.is_empty(), "fault rounds must be sampled");
+                let last = r.waves.last().unwrap();
                 assert_eq!(last.live_vertices, g.n() - 7);
                 assert_eq!(last.faults_fired, 7);
             }
@@ -1049,8 +1082,8 @@ mod tests {
         for config in [GossipConfig::default(), GossipConfig::weighted()] {
             let r = gossip_via_trees_faulty(&g, &packing, &origins, 2, config, &plan).unwrap();
             assert_eq!(r.lost_messages, 0, "{config:?}");
-            assert_eq!(r.degradation.len(), 1);
-            let s = r.degradation[0];
+            assert_eq!(r.waves.len(), 1);
+            let s = r.waves[0];
             assert_eq!(s.round, 2);
             assert_eq!(s.surviving_trees, 1, "only pair tree 3 stays intact");
             assert!(
@@ -1075,7 +1108,7 @@ mod tests {
         for config in [GossipConfig::default(), GossipConfig::weighted()] {
             let r = gossip_via_trees_faulty(&g, &packing, &origins, 6, config, &plan).unwrap();
             assert_eq!(r.lost_messages, 0, "{config:?}");
-            let s = r.degradation[0];
+            let s = r.waves[0];
             assert_eq!(s.surviving_trees, 0, "every tree must be broken");
             assert!(s.reassigned_messages > 0);
         }
@@ -1094,7 +1127,7 @@ mod tests {
         let r = gossip_via_trees_faulty(&g, &packing, &origins, 9, GossipConfig::default(), &plan)
             .unwrap();
         assert_eq!(r.lost_messages, 0);
-        let s = r.degradation[0];
+        let s = r.waves[0];
         assert_eq!(s.live_vertices, g.n(), "edge cuts kill no vertex");
         assert_eq!(s.surviving_trees, 3, "pair tree 0 lost its only edge");
     }

@@ -9,11 +9,12 @@
 //! (the central scheduler picks relays greedily; the protocol relays
 //! FIFO), which the tests check.
 //!
-//! Tokens carry the tree chosen at the origin; under
-//! [`TreeChoice::Weighted`] that choice comes from the shared
-//! weight-proportional sampler ([`decomp_core::packing::TreeSampler`]),
-//! so the protocol follows the same fractional-regime assignment as the
-//! schedule-level simulation.
+//! Tokens carry the tree chosen at the origin, drawn by the schedule's
+//! own assignment: under
+//! [`TreeChoice::Weighted`](crate::gossip::TreeChoice::Weighted) from
+//! the shared weight-proportional sampler
+//! ([`decomp_core::packing::TreeSampler`]), so the protocol follows the
+//! same fractional-regime assignment as the schedule-level simulation.
 //!
 //! Under [`Regime::Rlnc`] the protocol forwards no tree tokens at all:
 //! each node runs one [`RlncDecoder`] per generation and broadcasts
@@ -25,20 +26,19 @@
 //! bit-identical across engines.
 
 use crate::churn::certify_class;
-use crate::gossip::{GossipConfig, Regime, TreeChoice};
+use crate::gossip::{assign_trees, check_inputs, GossipConfig, GossipError, Regime};
 use crate::rlnc::{symbol_word, RlncDecoder};
-use crate::schedule::{dominates, tree_ok, BitRows};
+use crate::schedule::{dominates, tree_load, tree_ok, BitRows};
 use decomp_congest::{
-    EngineKind, Fault, FaultPlan, FaultPlanError, FaultState, Inbox, Message, Model, NodeCtx,
-    NodeProgram, RunStats, ScheduledFault, SimError, Simulator,
+    EngineKind, Fault, FaultPlan, FaultState, Inbox, Message, Model, NodeCtx, NodeProgram,
+    RunStats, ScheduledFault, Simulator,
 };
 use decomp_core::cds::centralized::CdsPacking;
 use decomp_core::cds::class_state::ClassState;
 use decomp_core::cds::tree_extract::to_dom_tree_packing_with_state;
 use decomp_core::packing::DomTreePacking;
-use decomp_graph::{Graph, GrowableGraph, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use decomp_graph::{Graph, NodeId, TopologyView};
+use rand::Rng;
 use std::collections::{BTreeSet, VecDeque};
 
 struct GossipProgram {
@@ -207,91 +207,69 @@ impl NodeProgram for RlncGossipProgram {
     }
 }
 
-/// Result of the message-passing gossip run.
+/// Result of a message-passing gossip run: fault-free, faulty, or under
+/// churn.
 #[derive(Clone, Debug)]
 pub struct DistGossipReport {
-    /// Whether every node received every message.
+    /// Whether every (surviving) node received every message that was
+    /// not lost outright.
     pub complete: bool,
-    /// Tokens assigned to each tree, as in
+    /// Messages whose every copy sat on a dead node when the faulted
+    /// phase quiesced (possible only when an origin dies before its
+    /// first broadcast, or when faults exceed the packing's
+    /// connectivity). Zero on fault-free runs.
+    pub lost_messages: usize,
+    /// Tokens assigned to each tree at the origin, as in
     /// [`crate::gossip::GossipReport::per_tree_load`].
     pub per_tree_load: Vec<usize>,
-    /// Full simulator statistics for the run — rounds, messages, words,
-    /// and the peak-memory counters (`peak_queued_messages` /
-    /// `peak_arena_words`).
+    /// Touched classes whose dominating tree was re-extracted from the
+    /// incrementally repacked [`ClassState`] for the repair phase (churn
+    /// only).
+    pub reextractions: usize,
+    /// Carriers the repair phase may re-inject on: trees still intact on
+    /// the survivors, or classes certified over them under churn. Every
+    /// tree of the packing on a fault-free run.
+    pub intact_carriers: usize,
+    /// Full simulator statistics, cumulative over both phases of a
+    /// faulty or churn run — rounds, messages, words, the peak-memory
+    /// counters (`peak_queued_messages` / `peak_arena_words`), and the
+    /// protocol-set repair counters ([`RunStats::repair_events`] counts
+    /// the re-injected messages).
     pub stats: RunStats,
 }
 
-/// Runs the Appendix-A gossip as a V-CONGEST protocol on a fresh simulator
-/// over `g`: message `i` starts at `origins[i]`, gets a uniformly random
-/// tree of `packing`, and is relayed FIFO by that tree's members.
+/// Runs the Appendix-A gossip as a V-CONGEST protocol on a caller-supplied
+/// simulator (engine included — the regression suites sweep
+/// `DECOMP_ENGINE` through here): message `i` starts at `origins[i]`,
+/// gets a tree of `packing` (uniformly, or weight-proportionally under
+/// [`TreeChoice::Weighted`](crate::gossip::TreeChoice::Weighted) — the
+/// same draw as the schedule's), and is relayed FIFO by that tree's
+/// members; the sharing policy does not apply here. `seed` drives the
+/// message-to-tree assignment only; per-node RNG streams come from the
+/// simulator itself.
 ///
 /// # Errors
-/// Propagates simulator round-limit errors.
+/// A disconnected simulator graph, an empty packing, or (under weighted
+/// choice) a weightless one come back as [`GossipError`]s, simulator
+/// round-limit errors as [`GossipError::Sim`].
 ///
 /// # Panics
-/// Panics if the packing is empty or `g` is disconnected.
-pub fn gossip_protocol(
-    g: &Graph,
-    packing: &DomTreePacking,
-    origins: &[NodeId],
-    seed: u64,
-) -> Result<DistGossipReport, SimError> {
-    gossip_protocol_with(g, packing, origins, seed, GossipConfig::default())
-}
-
-/// [`gossip_protocol`] with an explicit [`GossipConfig`]: under
-/// [`TreeChoice::Weighted`] the protocol tokens carry trees drawn by the
-/// shared weight-proportional sampler
-/// ([`decomp_core::packing::TreeSampler`]) instead of uniformly. The
-/// sharing policy does not apply here — relaying is the protocol's FIFO.
-///
-/// # Errors
-/// Propagates simulator round-limit errors.
-///
-/// # Panics
-/// Panics if the packing is empty (or carries no weight under
-/// [`TreeChoice::Weighted`]) or `g` is disconnected.
-pub fn gossip_protocol_with(
-    g: &Graph,
-    packing: &DomTreePacking,
-    origins: &[NodeId],
-    seed: u64,
-    config: GossipConfig,
-) -> Result<DistGossipReport, SimError> {
-    let mut sim = Simulator::with_seed(g, Model::VCongest, seed);
-    gossip_protocol_on(&mut sim, packing, origins, seed, config)
-}
-
-/// Runs the protocol on a caller-supplied simulator (engine included —
-/// the regression suites sweep `DECOMP_ENGINE` through here). `seed`
-/// drives the message-to-tree assignment only; per-node RNG streams come
-/// from the simulator itself.
-///
-/// # Errors
-/// Propagates simulator round-limit errors.
-///
-/// # Panics
-/// Panics if the packing is empty (or carries no weight under
-/// [`TreeChoice::Weighted`]), the simulator graph is disconnected, or
-/// the simulator is not in [`Model::VCongest`].
+/// Panics if the simulator is not in [`Model::VCongest`], or under
+/// [`Regime::Rlnc`] with a generation size out of range.
 pub fn gossip_protocol_on(
     sim: &mut Simulator<'_>,
     packing: &DomTreePacking,
     origins: &[NodeId],
     seed: u64,
     config: GossipConfig,
-) -> Result<DistGossipReport, SimError> {
-    let g = sim.graph();
+) -> Result<DistGossipReport, GossipError> {
     assert_eq!(
         sim.model(),
         Model::VCongest,
         "gossip is a V-CONGEST protocol"
     );
-    assert!(packing.num_trees() > 0, "need at least one tree");
-    assert!(
-        decomp_graph::traversal::is_connected(g),
-        "gossip requires a connected graph"
-    );
+    let g = sim.graph();
+    check_inputs(g, packing, config)?;
     if let Regime::Rlnc {
         generation_size, ..
     } = config.regime
@@ -299,44 +277,33 @@ pub fn gossip_protocol_on(
         return rlnc_protocol_on(sim, packing, origins, generation_size);
     }
     let n = g.n();
-    let (injections, per_tree_load) = assign_trees(packing, origins, seed, config.tree_choice, n);
-    let programs = gossip_programs(tree_membership(packing, n), injections);
-    let (programs, mut stats) = sim.run(programs, 64 * (n + origins.len()) + 4096)?;
+    let tree_of = assign_trees(packing, origins.len(), seed, config.tree_choice);
+    let programs = gossip_programs(
+        tree_membership(packing, n),
+        injections(&tree_of, origins, n),
+    );
+    let (programs, mut stats) = sim
+        .run(programs, 64 * (n + origins.len()) + 4096)
+        .map_err(GossipError::Sim)?;
     stats.wasted_bandwidth = programs.iter().map(|p| p.wasted).sum();
-    let complete = programs.iter().all(|p| p.received.len() == origins.len());
     Ok(DistGossipReport {
-        complete,
-        per_tree_load,
+        complete: programs.iter().all(|p| p.received.len() == origins.len()),
+        lost_messages: 0,
+        per_tree_load: tree_load(&tree_of, packing.num_trees()),
+        reextractions: 0,
+        intact_carriers: packing.num_trees(),
         stats,
     })
 }
 
-/// Injection queues per origin: message `i` starts at `origins[i]` on a
-/// tree drawn from `seed`'s stream — uniformly, or weight-proportionally
-/// under [`TreeChoice::Weighted`] — with the per-tree load.
-fn assign_trees(
-    packing: &DomTreePacking,
-    origins: &[NodeId],
-    seed: u64,
-    choice: TreeChoice,
-    n: usize,
-) -> (Vec<VecDeque<(u64, u64)>>, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sampler = match choice {
-        TreeChoice::Uniform => None,
-        TreeChoice::Weighted => Some(packing.sampler()),
-    };
+/// Injection queues per origin: message `i` starts at `origins[i]` on
+/// tree `tree_of[i]`.
+fn injections(tree_of: &[usize], origins: &[NodeId], n: usize) -> Vec<VecDeque<(u64, u64)>> {
     let mut injections: Vec<VecDeque<(u64, u64)>> = vec![VecDeque::new(); n];
-    let mut per_tree_load = vec![0usize; packing.num_trees()];
-    for (i, &origin) in origins.iter().enumerate() {
-        let tree = match &sampler {
-            None => rng.gen_range(0..packing.num_trees()),
-            Some(s) => s.sample(&mut rng),
-        };
-        per_tree_load[tree] += 1;
+    for (i, (&origin, &tree)) in origins.iter().zip(tree_of).enumerate() {
         injections[origin].push_back((i as u64, tree as u64));
     }
-    (injections, per_tree_load)
+    injections
 }
 
 /// `membership[v]`: the sorted ids of the trees containing `v`.
@@ -388,7 +355,7 @@ fn rlnc_protocol_on(
     packing: &DomTreePacking,
     origins: &[NodeId],
     gsize: usize,
-) -> Result<DistGossipReport, SimError> {
+) -> Result<DistGossipReport, GossipError> {
     let g = sim.graph();
     let n = g.n();
     let nmsg = origins.len();
@@ -415,7 +382,9 @@ fn rlnc_protocol_on(
             .receive_symbol(m % gsize, &symbol_word(m).to_le_bytes());
         debug_assert!(seeded, "distinct unit seeds are always innovative");
     }
-    let (programs, mut stats) = sim.run(programs, 64 * (n + nmsg) + 4096)?;
+    let (programs, mut stats) = sim
+        .run(programs, 64 * (n + nmsg) + 4096)
+        .map_err(GossipError::Sim)?;
     stats.wasted_bandwidth = programs.iter().map(|p| p.wasted).sum();
     let complete = programs.iter().all(|p| {
         (0..gens).all(|gen| match p.decoders[gen].decode() {
@@ -428,67 +397,19 @@ fn rlnc_protocol_on(
     });
     Ok(DistGossipReport {
         complete,
+        lost_messages: 0,
         per_tree_load: vec![0; packing.num_trees()],
+        reextractions: 0,
+        intact_carriers: packing.num_trees(),
         stats,
     })
 }
-
-/// Result of a fault-injected protocol run ([`gossip_protocol_faulty`]).
-#[derive(Clone, Debug)]
-pub struct FaultyDistGossipReport {
-    /// Whether every *surviving* node received every message that was
-    /// not lost outright.
-    pub complete: bool,
-    /// Messages whose every copy sat on a dead node when the faulted
-    /// phase quiesced (possible only when an origin dies before its
-    /// first broadcast, or when faults exceed the packing's
-    /// connectivity).
-    pub lost_messages: usize,
-    /// Messages the repair phase re-injected on a surviving tree (or as
-    /// a flood when no tree could carry them).
-    pub reinjected: usize,
-    /// Tokens assigned to each tree at the origin.
-    pub per_tree_load: Vec<usize>,
-    /// Cumulative statistics: the faulted run plus the repair run.
-    pub stats: RunStats,
-}
-
-/// Why a two-phase protocol run ([`gossip_protocol_faulty`],
-/// [`gossip_protocol_churn`], [`gossip_protocol_growth`]) refused to
-/// run or failed.
-#[derive(Debug)]
-pub enum DistGossipError {
-    /// The fault plan failed [`FaultPlan::validate`].
-    Plan(FaultPlanError),
-    /// The packing holds no trees (for the churn protocols: no class
-    /// certifies over the final topology).
-    EmptyPacking,
-    /// The (final) topology is disconnected.
-    Disconnected,
-    /// A simulator phase exceeded its round cap.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for DistGossipError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DistGossipError::Plan(e) => write!(f, "invalid fault plan: {e}"),
-            DistGossipError::EmptyPacking => write!(f, "packing holds no trees"),
-            DistGossipError::Disconnected => {
-                write!(f, "gossip requires a connected final graph")
-            }
-            DistGossipError::Sim(e) => write!(f, "simulator phase failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DistGossipError {}
 
 /// Sentinel token tree id: a flood token, relayed by every surviving
 /// node instead of one tree's members.
 const FLOOD_TOKEN: u32 = u32::MAX;
 
-/// [`gossip_protocol_with`] under a seeded [`FaultPlan`], in two phases:
+/// [`gossip_protocol_on`] under a seeded [`FaultPlan`], in two phases:
 /// the protocol first runs on a faulted simulator (dead nodes fall
 /// silent mid-round, in-flight messages drop — the engine-level
 /// semantics of `decomp_congest::fault`), then any message a surviving
@@ -504,13 +425,12 @@ const FLOOD_TOKEN: u32 = u32::MAX;
 /// [`crate::gossip::gossip_via_trees_faulty`].
 ///
 /// # Errors
-/// The plan is [validated](FaultPlan::validate) first; an empty packing
-/// or a disconnected `g` come back as typed errors, and simulator
-/// round-limit errors from either phase as [`DistGossipError::Sim`].
+/// The plan is [validated](FaultPlan::validate) first; then the input
+/// checks of [`gossip_protocol_on`], and simulator round-limit errors
+/// from either phase as [`GossipError::Sim`].
 ///
 /// # Panics
-/// Panics under [`Regime::Rlnc`] (the repair reasons about trees), or
-/// if the packing carries no weight under [`TreeChoice::Weighted`].
+/// Panics under [`Regime::Rlnc`] (the repair reasons about trees).
 pub fn gossip_protocol_faulty(
     g: &Graph,
     packing: &DomTreePacking,
@@ -519,7 +439,7 @@ pub fn gossip_protocol_faulty(
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-) -> Result<FaultyDistGossipReport, DistGossipError> {
+) -> Result<DistGossipReport, GossipError> {
     check_two_phase(g, config, plan)?;
     // Phase-2 carriers: the packing's trees still intact on the
     // survivors.
@@ -529,30 +449,12 @@ pub fn gossip_protocol_faulty(
         let intact = trees
             .map(|(t, tree)| tree_ok(g, ft, t, tree, &member))
             .collect();
-        (member, intact)
+        (member, intact, 0)
     };
+    let view = TopologyView::Static(g);
     run_two_phase(
-        g, None, packing, origins, seed, config, plan, engine, carriers,
+        g, view, packing, origins, seed, config, plan, engine, carriers,
     )
-}
-
-/// Result of a churn-injected protocol run ([`gossip_protocol_churn`]).
-#[derive(Clone, Debug)]
-pub struct ChurnDistGossipReport {
-    /// Whether every surviving node received every non-lost message.
-    pub complete: bool,
-    /// Messages whose every copy sat on a dead node after phase 1.
-    pub lost_messages: usize,
-    /// Messages the repair phase re-injected.
-    pub reinjected: usize,
-    /// Touched classes whose dominating tree was re-extracted from the
-    /// incrementally repacked [`ClassState`] for the repair phase.
-    pub reextractions: usize,
-    /// Classes certified over the survivors (tree available to repair).
-    pub certified_classes: usize,
-    /// Cumulative statistics across both phases, with
-    /// [`RunStats::repair_events`] / [`RunStats::flood_rounds`] set.
-    pub stats: RunStats,
 }
 
 /// [`gossip_protocol_faulty`] for live churn: the plan may also carry
@@ -562,20 +464,37 @@ pub struct ChurnDistGossipReport {
 /// repacked [`ClassState`] — flood fallback only when a message's
 /// holders sit outside every certified class.
 ///
+/// `topology` is a settled `&Graph` or a growing
+/// [`GrowableGraph`](decomp_graph::GrowableGraph). On a growing one,
+/// phase 1 runs the engines on `gg.base()` through the growth view
+/// ([`Simulator::with_growth`]) — each round's neighbor lists are the
+/// edges with activation epoch `<= round`, so no engine ever sees the
+/// final adjacency up front — and class-free arrivals (vertices the
+/// packing predates) are *admitted* into the class state between the
+/// phases ([`ClassState::admit_vertex`]), so repair re-injection serves
+/// them from re-extracted trees instead of flooding. A settled run
+/// counts every class-free arrival against the flood fallback.
+/// [`RunStats::admitted_via_packing`] / [`RunStats::flood_served`]
+/// report the split. The repair phase runs over the final topology (its
+/// quiesced round-0 plan activates everything immediately). Build a
+/// growing topology with [`FaultPlan::growth_topology`] so overlay
+/// epochs match the plan's arrival rounds. Engine choice never changes
+/// any output, growing or settled.
+///
 /// `state` must be the [`ClassState`] the `cds` packing was built with
 /// over the **final** topology
 /// ([`cds_packing_with_state`](decomp_core::cds::centralized::cds_packing_with_state));
-/// on return it reflects the post-churn membership. Arrivals are
+/// on return it reflects the post-churn membership. Packed arrivals are
 /// membership no-ops here (the state already holds the final
-/// population), so only deaths and cuts repack — each touching only
-/// its own classes.
+/// population), so only deaths, cuts and admissions repack — each
+/// touching only its own classes.
 ///
 /// # Errors
-/// As [`gossip_protocol_faulty`]; [`DistGossipError::EmptyPacking`]
-/// when no class certifies over the final topology.
+/// As [`gossip_protocol_faulty`]; [`GossipError::EmptyPacking`] when no
+/// class certifies over the final topology.
 #[allow(clippy::too_many_arguments)] // churn protocol plumbing
-pub fn gossip_protocol_churn(
-    g: &Graph,
+pub fn gossip_protocol_churn<'g>(
+    topology: impl Into<TopologyView<'g>>,
     cds: &CdsPacking,
     state: &mut ClassState,
     origins: &[NodeId],
@@ -583,72 +502,10 @@ pub fn gossip_protocol_churn(
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-) -> Result<ChurnDistGossipReport, DistGossipError> {
-    run_protocol_churn(g, None, cds, state, origins, seed, config, plan, engine)
-}
-
-/// [`gossip_protocol_churn`] over a *growing* topology: phase 1 runs the
-/// engines on `gg.base()` through the growth view
-/// ([`Simulator::with_growth`]) — each round's neighbor lists are the
-/// edges with activation epoch `<= round`, so no engine ever sees the
-/// final adjacency up front. Class-free arrivals (vertices the packing
-/// predates) are *admitted* into the maintained class state between the
-/// phases ([`ClassState::admit_vertex`]),
-/// so repair re-injection serves them from re-extracted trees instead of
-/// flooding; [`RunStats::admitted_via_packing`] /
-/// [`RunStats::flood_served`] report the split. The repair phase itself
-/// runs over the final topology (its quiesced round-0 plan activates
-/// everything immediately).
-///
-/// Build `gg` with
-/// [`FaultPlan::growth_topology`] so overlay epochs match the plan's
-/// arrival rounds. Engine choice never changes any output — the growing
-/// run is bit-identical across `sequential` / `sharded` backends and
-/// shard counts, exactly like the settled one.
-///
-/// # Errors
-/// As [`gossip_protocol_churn`].
-#[allow(clippy::too_many_arguments)] // churn protocol plumbing
-pub fn gossip_protocol_growth(
-    gg: &GrowableGraph,
-    cds: &CdsPacking,
-    state: &mut ClassState,
-    origins: &[NodeId],
-    seed: u64,
-    config: GossipConfig,
-    plan: &FaultPlan,
-    engine: EngineKind,
-) -> Result<ChurnDistGossipReport, DistGossipError> {
-    let gfull = gg.final_graph();
-    run_protocol_churn(
-        &gfull,
-        Some(gg),
-        cds,
-        state,
-        origins,
-        seed,
-        config,
-        plan,
-        engine,
-    )
-}
-
-/// The churn protocols' carriers: [`gossip_protocol_churn`] (settled,
-/// `growth: None`) and [`gossip_protocol_growth`] route phase 1 on the
-/// trees certified over the final topology `g`, then apply the churn to
-/// the class state and re-certify the touched classes for phase 2.
-#[allow(clippy::too_many_arguments)] // churn protocol plumbing
-fn run_protocol_churn(
-    g: &Graph,
-    growth: Option<&GrowableGraph>,
-    cds: &CdsPacking,
-    state: &mut ClassState,
-    origins: &[NodeId],
-    seed: u64,
-    config: GossipConfig,
-    plan: &FaultPlan,
-    engine: EngineKind,
-) -> Result<ChurnDistGossipReport, DistGossipError> {
+) -> Result<DistGossipReport, GossipError> {
+    let view = topology.into();
+    let g = view.final_graph();
+    let g: &Graph = &g;
     check_two_phase(g, config, plan)?;
     let n = g.n();
     let num_classes = cds.num_classes();
@@ -656,15 +513,14 @@ fn run_protocol_churn(
     // members simply stay silent until they arrive).
     let packing = to_dom_tree_packing_with_state(g, cds, state).packing;
     let (mut admitted_via_packing, mut flood_served) = (0, 0);
-    let (mut reextractions, mut certified_classes) = (0, 0);
     let carriers = |ft: &FaultState<'_>| {
         // Apply the churn to the class state. The state already holds
         // the final membership of every *packed* vertex, so those
         // arrivals repack nothing; deaths and cuts each repair exactly
         // their touched classes. A class-free arrival — a vertex the
-        // packing predates — is admitted incrementally in growth mode
-        // (tree service for the newcomer) and counted against the flood
-        // fallback otherwise.
+        // packing predates — is admitted incrementally on a growing
+        // topology (tree service for the newcomer) and counted against
+        // the flood fallback otherwise.
         let g_surv = plan.surviving_graph(g, usize::MAX);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for e in plan.events() {
@@ -672,10 +528,10 @@ fn run_protocol_churn(
                 Fault::Vertex(v) => state.delete_vertex(&g_surv, v),
                 Fault::Edge(u, v) => state.delete_edge(&g_surv, u, v),
                 Fault::AddVertex(v) if !ft.is_dead(v) && state.classes_at(v).is_empty() => {
-                    let entered = if growth.is_some() {
-                        state.admit_vertex(&g_surv, v)
-                    } else {
+                    let entered = if view.is_static() {
                         Vec::new()
+                    } else {
+                        state.admit_vertex(&g_surv, v)
                     };
                     if entered.is_empty() {
                         flood_served += 1;
@@ -705,39 +561,25 @@ fn run_protocol_churn(
         for tree in &packing.trees {
             certified[tree.id] = !touched.contains(&tree.id) && dominates(g, ft, &member, tree.id);
         }
+        let mut reextracted = 0;
         for &c in &touched {
             certified[c] = certify_class(g, ft, state, &member, &members[c], c).is_some();
-            reextractions += certified[c] as usize;
+            reextracted += certified[c] as usize;
         }
-        certified_classes = certified.iter().filter(|&&c| c).count();
-        (member, certified)
+        (member, certified, reextracted)
     };
-    let run = run_two_phase(
-        g, growth, &packing, origins, seed, config, plan, engine, carriers,
+    let mut report = run_two_phase(
+        g, view, &packing, origins, seed, config, plan, engine, carriers,
     )?;
-    let mut stats = run.stats;
-    stats.admitted_via_packing = admitted_via_packing;
-    stats.flood_served = flood_served;
-    Ok(ChurnDistGossipReport {
-        complete: run.complete,
-        lost_messages: run.lost_messages,
-        reinjected: run.reinjected,
-        reextractions,
-        certified_classes,
-        stats,
-    })
+    report.stats.admitted_via_packing = admitted_via_packing;
+    report.stats.flood_served = flood_served;
+    Ok(report)
 }
 
-/// The front-door checks every two-phase protocol shares.
-fn check_two_phase(
-    g: &Graph,
-    config: GossipConfig,
-    plan: &FaultPlan,
-) -> Result<(), DistGossipError> {
-    plan.validate(g).map_err(DistGossipError::Plan)?;
-    if !decomp_graph::traversal::is_connected(g) {
-        return Err(DistGossipError::Disconnected);
-    }
+/// The checks every two-phase protocol runs before it builds its
+/// packing; [`run_two_phase`] checks the rest ([`check_inputs`]).
+fn check_two_phase(g: &Graph, config: GossipConfig, plan: &FaultPlan) -> Result<(), GossipError> {
+    plan.validate(g).map_err(GossipError::Plan)?;
     // The repair phase reasons about surviving *trees*; coded gossip has
     // no tree-bound repair story at the protocol layer — the
     // schedule-level `gossip_via_trees_faulty` covers RLNC under faults.
@@ -751,31 +593,29 @@ fn check_two_phase(
 
 /// The one two-phase body. Phase 1 runs the protocol over `packing` on
 /// a simulator of `g` (the final topology) under `plan`, delivering
-/// through `growth`'s view when the topology grows. Then `carriers`,
-/// given the survivors' view (every event fired), returns per carrier
-/// id its membership row and whether it is intact; every message a
-/// survivor still misses is re-injected from a live holder on the
-/// lowest-id intact carrier it can join, or as a flood token, and
-/// phase 2 runs the re-injections on a fault-quiesced simulator (every
-/// event at round 0, seed `seed ^ 0xf1f0_0d17`).
+/// through `view` when the topology grows. Then `carriers`, given the
+/// survivors' view (every event fired), returns per carrier id its
+/// membership row, whether it is intact, and how many carriers it
+/// re-extracted; every message a survivor still misses is re-injected
+/// from a live holder on the lowest-id intact carrier it can join, or as
+/// a flood token, and phase 2 runs the re-injections on a fault-quiesced
+/// simulator (every event at round 0, seed `seed ^ 0xf1f0_0d17`).
 #[allow(clippy::too_many_arguments)] // two-phase protocol plumbing
 fn run_two_phase(
     g: &Graph,
-    growth: Option<&GrowableGraph>,
+    view: TopologyView<'_>,
     packing: &DomTreePacking,
     origins: &[NodeId],
     seed: u64,
     config: GossipConfig,
     plan: &FaultPlan,
     engine: EngineKind,
-    carriers: impl FnOnce(&FaultState<'_>) -> (BitRows, Vec<bool>),
-) -> Result<FaultyDistGossipReport, DistGossipError> {
-    if packing.num_trees() == 0 {
-        return Err(DistGossipError::EmptyPacking);
-    }
+    carriers: impl FnOnce(&FaultState<'_>) -> (BitRows, Vec<bool>, usize),
+) -> Result<DistGossipReport, GossipError> {
+    check_inputs(g, packing, config)?;
     let n = g.n();
     let nmsg = origins.len();
-    let (injections, per_tree_load) = assign_trees(packing, origins, seed, config.tree_choice, n);
+    let tree_of = assign_trees(packing, nmsg, seed, config.tree_choice);
     // The run idles until the last arrival if it must.
     let last_event = plan.events().last().map_or(0, |e| e.round);
     let cap = 64 * (n + nmsg) + 4096 + last_event;
@@ -783,21 +623,24 @@ fn run_two_phase(
     // Phase 1: the protocol under fire. A growing run delivers over the
     // view (base CSR + epoch-stamped overlay) — the base is the engines'
     // bookkeeping topology, never their adjacency source.
-    let mut sim = Simulator::with_seed(growth.map_or(g, |gg| gg.base()), Model::VCongest, seed)
+    let mut sim = Simulator::with_seed(view.base(), Model::VCongest, seed)
         .with_engine(engine)
         .with_faults(plan.clone());
-    if let Some(gg) = growth {
+    if let TopologyView::Growable(gg) = view {
         sim = sim.with_growth(gg);
     }
-    let programs = gossip_programs(tree_membership(packing, n), injections);
-    let (phase1, mut stats) = sim.run(programs, cap).map_err(DistGossipError::Sim)?;
+    let programs = gossip_programs(
+        tree_membership(packing, n),
+        injections(&tree_of, origins, n),
+    );
+    let (phase1, mut stats) = sim.run(programs, cap).map_err(GossipError::Sim)?;
     stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
 
     // The survivors' view once every event has fired: arrivals are all
     // present, so only kills and cuts remain.
     let mut ft = FaultState::new(plan, n);
     ft.advance_to(usize::MAX);
-    let (member, intact) = carriers(&ft);
+    let (member, intact, reextractions) = carriers(&ft);
 
     // Repair: re-inject every message some survivor is still missing,
     // from a live holder, on an intact carrier (or as a flood).
@@ -856,7 +699,7 @@ fn run_two_phase(
             .with_faults(plan0);
         let (phase2, stats2) = sim2
             .run(gossip_programs(membership, reinjections), cap)
-            .map_err(DistGossipError::Sim)?;
+            .map_err(GossipError::Sim)?;
         // Every phase-2 round may carry flood tokens, so the flood
         // column charges the whole repair run when any message fell
         // back to flooding (no intact carrier could take it).
@@ -873,11 +716,12 @@ fn run_two_phase(
             })
         });
     }
-    Ok(FaultyDistGossipReport {
+    Ok(DistGossipReport {
         complete,
         lost_messages: lost.iter().filter(|&&l| l).count(),
-        reinjected,
-        per_tree_load,
+        per_tree_load: tree_load(&tree_of, packing.num_trees()),
+        reextractions,
+        intact_carriers: intact.iter().filter(|&&c| c).count(),
         stats,
     })
 }
@@ -894,12 +738,24 @@ mod tests {
         to_dom_tree_packing(g, &p).packing
     }
 
+    /// The protocol on a fresh sequential simulator seeded with `seed`.
+    fn protocol(
+        g: &Graph,
+        packing: &DomTreePacking,
+        origins: &[usize],
+        seed: u64,
+        config: GossipConfig,
+    ) -> Result<DistGossipReport, GossipError> {
+        let mut sim = Simulator::with_seed(g, Model::VCongest, seed);
+        gossip_protocol_on(&mut sim, packing, origins, seed, config)
+    }
+
     #[test]
     fn protocol_delivers_everything() {
         let g = generators::harary(8, 40);
         let packing = packing_for(&g, 8, 1);
         let origins: Vec<usize> = (0..g.n()).collect();
-        let r = gossip_protocol(&g, &packing, &origins, 5).unwrap();
+        let r = protocol(&g, &packing, &origins, 5, GossipConfig::default()).unwrap();
         assert!(r.complete, "every node must receive every message");
         assert!(r.stats.rounds > 0);
         assert!(r.stats.messages > 0);
@@ -911,8 +767,14 @@ mod tests {
         let g = generators::thick_path(4, 6);
         let packing = packing_for(&g, 4, 3);
         let origins: Vec<usize> = (0..2 * g.n()).map(|i| i % g.n()).collect();
-        let protocol = gossip_protocol(&g, &packing, &origins, 7).unwrap();
-        let schedule = crate::gossip::gossip_via_trees(&g, &packing, &origins, 7);
+        let protocol = protocol(&g, &packing, &origins, 7, GossipConfig::default()).unwrap();
+        let schedule = crate::gossip::gossip_via_trees_with(
+            &g,
+            &packing,
+            &origins,
+            7,
+            GossipConfig::default(),
+        );
         assert!(protocol.complete);
         // FIFO relaying is at most a small factor slower than the greedy
         // central scheduler.
@@ -928,7 +790,7 @@ mod tests {
     fn single_message_floods_fast() {
         let g = generators::cycle(12);
         let packing = packing_for(&g, 2, 0);
-        let r = gossip_protocol(&g, &packing, &[4], 1).unwrap();
+        let r = protocol(&g, &packing, &[4], 1, GossipConfig::default()).unwrap();
         assert!(r.complete);
         assert!(r.stats.rounds <= 40);
     }
@@ -937,7 +799,7 @@ mod tests {
     fn empty_workload_no_rounds_needed() {
         let g = generators::cycle(5);
         let packing = packing_for(&g, 2, 0);
-        let r = gossip_protocol(&g, &packing, &[], 0).unwrap();
+        let r = protocol(&g, &packing, &[], 0, GossipConfig::default()).unwrap();
         assert!(r.complete);
     }
 
@@ -1058,7 +920,6 @@ mod tests {
             (
                 r.complete,
                 r.lost_messages,
-                r.reinjected,
                 r.per_tree_load.clone(),
                 r.stats.locality_blind(),
             )
@@ -1077,7 +938,7 @@ mod tests {
         let g = generators::harary(8, 40);
         let packing = packing_for(&g, 8, 1);
         let origins: Vec<usize> = (0..g.n()).collect();
-        let r = gossip_protocol_with(&g, &packing, &origins, 5, GossipConfig::rlnc(8, 3)).unwrap();
+        let r = protocol(&g, &packing, &origins, 5, GossipConfig::rlnc(8, 3)).unwrap();
         assert!(r.complete, "every node must decode every generation");
         assert!(r.stats.rounds > 0);
         assert!(r.stats.messages > 0);
@@ -1148,8 +1009,7 @@ mod tests {
         .unwrap();
         assert!(r.complete, "survivors (incl. the newcomer) must be served");
         assert_eq!(r.lost_messages, 0, "one death below κ loses nothing");
-        assert!(r.certified_classes > 0, "repair must have trees to use");
-        assert_eq!(r.stats.repair_events, r.reinjected);
+        assert!(r.intact_carriers > 0, "repair must have trees to use");
         // The killed vertex belonged to some class, so its classes were
         // repacked; over this κ=8 graph they stay connected and
         // dominating, so re-extraction succeeds.
@@ -1194,9 +1054,8 @@ mod tests {
             (
                 r.complete,
                 r.lost_messages,
-                r.reinjected,
                 r.reextractions,
-                r.certified_classes,
+                r.intact_carriers,
                 r.stats.locality_blind(),
             )
         };
@@ -1260,7 +1119,7 @@ mod tests {
                     ms.remove(i);
                 }
             }
-            let r = gossip_protocol_growth(
+            let r = gossip_protocol_churn(
                 &gg,
                 &cds,
                 &mut state,
@@ -1275,17 +1134,16 @@ mod tests {
             (
                 r.complete,
                 r.lost_messages,
-                r.reinjected,
                 r.reextractions,
-                r.certified_classes,
+                r.intact_carriers,
                 r.stats.locality_blind(),
             )
         };
         let engines = decomp_testkit::engines();
         let baseline = run(engines[0]);
         assert!(baseline.0, "the newcomer must be served");
-        assert_eq!(baseline.5.admitted_via_packing, 1);
-        assert_eq!(baseline.5.flood_served, 0);
+        assert_eq!(baseline.4.admitted_via_packing, 1);
+        assert_eq!(baseline.4.flood_served, 0);
         for &engine in &engines[1..] {
             assert_eq!(run(engine), baseline, "{engine} diverged");
         }
@@ -1312,7 +1170,7 @@ mod tests {
             EngineKind::Sequential,
         )
         .unwrap_err();
-        assert!(matches!(err, DistGossipError::Plan(_)), "{err}");
+        assert!(matches!(err, GossipError::Plan(_)), "{err}");
     }
 
     #[test]
@@ -1341,11 +1199,11 @@ mod tests {
             EngineKind::Sequential,
         )
         .unwrap_err();
-        assert!(matches!(err, DistGossipError::EmptyPacking), "{err}");
+        assert!(matches!(err, GossipError::EmptyPacking), "{err}");
     }
 
     /// The error [`gossip_protocol_faulty`] returns on these inputs.
-    fn faulty_error(g: &Graph, packing: &DomTreePacking, plan: &FaultPlan) -> DistGossipError {
+    fn faulty_error(g: &Graph, packing: &DomTreePacking, plan: &FaultPlan) -> GossipError {
         gossip_protocol_faulty(
             g,
             packing,
@@ -1367,21 +1225,49 @@ mod tests {
             fault: Fault::Vertex(99),
         }]);
         let err = faulty_error(&g, &packing, &plan);
-        assert!(matches!(err, DistGossipError::Plan(_)), "{err}");
+        assert!(matches!(err, GossipError::Plan(_)), "{err}");
     }
 
     #[test]
     fn faulty_protocol_rejects_an_empty_packing() {
         let g = generators::harary(4, 16);
         let err = faulty_error(&g, &DomTreePacking::default(), &FaultPlan::none());
-        assert!(matches!(err, DistGossipError::EmptyPacking), "{err}");
+        assert!(matches!(err, GossipError::EmptyPacking), "{err}");
     }
 
     #[test]
     fn faulty_protocol_rejects_a_disconnected_graph() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
         let err = faulty_error(&g, &DomTreePacking::default(), &FaultPlan::none());
-        assert!(matches!(err, DistGossipError::Disconnected), "{err}");
+        assert!(matches!(err, GossipError::Disconnected), "{err}");
+    }
+
+    #[test]
+    fn protocol_rejects_an_empty_packing() {
+        let g = generators::harary(4, 16);
+        let err = protocol(
+            &g,
+            &DomTreePacking::default(),
+            &[0],
+            1,
+            GossipConfig::default(),
+        );
+        assert!(matches!(err, Err(GossipError::EmptyPacking)), "{err:?}");
+    }
+
+    #[test]
+    fn protocol_rejects_a_disconnected_graph() {
+        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
+        let packing = DomTreePacking {
+            trees: vec![decomp_core::packing::WeightedDomTree {
+                id: 0,
+                weight: 1.0,
+                edges: vec![(0, 1)],
+                singleton: None,
+            }],
+        };
+        let err = protocol(&g, &packing, &[0], 1, GossipConfig::default());
+        assert!(matches!(err, Err(GossipError::Disconnected)), "{err:?}");
     }
 
     #[test]
@@ -1419,7 +1305,7 @@ mod tests {
         };
         packing.trees[0].weight = 0.0;
         let origins: Vec<usize> = (0..2 * g.n()).map(|i| i % g.n()).collect();
-        let weighted = gossip_protocol_with(
+        let weighted = protocol(
             &g,
             &packing,
             &origins,
@@ -1437,7 +1323,7 @@ mod tests {
             "zero-weight tree must carry no tokens under weighted choice"
         );
         assert_eq!(weighted.per_tree_load.iter().sum::<usize>(), origins.len());
-        let uniform = gossip_protocol(&g, &packing, &origins, 5).unwrap();
+        let uniform = protocol(&g, &packing, &origins, 5, GossipConfig::default()).unwrap();
         assert!(uniform.complete);
         assert!(
             uniform.per_tree_load[0] > 0,

@@ -41,8 +41,8 @@
 //! (symbols whose every independent combination died are counted lost,
 //! exactly like a tree origin dying before its first relay).
 
-use crate::gossip::{DegradationSample, MessageOrigin};
-use crate::schedule::{idle_until_next_event, relay_hash, tree_ok, BitRows, ScheduleOutcome};
+use crate::gossip::{GossipReport, MessageOrigin, WaveSample};
+use crate::schedule::{idle_until_next_event, relay_hash, tree_ok, BitRows};
 use decomp_congest::{FaultPlan, FaultState};
 use decomp_core::packing::DomTreePacking;
 use decomp_graph::Graph;
@@ -658,7 +658,7 @@ impl<'g> RlncState<'g> {
 /// vertex per round, choices from round-start state, deliveries applied
 /// in ascending sender order), but relays send seeded-random GF(2⁸)
 /// combinations of one generation instead of forwarding tree tokens.
-/// `packing`/`member` are used only for the degradation curve's
+/// `packing`/`member` are used only for the wave samples'
 /// `surviving_trees` column — coded packets ride no tree.
 #[allow(clippy::too_many_arguments)] // crate-internal schedule plumbing
 pub(crate) fn rlnc_schedule(
@@ -670,14 +670,14 @@ pub(crate) fn rlnc_schedule(
     gsize: usize,
     coeff_seed: u64,
     faults: Option<&FaultPlan>,
-) -> ScheduleOutcome {
+) -> GossipReport {
     let n = g.n();
     let nmsg = origins.len();
     assert!(
         (1..=MAX_GENERATION).contains(&gsize),
         "generation_size must be in 1..={MAX_GENERATION}"
     );
-    let mut degradation: Vec<DegradationSample> = Vec::new();
+    let mut waves: Vec<WaveSample> = Vec::new();
     let gens = nmsg.div_ceil(gsize);
     let mut st = RlncState::new(g, gens, gsize, nmsg);
     // One stream for every coefficient draw: run seed mixed with the
@@ -723,7 +723,7 @@ pub(crate) fn rlnc_schedule(
                     .enumerate()
                     .filter(|(t, tree)| tree_ok(g, ft, *t, tree, member))
                     .count();
-                degradation.push(DegradationSample {
+                waves.push(WaveSample {
                     round: rounds,
                     faults_fired: ft.fired(),
                     live_vertices: ft.live(),
@@ -734,6 +734,8 @@ pub(crate) fn rlnc_schedule(
                         .sum(),
                     reassigned_messages: 0,
                     lost_messages: lost,
+                    reextracted_classes: 0,
+                    flood_rounds_before: 0,
                 });
                 if st.total_incomplete == 0 {
                     rounds -= 1;
@@ -813,17 +815,19 @@ pub(crate) fn rlnc_schedule(
     }
     let peak_state_words =
         member.words() + st.fixed_words() + st.peak_slab.div_ceil(8) + st.peak_cand.div_ceil(2);
-    ScheduleOutcome {
+    // The coded regime repairs nothing and floods nothing: loss
+    // tolerance comes from the code, not from tree reassignment.
+    GossipReport {
         rounds,
-        schedule_digest,
+        num_messages: nmsg,
+        complete: lost_messages == 0,
+        per_tree_load: vec![0; packing.num_trees()],
         peak_state_words,
-        degradation,
+        schedule_digest,
+        waves,
         lost_messages,
         wasted_bandwidth: st.wasted,
-        // The coded regime repairs nothing and floods nothing: loss
-        // tolerance comes from the code, not from tree reassignment.
-        repair_events: 0,
-        flood_rounds: 0,
+        ..Default::default()
     }
 }
 
@@ -1005,8 +1009,8 @@ mod tests {
             r.lost_messages, 1,
             "only the dead origin's never-relayed symbol dies"
         );
-        assert_eq!(r.degradation.len(), 1);
-        assert_eq!(r.degradation[0].live_vertices, 15);
+        assert_eq!(r.waves.len(), 1);
+        assert_eq!(r.waves[0].live_vertices, 15);
     }
 
     #[test]
@@ -1029,7 +1033,7 @@ mod tests {
         // By round 3 every symbol has been relayed into its neighborhood,
         // so the survivors' span stays full: degraded, not stalled.
         assert_eq!(r.lost_messages, 0, "f < κ after spreading loses nothing");
-        assert_eq!(r.degradation.len(), 2);
+        assert_eq!(r.waves.len(), 2);
         assert!(r.rounds > 0);
         let again = gossip_via_trees_faulty(&g, &packing, &origins, 7, config, &plan).unwrap();
         assert_eq!(r, again, "faulty RLNC runs must be seed-deterministic");

@@ -18,7 +18,7 @@
 //! classes). Without a fault plan the loop carries no tracker, no
 //! `relayed` bitset, and no edge checks.
 
-use crate::gossip::{DegradationSample, MessageOrigin};
+use crate::gossip::{GossipReport, MessageOrigin, WaveSample};
 use decomp_congest::FaultState;
 use decomp_core::packing::{DomTreePacking, WeightedDomTree};
 use decomp_graph::Graph;
@@ -27,6 +27,7 @@ use std::collections::BinaryHeap;
 
 /// A row-major packed bit matrix: `rows` rows of `n` bits each.
 pub(crate) struct BitRows {
+    rows: usize,
     words_per_row: usize,
     bits: Vec<u64>,
 }
@@ -35,6 +36,7 @@ impl BitRows {
     pub(crate) fn new(rows: usize, n: usize) -> Self {
         let words_per_row = n.div_ceil(64);
         BitRows {
+            rows,
             words_per_row,
             bits: vec![0; rows * words_per_row],
         }
@@ -92,18 +94,6 @@ pub(crate) fn relay_hash(round: usize, v: usize, m: usize) -> u64 {
 /// can take a message, every live holder relays it and every live
 /// receiver relays onward — BFS over the surviving graph.
 pub(crate) const FLOOD: usize = usize::MAX;
-
-/// What a schedule simulation hands back to its entry point.
-pub(crate) struct ScheduleOutcome {
-    pub(crate) rounds: usize,
-    pub(crate) schedule_digest: u64,
-    pub(crate) peak_state_words: usize,
-    pub(crate) degradation: Vec<DegradationSample>,
-    pub(crate) lost_messages: usize,
-    pub(crate) wasted_bandwidth: usize,
-    pub(crate) repair_events: usize,
-    pub(crate) flood_rounds: usize,
-}
 
 /// Which pending message a vertex relays: the one choice the greedy and
 /// fractional readings of the schedule disagree on.
@@ -360,11 +350,14 @@ pub(crate) trait RepairHook {
     const READMIT_FLOOD: bool;
     /// The wave at `round` fired (`ft` already advanced): updates the
     /// carriers' membership rows in `member` if they changed, and
-    /// returns which carrier ids are intact.
-    fn carriers(&mut self, round: usize, ft: &FaultState<'_>, member: &mut BitRows) -> Vec<bool>;
-    /// Records the wave's outcome; `flood_rounds` is the cumulative flood
-    /// round count when the wave fired.
-    fn record(&mut self, wave: DegradationSample, flood_rounds: usize);
+    /// returns which carrier ids are intact and how many carriers the
+    /// wave re-extracted.
+    fn carriers(
+        &mut self,
+        round: usize,
+        ft: &FaultState<'_>,
+        member: &mut BitRows,
+    ) -> (Vec<bool>, usize);
 }
 
 /// Whether every live present vertex outside carrier `t` is adjacent,
@@ -483,12 +476,23 @@ fn enqueue(queued: &mut [bool], worklist: &mut Vec<u32>, v: usize) {
     }
 }
 
+/// Messages per carrier in `tree_of`; flood riders count nowhere.
+pub(crate) fn tree_load(tree_of: &[usize], carriers: usize) -> Vec<usize> {
+    let mut load = vec![0; carriers];
+    for &t in tree_of.iter().filter(|&&t| t != FLOOD) {
+        load[t] += 1;
+    }
+    load
+}
+
 /// Runs the schedule to completion: message `m` starts at `origins[m]`
 /// on carrier `tree_of[m]` (a row of `member`, or [`FLOOD`]). With
 /// `faults`, every round first advances the tracker and, when events
-/// fire, runs the repair pass through `hook`; events at rounds 0 and 1
-/// fire before the first relay choice. Idle rounds while an arrival is
-/// still due fast-forward to its eve ([`idle_until_next_event`]).
+/// fire, runs the repair pass through `hook` and records a
+/// [`WaveSample`]; events at rounds 0 and 1 fire before the first relay
+/// choice. Idle rounds while an arrival is still due fast-forward to its
+/// eve ([`idle_until_next_event`]). The report's tree diameter and
+/// admission counts are the caller's to fill.
 ///
 /// # Panics
 /// Panics if a message can no longer make progress (a tree that does not
@@ -501,9 +505,10 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
     mut policy: P,
     mut faults: Option<FaultState<'_>>,
     hook: &mut H,
-) -> ScheduleOutcome {
+) -> GossipReport {
     let n = g.n();
     let nmsg = origins.len();
+    let per_tree_load = tree_load(&tree_of, member.rows);
     // received: one bit row per message. Fault-free, a (message, vertex)
     // pair is queued at most once (on the vertex's 0→1 reception,
     // members only, plus the origin hand-off), so popping doubles as the
@@ -526,6 +531,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
     }
     policy.note_peak();
 
+    let mut waves: Vec<WaveSample> = Vec::new();
     let mut lost_messages = 0usize;
     let mut wasted_bandwidth = 0usize;
     let mut repair_events = 0usize;
@@ -566,7 +572,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                         }
                     }
                 }
-                let alive = hook.carriers(rounds, ft, &mut member);
+                let (alive, reextracted) = hook.carriers(rounds, ft, &mut member);
                 // Repair pass: any incomplete message whose assignment
                 // no longer covers its needy vertices is moved to the
                 // lowest-id intact carrier holding it — or floods if
@@ -646,18 +652,17 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                         enqueue(&mut queued, &mut worklist, v);
                     }
                 }
-                hook.record(
-                    DegradationSample {
-                        round: rounds,
-                        faults_fired: ft.fired(),
-                        live_vertices: ft.live(),
-                        surviving_trees: alive.iter().filter(|&&a| a).count(),
-                        incomplete_messages: incomplete,
-                        reassigned_messages: reassigned,
-                        lost_messages: lost,
-                    },
-                    flood_rounds,
-                );
+                waves.push(WaveSample {
+                    round: rounds,
+                    faults_fired: ft.fired(),
+                    live_vertices: ft.live(),
+                    surviving_trees: alive.iter().filter(|&&a| a).count(),
+                    incomplete_messages: incomplete,
+                    reassigned_messages: reassigned,
+                    lost_messages: lost,
+                    reextracted_classes: reextracted,
+                    flood_rounds_before: flood_rounds,
+                });
                 if incomplete == 0 {
                     rounds -= 1;
                     break;
@@ -730,14 +735,19 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
             rounds = idle_until_next_event(faults.as_ref(), rounds);
         }
     }
-    ScheduleOutcome {
+    GossipReport {
         rounds,
-        schedule_digest,
+        num_messages: nmsg,
+        complete: lost_messages == 0,
+        per_tree_load,
         peak_state_words: received.words() + member.words() + policy.peak_words(),
-        degradation: Vec::new(),
+        schedule_digest,
+        reextractions: waves.iter().map(|w| w.reextracted_classes).sum(),
+        waves,
         lost_messages,
         wasted_bandwidth,
         repair_events,
         flood_rounds,
+        ..Default::default()
     }
 }

@@ -5,7 +5,7 @@
 //! limit is `λ`. The packings achieve `Ω(k / log n)` resp.
 //! `⌈(λ−1)/2⌉(1 − ε)` by pipelining messages along random trees.
 //!
-//! [`vertex_throughput`] measures the V-CONGEST schedule empirically (via
+//! [`vertex_throughput_with`] measures the V-CONGEST schedule empirically (via
 //! the gossip simulator on a large single-source workload);
 //! [`edge_throughput`] computes the E-CONGEST steady-state rate of a
 //! spanning-tree packing, which equals its size (each tree pipelines one
@@ -30,25 +30,11 @@ pub struct VertexThroughputReport {
 }
 
 /// Measures V-CONGEST broadcast throughput: `workload` messages starting
-/// at round-robin sources, disseminated via random trees of `packing`.
-///
-/// # Panics
-/// Propagates the gossip simulator's panics (empty packing etc.).
-pub fn vertex_throughput(
-    g: &Graph,
-    packing: &DomTreePacking,
-    k: usize,
-    workload: usize,
-    seed: u64,
-) -> VertexThroughputReport {
-    vertex_throughput_with(g, packing, k, workload, seed, GossipConfig::default())
-}
-
-/// [`vertex_throughput`] under an explicit [`GossipConfig`] — the
-/// weighted tree-choice / time-sharing schedule of the fractional
-/// regime. The single-BFS-tree baseline always runs the default config
-/// (one tree: nothing to weight), so baselines stay comparable across
-/// configs.
+/// at round-robin sources, disseminated via trees of `packing` under
+/// `config` (the default integral schedule, or the weighted tree-choice
+/// / time-sharing schedule of the fractional regime). The
+/// single-BFS-tree baseline always runs the default config (one tree:
+/// nothing to weight), so baselines stay comparable across configs.
 ///
 /// # Panics
 /// Propagates the gossip simulator's panics (empty packing etc.).
@@ -126,7 +112,7 @@ mod tests {
             })
             .collect();
         let packing = DomTreePacking { trees };
-        let r = vertex_throughput(&g, &packing, t, 4 * g.n(), 5);
+        let r = vertex_throughput_with(&g, &packing, t, 4 * g.n(), 5, GossipConfig::default());
         assert!(
             r.messages_per_round > 2.0 * r.baseline_messages_per_round,
             "{} vs baseline {}",
@@ -142,7 +128,7 @@ mod tests {
         let g = generators::harary(16, 64);
         let p = cds_packing(&g, &CdsPackingConfig::with_known_k(16, 2));
         let trees = to_dom_tree_packing(&g, &p).packing;
-        let r = vertex_throughput(&g, &trees, 16, 2 * g.n(), 5);
+        let r = vertex_throughput_with(&g, &trees, 16, 2 * g.n(), 5, GossipConfig::default());
         assert!(r.messages_per_round <= r.limit as f64 + 1e-9);
         assert!(
             r.messages_per_round >= 0.4 * r.baseline_messages_per_round,
@@ -169,7 +155,7 @@ mod tests {
             crate::gossip::GossipConfig::weighted(),
         );
         assert!(w.messages_per_round <= w.limit as f64 + 1e-9);
-        let d = vertex_throughput(&g, &trees, 16, 2 * g.n(), 5);
+        let d = vertex_throughput_with(&g, &trees, 16, 2 * g.n(), 5, GossipConfig::default());
         assert!(
             w.messages_per_round >= 0.5 * d.messages_per_round,
             "weighted {} vs default {}",

@@ -23,6 +23,7 @@
 //! queried at the current round.
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
+use std::borrow::Cow;
 
 /// A growable undirected simple graph: CSR base + epoch-stamped
 /// overlay adjacency.
@@ -353,6 +354,15 @@ impl<'a> TopologyView<'a> {
         matches!(self, TopologyView::Static(_))
     }
 
+    /// The fully grown topology: the settled graph itself, or a
+    /// growable graph's [`GrowableGraph::final_graph`].
+    pub fn final_graph(&self) -> Cow<'a, Graph> {
+        match self {
+            TopologyView::Static(g) => Cow::Borrowed(g),
+            TopologyView::Growable(gg) => Cow::Owned(gg.final_graph()),
+        }
+    }
+
     /// The neighbors `v` may communicate with during round `epoch`,
     /// ascending. `Static` ignores `epoch` and `scratch` and returns
     /// the CSR slice; `Growable` fills `scratch` with the epoch view.
@@ -373,6 +383,18 @@ impl<'a> TopologyView<'a> {
                 scratch.as_slice()
             }
         }
+    }
+}
+
+impl<'a> From<&'a Graph> for TopologyView<'a> {
+    fn from(g: &'a Graph) -> Self {
+        TopologyView::Static(g)
+    }
+}
+
+impl<'a> From<&'a GrowableGraph> for TopologyView<'a> {
+    fn from(gg: &'a GrowableGraph) -> Self {
+        TopologyView::Growable(gg)
     }
 }
 

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example gossip_datacenter`.
 
 use connectivity_decomposition::broadcast::gossip::{
-    gossip_single_tree_baseline, gossip_via_trees,
+    gossip_single_tree_baseline, gossip_via_trees_with, GossipConfig,
 };
 use connectivity_decomposition::core::cds::centralized::{cds_packing, CdsPackingConfig};
 use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing;
@@ -38,7 +38,7 @@ fn main() {
 
     // Every switch announces its state to everyone (classical gossiping).
     let origins: Vec<usize> = (0..n).collect();
-    let multi = gossip_via_trees(&g, &trees.packing, &origins, 3);
+    let multi = gossip_via_trees_with(&g, &trees.packing, &origins, 3, GossipConfig::default());
     let single = gossip_single_tree_baseline(&g, &origins, 3);
     println!(
         "gossip of {n} messages: {} rounds via the packing vs {} rounds via one BFS tree",

@@ -11,13 +11,11 @@
 //! CI sweeps this suite under `DECOMP_ENGINE=sequential`, `sharded:4`,
 //! and `sharded:4:topo`.
 
-use connectivity_decomposition::broadcast::churn::{gossip_under_churn, gossip_under_growth};
+use connectivity_decomposition::broadcast::churn::gossip_under_churn;
 use connectivity_decomposition::broadcast::gossip::{
     gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig,
 };
-use connectivity_decomposition::broadcast::gossip_distributed::{
-    gossip_protocol_churn, gossip_protocol_growth,
-};
+use connectivity_decomposition::broadcast::gossip_distributed::gossip_protocol_churn;
 use connectivity_decomposition::congest::{Fault, FaultPlan, ScheduledFault};
 use connectivity_decomposition::core::cds::centralized::{
     cds_packing_with_state, CdsPacking, CdsPackingConfig,
@@ -140,7 +138,7 @@ fn alternating_churn_returns_to_tree_schedules() {
     assert_eq!(r.reextractions, 12, "4 arrivals + 4 + 4 kills re-extract");
     for w in &r.waves {
         assert_eq!(
-            w.certified_trees, left,
+            w.surviving_trees, left,
             "round {}: all classes must re-certify",
             w.round
         );
@@ -210,9 +208,8 @@ fn distributed_churn_protocol_is_engine_equivalent() {
         (
             r.complete,
             r.lost_messages,
-            r.reinjected,
             r.reextractions,
-            r.certified_classes,
+            r.intact_carriers,
             r.stats.locality_blind(),
         )
     };
@@ -220,7 +217,7 @@ fn distributed_churn_protocol_is_engine_equivalent() {
     let baseline = run(engines[0]);
     assert!(baseline.0, "survivors must be served");
     assert_eq!(baseline.1, 0);
-    assert_eq!(baseline.4, left, "every class re-certifies");
+    assert_eq!(baseline.3, left, "every class re-certifies");
     for &engine in &engines[1..] {
         assert_eq!(run(engine), baseline, "{engine} diverged");
     }
@@ -314,7 +311,7 @@ fn growth_scenario_admits_newcomers_without_flooding() {
         "newcomer edges live in the overlay"
     );
     let origins: Vec<usize> = (0..left + right).take(120).collect();
-    let r = gossip_under_growth(&gg, &cds, &mut state, &origins, 9, &plan).unwrap();
+    let r = gossip_under_churn(&gg, &cds, &mut state, &origins, 9, &plan).unwrap();
     assert!(r.complete, "newcomers must be served");
     assert_eq!(r.lost_messages, 0);
     assert_eq!(
@@ -341,7 +338,7 @@ fn growth_scenario_admits_newcomers_without_flooding() {
 
     // Golden pin + exact double-run reproducibility.
     let (_, cds3, mut state3) = growth_fixture(left, right, extra);
-    let r2 = gossip_under_growth(&gg, &cds3, &mut state3, &origins, 9, &plan).unwrap();
+    let r2 = gossip_under_churn(&gg, &cds3, &mut state3, &origins, 9, &plan).unwrap();
     assert_eq!(r, r2, "same inputs must reproduce the full report");
     assert_eq!(
         r.schedule_digest, GROWTH_SCENARIO_DIGEST,
@@ -386,7 +383,7 @@ fn distributed_growth_protocol_is_engine_equivalent() {
     let run = |engine| {
         let (_, cds, mut state) = growth_fixture(left, right, extra);
         let origins: Vec<usize> = (0..left + right).filter(|&v| v != left).take(64).collect();
-        let r = gossip_protocol_growth(
+        let r = gossip_protocol_churn(
             &gg,
             &cds,
             &mut state,
@@ -400,9 +397,8 @@ fn distributed_growth_protocol_is_engine_equivalent() {
         (
             r.complete,
             r.lost_messages,
-            r.reinjected,
             r.reextractions,
-            r.certified_classes,
+            r.intact_carriers,
             r.stats.locality_blind(),
         )
     };
@@ -410,8 +406,8 @@ fn distributed_growth_protocol_is_engine_equivalent() {
     let baseline = run(engines[0]);
     assert!(baseline.0, "survivors and newcomers must be served");
     assert_eq!(baseline.1, 0);
-    assert_eq!(baseline.5.admitted_via_packing, extra);
-    assert_eq!(baseline.5.flood_served, 0);
+    assert_eq!(baseline.4.admitted_via_packing, extra);
+    assert_eq!(baseline.4.flood_served, 0);
     for &engine in &engines[1..] {
         assert_eq!(run(engine), baseline, "{engine} diverged");
     }
@@ -448,8 +444,8 @@ fn vertex_disjoint_packing_degrades_one_tree_per_death() {
     for config in [GossipConfig::default(), GossipConfig::weighted()] {
         let r = gossip_via_trees_faulty(&g, &integral.packing, &origins, 5, config, &plan).unwrap();
         assert_eq!(r.lost_messages, 0);
-        assert!(!r.degradation.is_empty());
-        for s in &r.degradation {
+        assert!(!r.waves.is_empty());
+        for s in &r.waves {
             assert!(
                 s.surviving_trees + s.faults_fired >= trees,
                 "round {}: {} deaths may degrade at most {} trees",
@@ -458,7 +454,7 @@ fn vertex_disjoint_packing_degrades_one_tree_per_death() {
                 s.faults_fired
             );
         }
-        let last = r.degradation.last().unwrap();
+        let last = r.waves.last().unwrap();
         assert_eq!(
             last.surviving_trees,
             trees - 2,
@@ -491,7 +487,7 @@ fn arrivals_into_broken_classes_restore_certification() {
     assert!(r.complete);
     assert_eq!(r.waves.len(), 1);
     assert_eq!(
-        r.waves[0].certified_trees, left,
+        r.waves[0].surviving_trees, left,
         "the arrival must re-certify the broken class"
     );
     assert!(r.waves[0].reextracted_classes >= 1);

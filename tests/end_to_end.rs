@@ -2,9 +2,7 @@
 //! across crates (graph substrate, core algorithms, broadcast apps),
 //! running on testkit fixtures with oracle-known connectivity.
 
-use connectivity_decomposition::broadcast::gossip::{
-    gossip_via_trees, gossip_via_trees_with, GossipConfig,
-};
+use connectivity_decomposition::broadcast::gossip::{gossip_via_trees_with, GossipConfig};
 use connectivity_decomposition::broadcast::gossip_distributed::gossip_protocol_on;
 use connectivity_decomposition::broadcast::oblivious::vertex_congestion;
 use connectivity_decomposition::broadcast::throughput::edge_throughput;
@@ -50,7 +48,8 @@ fn vertex_pipeline_harary() {
 
     // Disseminate.
     let origins: Vec<usize> = (0..f.graph.n()).collect();
-    let gossip = gossip_via_trees(&f.graph, &trees.packing, &origins, 2);
+    let config = GossipConfig::default();
+    let gossip = gossip_via_trees_with(&f.graph, &trees.packing, &origins, 2, config);
     assert_eq!(gossip.num_messages, f.graph.n());
 
     // Oblivious congestion sane.

@@ -11,12 +11,12 @@
 //! protocol on the env-selected engine (CI sweeps `DECOMP_ENGINE`), and
 //! a golden pin of every fault path's full report.
 
-use connectivity_decomposition::broadcast::churn::{gossip_under_churn, ChurnGossipReport};
+use connectivity_decomposition::broadcast::churn::gossip_under_churn;
 use connectivity_decomposition::broadcast::gossip::{
     gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig, GossipReport,
 };
 use connectivity_decomposition::broadcast::gossip_distributed::{
-    gossip_protocol_churn, gossip_protocol_faulty, ChurnDistGossipReport, FaultyDistGossipReport,
+    gossip_protocol_churn, gossip_protocol_faulty, DistGossipReport,
 };
 use connectivity_decomposition::congest::{Fault, FaultPlan, ScheduledFault};
 use connectivity_decomposition::core::cds::centralized::{
@@ -56,7 +56,7 @@ fn vertex_faults_below_kappa_still_complete_on_every_family() {
                 );
                 assert_eq!(r.num_messages, f.graph.n());
                 // The degradation curve ends on the post-fault state.
-                if let Some(last) = r.degradation.last() {
+                if let Some(last) = r.waves.last() {
                     assert_eq!(last.live_vertices, f.graph.n() - dead, "{}", f.name);
                     assert!(last.faults_fired <= plan.len());
                 }
@@ -85,7 +85,7 @@ fn edge_faults_below_kappa_still_complete() {
         .unwrap();
         assert_eq!(r.lost_messages, 0, "{}: cuts below λ lose nothing", f.name);
         // Edge cuts kill no vertices.
-        for s in &r.degradation {
+        for s in &r.waves {
             assert_eq!(s.live_vertices, f.graph.n(), "{}", f.name);
         }
     }
@@ -114,7 +114,7 @@ fn rlnc_coded_gossip_degrades_but_survives_tree_deaths() {
     );
     assert_eq!(r.num_messages, f.graph.n());
     assert!(
-        !r.degradation.is_empty(),
+        !r.waves.is_empty(),
         "fault rounds must record degradation samples"
     );
     let clean = gossip_via_trees_with(&f.graph, &packing, &origins, 13, config);
@@ -300,7 +300,7 @@ fn arrival_waves_complete_on_every_family() {
                 .unwrap_or_else(|e| panic!("{}: {e}", f.name));
             assert_eq!(r.lost_messages, 0, "{}: arrivals lose nothing", f.name);
             assert_eq!(r.num_messages, f.graph.n());
-            if let Some(last) = r.degradation.last() {
+            if let Some(last) = r.waves.last() {
                 assert_eq!(
                     last.live_vertices,
                     f.graph.n(),
@@ -513,7 +513,7 @@ mod recorded {
 }
 
 fn recorded_schedule(r: GossipReport) -> recorded::GossipReport {
-    let degradation = r.degradation.iter().map(|s| recorded::DegradationSample {
+    let degradation = r.waves.iter().map(|s| recorded::DegradationSample {
         round: s.round,
         faults_fired: s.faults_fired,
         live_vertices: s.live_vertices,
@@ -537,11 +537,11 @@ fn recorded_schedule(r: GossipReport) -> recorded::GossipReport {
     }
 }
 
-fn recorded_churn(r: ChurnGossipReport) -> recorded::ChurnGossipReport {
+fn recorded_churn(r: GossipReport) -> recorded::ChurnGossipReport {
     let waves = r.waves.iter().map(|w| recorded::ChurnWaveSample {
         round: w.round,
         live_vertices: w.live_vertices,
-        certified_trees: w.certified_trees,
+        certified_trees: w.surviving_trees,
         reextracted_classes: w.reextracted_classes,
         reassigned_messages: w.reassigned_messages,
         lost_messages: w.lost_messages,
@@ -567,8 +567,7 @@ fn recorded_churn(r: ChurnGossipReport) -> recorded::ChurnGossipReport {
 /// The protocol reports, with the engine-dependent locality split
 /// zeroed. A message is re-injected exactly once per repair event, so
 /// `reinjected` reads `stats.repair_events`.
-fn recorded_faulty_protocol(r: FaultyDistGossipReport) -> recorded::FaultyDistGossipReport {
-    assert_eq!(r.reinjected, r.stats.repair_events);
+fn recorded_faulty_protocol(r: DistGossipReport) -> recorded::FaultyDistGossipReport {
     recorded::FaultyDistGossipReport {
         complete: r.complete,
         lost_messages: r.lost_messages,
@@ -578,14 +577,13 @@ fn recorded_faulty_protocol(r: FaultyDistGossipReport) -> recorded::FaultyDistGo
     }
 }
 
-fn recorded_churn_protocol(r: ChurnDistGossipReport) -> recorded::ChurnDistGossipReport {
-    assert_eq!(r.reinjected, r.stats.repair_events);
+fn recorded_churn_protocol(r: DistGossipReport) -> recorded::ChurnDistGossipReport {
     recorded::ChurnDistGossipReport {
         complete: r.complete,
         lost_messages: r.lost_messages,
         reinjected: r.stats.repair_events,
         reextractions: r.reextractions,
-        certified_classes: r.certified_classes,
+        certified_classes: r.intact_carriers,
         stats: r.stats.locality_blind(),
     }
 }
