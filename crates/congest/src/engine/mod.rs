@@ -180,8 +180,7 @@ pub struct NetSpec<'g> {
     /// Bookkeeping topology: vertex count, partitioning, buffer sizing.
     /// For settled runs this is also the delivery topology; growable
     /// runs deliver over [`NetSpec::view`] instead (`graph` is then the
-    /// growable topology's CSR base, which may lack — or after a
-    /// compaction, contain-but-never-reveal — future edges).
+    /// growable topology's epoch-0 CSR base, which lacks future edges).
     pub graph: &'g Graph,
     /// Growable topology, when the run's adjacency is revealed only at
     /// arrival rounds: engines deliver over

@@ -4,25 +4,19 @@
 //! *settled* topology — one immutable [`Graph`] whose full adjacency is
 //! known before round 0, with mid-run arrivals emulated by purging
 //! pre-existing edges until their arrival round. [`GrowableGraph`] ends
-//! that assumption: it stores a compacted CSR base plus a per-vertex
-//! *overlay* of edges added later, every half-edge stamped with the
-//! epoch (engine round) at which it activates. Iteration at epoch `e`
-//! yields exactly the edges with activation epoch `≤ e`, in ascending
-//! neighbor order, in `O(deg)` — a consumer that asks for the round-`e`
-//! view can never observe future adjacency.
-//!
-//! [`GrowableGraph::compact`] folds the overlay back into the CSR base
-//! while keeping the epoch stamps, so long-lived growing topologies pay
-//! amortized CSR iteration costs. Compaction is *neutral*: the sequence
-//! produced by [`GrowableGraph::neighbors_at`] is identical before and
-//! after, at every epoch (see the property tests below).
+//! that assumption: it stores an immutable CSR base, active from epoch
+//! 0, plus a per-vertex *overlay* of edges added later, each stamped
+//! with the epoch (engine round) at which it activates. Iteration at
+//! epoch `e` yields exactly the edges with activation epoch `≤ e`, in
+//! ascending neighbor order, in `O(deg)` — a consumer that asks for the
+//! round-`e` view can never observe future adjacency.
 //!
 //! [`TopologyView`] is the cheap-to-copy handle the engines thread
 //! through delivery: either a settled [`Graph`] (the existing zero-cost
 //! CSR slice path, byte-for-byte unchanged) or a [`GrowableGraph`]
 //! queried at the current round.
 
-use crate::graph::{Graph, GraphBuilder, NodeId};
+use crate::graph::{Graph, NodeId};
 use std::borrow::Cow;
 
 /// A growable undirected simple graph: CSR base + epoch-stamped
@@ -44,46 +38,28 @@ use std::borrow::Cow;
 /// let mut gg = GrowableGraph::from_base(base);
 /// gg.add_edge(1, 2, 4);
 /// assert_eq!(gg.neighbors_at(1, 0).collect::<Vec<_>>(), vec![0]);
-/// assert_eq!(gg.neighbors_at(1, 4).collect::<Vec<_>>(), vec![0, 2]);
-/// gg.compact();
 /// assert_eq!(gg.neighbors_at(1, 3).collect::<Vec<_>>(), vec![0]);
+/// assert_eq!(gg.neighbors_at(1, 4).collect::<Vec<_>>(), vec![0, 2]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct GrowableGraph {
-    /// Compacted CSR of every edge known so far (including edges whose
-    /// activation epoch lies in the future — iteration filters them).
+    /// Every edge active from epoch 0.
     base: Graph,
-    /// `half_off[v]..half_off[v+1]` indexes `half_epoch` in parallel
-    /// with `base.neighbors(v)`.
-    half_off: Vec<usize>,
-    /// Activation epoch per base half-edge.
-    half_epoch: Vec<u32>,
-    /// Per-vertex overlay adjacency added since the last compaction,
-    /// sorted by neighbor id.
+    /// Per-vertex adjacency added after construction, sorted by
+    /// neighbor id, with each edge's activation epoch.
     overlay: Vec<Vec<(NodeId, u32)>>,
     /// Overlay edge count (each edge once).
     overlay_edges: usize,
-    /// Largest activation epoch of any edge.
-    max_epoch: u32,
 }
 
 impl GrowableGraph {
     /// Wraps a settled base graph; every base edge activates at epoch 0.
     pub fn from_base(base: Graph) -> Self {
         let n = base.n();
-        let mut half_off = Vec::with_capacity(n + 1);
-        half_off.push(0);
-        for v in 0..n {
-            half_off.push(half_off[v] + base.degree(v));
-        }
-        let half_epoch = vec![0u32; half_off[n]];
         GrowableGraph {
             base,
-            half_off,
-            half_epoch,
             overlay: vec![Vec::new(); n],
             overlay_edges: 0,
-            max_epoch: 0,
         }
     }
 
@@ -93,9 +69,9 @@ impl GrowableGraph {
         self.base.n()
     }
 
-    /// The compacted CSR base. After [`GrowableGraph::compact`] this
-    /// includes future edges too — it is the *bookkeeping* topology
-    /// (partitioning, buffer sizing), never the delivery view.
+    /// The CSR base, every edge active from epoch 0 — the
+    /// *bookkeeping* topology (partitioning, buffer sizing), never the
+    /// delivery view.
     #[inline]
     pub fn base(&self) -> &Graph {
         &self.base
@@ -107,23 +83,18 @@ impl GrowableGraph {
         self.base.m() + self.overlay_edges
     }
 
-    /// Edges still living in the overlay (0 right after a compaction).
+    /// Edges added after construction (the overlay).
     #[inline]
     pub fn overlay_len(&self) -> usize {
         self.overlay_edges
-    }
-
-    /// Largest activation epoch of any edge.
-    #[inline]
-    pub fn max_epoch(&self) -> u32 {
-        self.max_epoch
     }
 
     /// Adds the undirected edge `{u, v}` activating at `epoch`.
     ///
     /// # Panics
     /// Panics on self-loops, out-of-range endpoints, or duplicates
-    /// (base or overlay) — the same contract as [`GraphBuilder`].
+    /// (base or overlay) — the same contract as
+    /// [`GraphBuilder`](crate::graph::GraphBuilder).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, epoch: u32) {
         assert!(u < self.n() && v < self.n(), "edge endpoint out of range");
         assert_ne!(u, v, "self-loops are not allowed");
@@ -137,46 +108,29 @@ impl GrowableGraph {
             row.insert(at, (b, epoch));
         }
         self.overlay_edges += 1;
-        self.max_epoch = self.max_epoch.max(epoch);
     }
 
-    /// Activation epoch of `{u, v}`, or `None` if the edge is unknown.
+    /// Activation epoch of `{u, v}` (0 for a base edge), or `None` if
+    /// the edge is unknown.
     pub fn edge_epoch(&self, u: NodeId, v: NodeId) -> Option<u32> {
         if u >= self.n() || v >= self.n() || u == v {
             return None;
         }
-        if let Ok(i) = self.base.neighbors(u).binary_search(&v) {
-            return Some(self.half_epoch[self.half_off[u] + i]);
+        if self.base.has_edge(u, v) {
+            return Some(0);
         }
-        self.overlay[u]
-            .binary_search_by_key(&v, |&(w, _)| w)
+        let row = &self.overlay[u];
+        row.binary_search_by_key(&v, |&(w, _)| w)
             .ok()
-            .map(|i| self.overlay[u][i].1)
-    }
-
-    /// Whether `{u, v}` is active at `epoch`.
-    pub fn has_edge_at(&self, u: NodeId, v: NodeId, epoch: u32) -> bool {
-        self.edge_epoch(u, v).is_some_and(|e| e <= epoch)
-    }
-
-    /// Number of active neighbors of `v` at `epoch`.
-    pub fn degree_at(&self, v: NodeId, epoch: u32) -> usize {
-        self.neighbors_at(v, epoch).count()
-    }
-
-    /// Upper bound on `degree_at(v, _)` for buffer sizing: the degree
-    /// counting future edges.
-    #[inline]
-    pub fn degree_bound(&self, v: NodeId) -> usize {
-        self.base.degree(v) + self.overlay[v].len()
+            .map(|i| row[i].1)
     }
 
     /// The active neighbors of `v` at `epoch`, ascending — an `O(deg)`
-    /// sorted merge of the epoch-filtered base slice and overlay row.
+    /// sorted merge of the base slice and the epoch-filtered overlay
+    /// row.
     pub fn neighbors_at(&self, v: NodeId, epoch: u32) -> NeighborsAt<'_> {
         NeighborsAt {
-            base_nbrs: self.base.neighbors(v),
-            base_epoch: &self.half_epoch[self.half_off[v]..self.half_off[v + 1]],
+            base: self.base.neighbors(v),
             overlay: &self.overlay[v],
             epoch,
             i: 0,
@@ -191,85 +145,27 @@ impl GrowableGraph {
         out.extend(self.neighbors_at(v, epoch));
     }
 
-    /// Every known edge once, as `(u, v, epoch)` with `u < v`.
-    fn all_edges(&self) -> Vec<(NodeId, NodeId, u32)> {
-        let mut out = Vec::with_capacity(self.m_total());
-        for v in 0..self.n() {
-            let nbrs = self.base.neighbors(v);
-            let eps = &self.half_epoch[self.half_off[v]..self.half_off[v + 1]];
-            for (&u, &e) in nbrs.iter().zip(eps) {
-                if v < u {
-                    out.push((v, u, e));
-                }
-            }
-            for &(u, e) in &self.overlay[v] {
-                if v < u {
-                    out.push((v, u, e));
-                }
-            }
-        }
-        out
-    }
-
-    /// A from-scratch CSR snapshot of exactly the edges active at
-    /// `epoch` — the oracle the property tests compare iteration
-    /// against, and the per-wave materialization the centralized churn
-    /// loop uses so it genuinely never holds future adjacency.
+    /// A from-scratch CSR of exactly the edges active at `epoch` — the
+    /// oracle the property tests compare iteration against.
     pub fn snapshot_at(&self, epoch: u32) -> Graph {
-        Graph::from_edges(
-            self.n(),
-            self.all_edges()
-                .into_iter()
-                .filter(|&(_, _, e)| e <= epoch)
-                .map(|(u, v, _)| (u, v)),
-        )
+        let grown = self.overlay.iter().enumerate().flat_map(|(v, row)| {
+            row.iter()
+                .filter(move |&&(u, e)| v < u && e <= epoch)
+                .map(move |&(u, _)| (v, u))
+        });
+        Graph::from_edges(self.n(), self.base.edges().iter().copied().chain(grown))
     }
 
     /// The fully grown topology (every edge active).
     pub fn final_graph(&self) -> Graph {
         self.snapshot_at(u32::MAX)
     }
-
-    /// Folds the overlay into the CSR base, keeping every epoch stamp.
-    /// Neutral for iteration: [`GrowableGraph::neighbors_at`] yields
-    /// the same sequence at every epoch before and after.
-    pub fn compact(&mut self) {
-        if self.overlay_edges == 0 {
-            return;
-        }
-        let n = self.n();
-        let all = self.all_edges();
-        let mut b = GraphBuilder::new(n);
-        for &(u, v, _) in &all {
-            b.add_edge(u, v);
-        }
-        let base = b.build();
-        let epoch_of: std::collections::BTreeMap<(NodeId, NodeId), u32> =
-            all.into_iter().map(|(u, v, e)| ((u, v), e)).collect();
-        let mut half_off = Vec::with_capacity(n + 1);
-        half_off.push(0);
-        for v in 0..n {
-            half_off.push(half_off[v] + base.degree(v));
-        }
-        let mut half_epoch = Vec::with_capacity(half_off[n]);
-        for v in 0..n {
-            for &u in base.neighbors(v) {
-                half_epoch.push(epoch_of[&(v.min(u), v.max(u))]);
-            }
-        }
-        self.base = base;
-        self.half_off = half_off;
-        self.half_epoch = half_epoch;
-        self.overlay = vec![Vec::new(); n];
-        self.overlay_edges = 0;
-    }
 }
 
 /// Sorted-merge iterator over the active neighbors of one vertex at a
 /// fixed epoch (see [`GrowableGraph::neighbors_at`]).
 pub struct NeighborsAt<'a> {
-    base_nbrs: &'a [NodeId],
-    base_epoch: &'a [u32],
+    base: &'a [NodeId],
     overlay: &'a [(NodeId, u32)],
     epoch: u32,
     i: usize,
@@ -280,17 +176,18 @@ impl Iterator for NeighborsAt<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        while self.i < self.base_nbrs.len() && self.base_epoch[self.i] > self.epoch {
-            self.i += 1;
-        }
         while self.j < self.overlay.len() && self.overlay[self.j].1 > self.epoch {
             self.j += 1;
         }
-        let b = self.base_nbrs.get(self.i).copied();
+        let b = self.base.get(self.i).copied();
         let o = self.overlay.get(self.j).map(|&(u, _)| u);
+        // Base and overlay are disjoint, so strict comparison.
         match (b, o) {
-            (None, None) => None,
-            (Some(x), None) => {
+            (Some(x), Some(y)) if y < x => {
+                self.j += 1;
+                Some(y)
+            }
+            (Some(x), _) => {
                 self.i += 1;
                 Some(x)
             }
@@ -298,16 +195,7 @@ impl Iterator for NeighborsAt<'_> {
                 self.j += 1;
                 Some(y)
             }
-            // Base and overlay are disjoint, so strict comparison.
-            (Some(x), Some(y)) => {
-                if x < y {
-                    self.i += 1;
-                    Some(x)
-                } else {
-                    self.j += 1;
-                    Some(y)
-                }
-            }
+            (None, None) => None,
         }
     }
 }
@@ -338,8 +226,7 @@ impl<'a> TopologyView<'a> {
     }
 
     /// The bookkeeping CSR (partitioning, buffer sizing). For a
-    /// growable view this may include not-yet-active edges; it is never
-    /// used for delivery.
+    /// growable view this is its epoch-0 base, never used for delivery.
     #[inline]
     pub fn base(&self) -> &'a Graph {
         match self {
@@ -410,8 +297,7 @@ mod tests {
     fn base_edges_active_from_epoch_zero() {
         let gg = GrowableGraph::from_base(Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]));
         assert_eq!(collect(&gg, 1, 0), vec![0, 2]);
-        assert_eq!(gg.degree_at(1, 0), 2);
-        assert!(gg.has_edge_at(0, 1, 0));
+        assert_eq!(gg.edge_epoch(0, 1), Some(0));
         assert_eq!(gg.m_total(), 3);
     }
 
@@ -427,8 +313,7 @@ mod tests {
         assert_eq!(collect(&gg, 1, 5), vec![0, 2, 3, 4]);
         assert_eq!(gg.edge_epoch(4, 1), Some(5));
         assert_eq!(gg.edge_epoch(1, 3), Some(0));
-        assert!(!gg.has_edge_at(1, 4, 4));
-        assert_eq!(gg.max_epoch(), 5);
+        assert_eq!(gg.edge_epoch(0, 4), None);
     }
 
     #[test]
@@ -440,26 +325,6 @@ mod tests {
         let s0 = gg.snapshot_at(0);
         assert!(!s0.has_edge(1, 2));
         assert_eq!(gg.final_graph().m(), 3);
-    }
-
-    #[test]
-    fn compaction_is_iteration_neutral() {
-        let mut gg = GrowableGraph::from_base(Graph::from_edges(6, [(0, 1), (1, 2), (4, 5)]));
-        gg.add_edge(2, 3, 1);
-        gg.add_edge(3, 4, 7);
-        gg.add_edge(0, 5, 7);
-        let before: Vec<Vec<Vec<NodeId>>> = (0..=8)
-            .map(|e| (0..6).map(|v| collect(&gg, v, e)).collect())
-            .collect();
-        gg.compact();
-        assert_eq!(gg.overlay_len(), 0);
-        let after: Vec<Vec<Vec<NodeId>>> = (0..=8)
-            .map(|e| (0..6).map(|v| collect(&gg, v, e)).collect())
-            .collect();
-        assert_eq!(before, after, "compaction must not change any view");
-        // The base now holds future edges; iteration still filters.
-        assert!(gg.base().has_edge(3, 4));
-        assert!(!gg.has_edge_at(3, 4, 6));
     }
 
     #[test]
@@ -533,27 +398,18 @@ mod properties {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Tentpole oracle: neighbor iteration at every epoch equals a
-        /// from-scratch CSR rebuild of the edges active at that epoch —
-        /// including after a compaction at an arbitrary point in the
-        /// history.
+        /// from-scratch CSR rebuild of the edges active at that epoch.
         #[test]
         fn iteration_matches_scratch_csr_at_every_epoch(
             n in 2usize..20,
             seed in 0u64..u64::MAX,
             base_frac in 1u64..6,
             max_epoch in 1u32..8,
-            compact_after in 0usize..64,
         ) {
             let (base, grown) = history(n, seed, base_frac, max_epoch);
             let mut gg = GrowableGraph::from_base(Graph::from_edges(n, base.clone()));
-            for (k, &(u, v, e)) in grown.iter().enumerate() {
+            for &(u, v, e) in &grown {
                 gg.add_edge(u, v, e);
-                if k + 1 == compact_after {
-                    gg.compact();
-                }
-            }
-            if compact_after == 0 {
-                gg.compact(); // exercise the fully compacted shape too
             }
             for epoch in 0..=max_epoch {
                 let oracle = Graph::from_edges(
