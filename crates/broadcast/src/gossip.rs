@@ -352,7 +352,8 @@ pub fn gossip_via_trees_with(
 /// report with its [`waves`](GossipReport::waves) curve filled in; input
 /// validation failures come back as [`GossipError`]s instead of the
 /// panics of the fault-free entry point. The plan itself is not
-/// validated: the schedule tolerates events on dead or unknown ends.
+/// validated: the schedule tolerates sloppy plans, such as a cut edge
+/// whose endpoint is already dead.
 ///
 /// The *initial* graph must be connected; completion of every
 /// non-[`lost`](GossipReport::lost_messages) message further requires

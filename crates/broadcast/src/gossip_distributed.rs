@@ -263,12 +263,12 @@ pub fn gossip_protocol_on(
     seed: u64,
     config: GossipConfig,
 ) -> Result<DistGossipReport, GossipError> {
+    let g = sim.graph();
     assert_eq!(
         sim.model(),
         Model::VCongest,
         "gossip is a V-CONGEST protocol"
     );
-    let g = sim.graph();
     check_inputs(g, packing, config)?;
     if let Regime::Rlnc {
         generation_size, ..
@@ -451,9 +451,16 @@ pub fn gossip_protocol_faulty(
             .collect();
         (member, intact, 0)
     };
-    let view = TopologyView::Static(g);
     run_two_phase(
-        g, view, packing, origins, seed, config, plan, engine, carriers,
+        g,
+        TopologyView::Static(g),
+        packing,
+        origins,
+        seed,
+        config,
+        plan,
+        engine,
+        carriers,
     )
 }
 

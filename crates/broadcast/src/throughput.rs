@@ -5,8 +5,9 @@
 //! limit is `λ`. The packings achieve `Ω(k / log n)` resp.
 //! `⌈(λ−1)/2⌉(1 − ε)` by pipelining messages along random trees.
 //!
-//! [`vertex_throughput_with`] measures the V-CONGEST schedule empirically (via
-//! the gossip simulator on a large single-source workload);
+//! [`vertex_throughput_with`] measures the V-CONGEST schedule
+//! empirically (via the gossip simulator on a large single-source
+//! workload);
 //! [`edge_throughput`] computes the E-CONGEST steady-state rate of a
 //! spanning-tree packing, which equals its size (each tree pipelines one
 //! message per round per unit weight, and per-edge loads ≤ 1 make the
