@@ -451,16 +451,9 @@ pub fn gossip_protocol_faulty(
             .collect();
         (member, intact, 0)
     };
+    let view = TopologyView::Static(g);
     run_two_phase(
-        g,
-        TopologyView::Static(g),
-        packing,
-        origins,
-        seed,
-        config,
-        plan,
-        engine,
-        carriers,
+        g, view, packing, origins, seed, config, plan, engine, carriers,
     )
 }
 

@@ -26,9 +26,9 @@
 //! stepped, sends nothing, and receives nothing — every incident edge is
 //! implicitly inactive — until its arrival round, at which point it runs
 //! its round-0 logic over the final topology (the KT1 assumption is over
-//! the final graph; see `docs/DETERMINISM.md` "Churn contract"). Because
-//! the final topology is fixed up front, sharded runs partition it once
-//! and arriving vertices land in a deterministic shard.
+//! the final graph; see `docs/DETERMINISM.md` "Packing: churn
+//! contract"). Because the final topology is fixed up front, sharded runs
+//! partition it once and arriving vertices land in a deterministic shard.
 
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
