@@ -224,16 +224,12 @@ fn bench_gossip_scale(c: &mut Criterion) {
     // simulator, swept across engines: prints the peak-memory counters
     // (the inbox arena is the structure the zero-allocation message
     // plane added) and the locality split (`local_words` /
-    // `cross_shard_words` — the partitioner's cut measured on delivered
+    // `cross_shard_words` — the shard split's cut measured on delivered
     // protocol traffic; sequential reports all-local by definition).
     // One message per 8th node keeps this a side-check, not a second
     // multi-minute workload.
     let origins: Vec<usize> = (0..n).step_by(8).collect();
-    for engine in [
-        EngineKind::Sequential,
-        EngineKind::sharded(4),
-        EngineKind::sharded_topo(4),
-    ] {
+    for engine in [EngineKind::Sequential, EngineKind::sharded(4)] {
         let mut sim = Simulator::with_seed(&harary, Model::VCongest, 7).with_engine(engine);
         let t0 = Instant::now();
         let protocol = gossip_protocol_on(

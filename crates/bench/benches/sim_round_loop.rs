@@ -73,12 +73,11 @@ fn run_gossip(g: &Graph, engine: EngineKind) -> (u64, decomp_congest::RunStats) 
     (digest, stats)
 }
 
-fn engines() -> [EngineKind; 4] {
+fn engines() -> [EngineKind; 3] {
     [
         EngineKind::Sequential,
         EngineKind::sharded(2),
         EngineKind::sharded(4),
-        EngineKind::sharded_topo(4),
     ]
 }
 
@@ -87,7 +86,7 @@ fn bench_round_loop(c: &mut Criterion) {
 
     // Engine equivalence on the bench workload itself: identical digests
     // AND identical stats (peak-memory counters included; the locality
-    // split is the one partition-dependent pair, printed instead).
+    // split is the one shard-dependent pair, printed instead).
     let expected = run_gossip(&g, EngineKind::Sequential);
     for engine in engines().into_iter().skip(1) {
         let got = run_gossip(&g, engine);
@@ -96,7 +95,7 @@ fn bench_round_loop(c: &mut Criterion) {
             (expected.0, expected.1.locality_blind()),
             "engine {engine} diverged"
         );
-        // The partitioner's cut, measured on the real workload: the
+        // The shard split's cut, measured on the real workload: the
         // fraction of delivered words that crossed a shard boundary.
         println!(
             "gossip16_rr10k_d8 locality[{engine}]: local_words={} cross_shard_words={} ({:.1}% cross)",

@@ -5,9 +5,9 @@
 //! curves (BENCH_SIM.md "PR 7"): one process runs every stage of the
 //! paper's pipeline on one instance and prints per-stage wall-clock
 //! plus the engine's `RunStats` — including the `local_words` /
-//! `cross_shard_words` locality split, which is the partitioner's cut
-//! measured on real delivered traffic (so `contig` vs `topo` can be
-//! compared on the same workload).
+//! `cross_shard_words` locality split, which is the shard split's cut
+//! measured on real delivered traffic (so shard counts can be compared
+//! on the same workload).
 //!
 //! All-node gossip at n = 10⁶ is infeasible (10⁶ messages × 10⁶ nodes);
 //! the dissemination stage instead injects `--msgs` messages from
@@ -16,14 +16,14 @@
 //!
 //! ```text
 //! cargo run --release --bin exp_pipeline -- \
-//!     --n 1000000 --degree 8 --seed 1 --engine sharded:4:topo \
+//!     --n 1000000 --degree 8 --seed 1 --engine sharded:4 \
 //!     --workers 4 --msgs 64 --family rr
 //! ```
 //!
 //! Defaults: `--n 100000 --degree 8 --seed 1 --engine sequential
 //! --workers 1 --msgs 64 --family rr`. `--family harary` builds the
 //! `harary(degree, n)` circulant instead of a random-regular instance
-//! (ids correlate with topology, the contiguous partitioner's best
+//! (ids correlate with topology, the contiguous shard split's best
 //! case; `rr` is its worst case).
 
 use decomp_broadcast::gossip::GossipConfig;

@@ -1,38 +1,44 @@
-//! Pluggable round-execution engines.
+//! The two round-execution backends behind [`crate::Simulator`].
 //!
 //! The [`crate::Simulator`] facade owns the network (graph, model, word
-//! budget, per-node RNG streams) but delegates the actual round loop to a
-//! [`RoundEngine`]. Two backends ship:
+//! budget, per-node RNG streams) and hands the round loop to one of two
+//! plain functions, picked by [`EngineKind`]:
 //!
-//! * [`SequentialEngine`] — the classic single-threaded lockstep loop;
-//! * [`ShardedEngine`] — a deterministic multi-core backend that
-//!   partitions the nodes into shards via a pluggable [`partition`]
-//!   (balanced-contiguous by default, topology-aware BFS growth under
-//!   `sharded:<N>:topo`), steps each shard's programs on its own scoped
-//!   worker thread, delivers same-shard traffic directly into the next
-//!   round's inbox arena (bypassing the mailbox plane entirely), and
-//!   exchanges only cross-shard traffic through per-shard mailboxes
-//!   under a round barrier.
+//! * `sequential::run` — the classic single-threaded lockstep loop;
+//! * `sharded::run` — a deterministic multi-core backend that splits
+//!   the nodes into balanced contiguous id ranges (shards), steps each
+//!   shard's programs on its own scoped worker thread, delivers
+//!   same-shard traffic directly into the next round's inbox arena
+//!   (bypassing the mailbox plane entirely), and exchanges only
+//!   cross-shard traffic through per-shard mailboxes under a round
+//!   barrier.
 //!
-//! Both engines keep per-node *activity* state as struct-of-arrays
+//! Both step `programs` (one per node, indexed by node id) in lockstep
+//! rounds until global quiescence (all programs done and no messages in
+//! flight) or until `max_rounds` is exhausted: messages sent in round
+//! `r` are delivered (sorted by sender id) at the start of round
+//! `r + 1`, and a node is stepped iff it is active (round 0, non-empty
+//! inbox, or not done).
+//!
+//! Both backends keep per-node *activity* state as struct-of-arrays
 //! bitset slabs (see `ActivitySlab`): done/dead/mail live in packed
 //! per-shard words, so the per-round active scan streams 64 nodes per
 //! load instead of chasing one program struct per node.
 //!
 //! ## Determinism contract
 //!
-//! Every engine must produce **bit-identical** results for the same
+//! Both backends produce **bit-identical** results for the same
 //! network, programs, and seed — outputs, per-node RNG streams, *and*
-//! [`RunStats`]. Three properties of the round semantics make this cheap
-//! to guarantee:
+//! [`RunStats`] — for every shard count. Three properties of the round
+//! semantics make this cheap to guarantee:
 //!
 //! 1. each node's RNG is an independent seeded stream, advanced only by
 //!    that node's own [`NodeProgram::round`] calls, so execution order
 //!    across nodes never leaks into the random choices;
 //! 2. a node receives at most one message per neighbor per round (in both
 //!    models), and inboxes are sorted by sender id before delivery, so the
-//!    order in which engines *enqueue* messages is unobservable;
-//! 3. message/word counters are commutative sums; the sharded engine
+//!    order in which the backends *enqueue* messages is unobservable;
+//! 3. message/word counters are commutative sums; the sharded backend
 //!    reduces them shard-locally and merges in shard order, which yields
 //!    exactly the sequential totals — and the peak-memory counters are
 //!    counted on the *sender* side (payload words once per send,
@@ -40,7 +46,7 @@
 //!    per-round totals on every worker, so they are engine-independent
 //!    too.
 //!
-//! Both engines deliver through flat per-shard `InboxArena`s — one
+//! Both backends deliver through flat per-shard `InboxArena`s — one
 //! contiguous payload-word buffer plus `(sender, offset, length)`
 //! entries per node, reset (never reallocated) at the round boundary —
 //! and route sends through a reusable span-based `Outbox`, so the
@@ -49,26 +55,21 @@
 //! (the message-plane invariants of `docs/DETERMINISM.md`).
 //!
 //! The one deliberate exception: the [`RunStats`] locality split
-//! (`local_words` / `cross_shard_words`) describes the *partition*, not
-//! the protocol — the sequential engine reports everything local, and
-//! each sharded partition reports its own cut. Cross-engine comparisons
+//! (`local_words` / `cross_shard_words`) describes the shard split, not
+//! the protocol — the sequential backend reports everything local, and
+//! each shard count reports its own cut. Cross-engine comparisons
 //! normalize it away with [`RunStats::locality_blind`]; every other
 //! counter (including `words == local_words + cross_shard_words`) is
 //! engine-independent.
 //!
 //! The equivalence is enforced by `tests/engine_equivalence.rs` (every
-//! testkit fixture family, sequential vs. 2- and 4-shard contiguous and
-//! 4-shard topo runs) and by the CI jobs that rerun the simulator-driven
-//! suites — golden registry included — under `DECOMP_ENGINE=sharded:4`
-//! and `DECOMP_ENGINE=sharded:4:topo`.
+//! testkit fixture family, sequential vs. 2- and 4-shard runs) and by
+//! the CI jobs that rerun the simulator-driven suites — golden registry
+//! included — under `DECOMP_ENGINE=sharded:4`.
 
-pub mod partition;
-pub mod sequential;
-pub mod sharded;
-
-pub use partition::PartitionKind;
-pub use sequential::SequentialEngine;
-pub use sharded::ShardedEngine;
+mod partition;
+pub(crate) mod sequential;
+pub(crate) mod sharded;
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::{InEntry, Inbox, Model, NodeCtx, NodeProgram, Outbox, RunStats, SimError};
@@ -85,68 +86,39 @@ pub const DEFAULT_SHARDS: usize = 4;
 pub enum EngineKind {
     /// Single-threaded lockstep loop (the default).
     Sequential,
-    /// Scoped-thread worker pool over `shards` node shards grouped by
-    /// `partition`.
+    /// Scoped-thread worker pool over `shards` balanced contiguous node
+    /// id ranges.
     Sharded {
         /// Number of shards (worker threads). Clamped to `n` at run time;
         /// `1` degenerates to the sequential loop.
         shards: usize,
-        /// How nodes are grouped into shards; cannot affect outputs,
-        /// only the locality split (see [`partition`]).
-        partition: PartitionKind,
     },
 }
 
 impl EngineKind {
-    /// A sharded engine over balanced contiguous id ranges (the
-    /// deterministic default partition).
+    /// A sharded engine over `shards` balanced contiguous id ranges.
     pub fn sharded(shards: usize) -> EngineKind {
-        EngineKind::Sharded {
-            shards,
-            partition: PartitionKind::Contiguous,
-        }
+        EngineKind::Sharded { shards }
     }
 
-    /// A sharded engine over the topology-aware BFS-growth partition.
-    pub fn sharded_topo(shards: usize) -> EngineKind {
-        EngineKind::Sharded {
-            shards,
-            partition: PartitionKind::Topo,
-        }
-    }
-
-    /// Parses `"sequential"`, `"sharded"` (= [`DEFAULT_SHARDS`] shards),
-    /// `"sharded:<N>"`, or `"sharded:<N>:topo"` /
-    /// `"sharded:<N>:contig"` to pick the partitioner.
+    /// Parses `"sequential"` (or `"seq"`), `"sharded"` (=
+    /// [`DEFAULT_SHARDS`] shards), or `"sharded:<N>"`.
     ///
     /// # Errors
-    /// Returns a human-readable message on unknown names, bad shard
-    /// counts, or unknown partition kinds.
+    /// Returns a human-readable message on unknown names or bad shard
+    /// counts.
     pub fn parse(s: &str) -> Result<EngineKind, String> {
         match s {
             "sequential" | "seq" => Ok(EngineKind::Sequential),
             "sharded" => Ok(EngineKind::sharded(DEFAULT_SHARDS)),
             _ => match s.strip_prefix("sharded:") {
-                Some(rest) => {
-                    let (num, partition) = match rest.split_once(':') {
-                        None => (rest, PartitionKind::Contiguous),
-                        Some((num, "topo")) => (num, PartitionKind::Topo),
-                        Some((num, "contig" | "contiguous")) => (num, PartitionKind::Contiguous),
-                        Some((_, other)) => {
-                            return Err(format!(
-                                "unknown partition '{other}' in engine spec '{s}' \
-                                 (expected 'topo' or 'contig')"
-                            ))
-                        }
-                    };
-                    match num.parse::<usize>() {
-                        Ok(shards) if shards >= 1 => Ok(EngineKind::Sharded { shards, partition }),
-                        _ => Err(format!("bad shard count in engine spec '{s}'")),
-                    }
-                }
+                Some(num) => match num.parse::<usize>() {
+                    Ok(shards) if shards >= 1 => Ok(EngineKind::sharded(shards)),
+                    _ => Err(format!("bad shard count in engine spec '{s}'")),
+                },
                 None => Err(format!(
                     "unknown engine '{s}' (expected 'sequential', 'sharded', \
-                     'sharded:<N>', or 'sharded:<N>:topo')"
+                     or 'sharded:<N>')"
                 )),
             },
         }
@@ -157,13 +129,7 @@ impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineKind::Sequential => write!(f, "sequential"),
-            EngineKind::Sharded {
-                shards,
-                partition: PartitionKind::Contiguous,
-            } => write!(f, "sharded:{shards}"),
-            EngineKind::Sharded { shards, partition } => {
-                write!(f, "sharded:{shards}:{partition}")
-            }
+            EngineKind::Sharded { shards } => write!(f, "sharded:{shards}"),
         }
     }
 }
@@ -176,8 +142,8 @@ impl FromStr for EngineKind {
 }
 
 /// The immutable network parameters an engine executes against.
-pub struct NetSpec<'g> {
-    /// Bookkeeping topology: vertex count, partitioning, buffer sizing.
+pub(crate) struct NetSpec<'g> {
+    /// Bookkeeping topology: vertex count, shard split, buffer sizing.
     /// For settled runs this is also the delivery topology; growable
     /// runs deliver over [`NetSpec::view`] instead (`graph` is then the
     /// growable topology's epoch-0 CSR base, which lacks future edges).
@@ -196,17 +162,13 @@ pub struct NetSpec<'g> {
     /// Engines derive identical per-run `FaultState`s from it — the
     /// sharded backend builds one per worker, advanced in lockstep.
     pub faults: Option<&'g FaultPlan>,
-    /// The run's base seed. Engines may use it for *non-observable*
-    /// choices only — today, seeding the topology-aware partitioner —
-    /// never for anything that reaches program state or RNG streams.
-    pub seed: u64,
 }
 
 impl<'g> NetSpec<'g> {
     /// The topology view engines deliver over: static for settled runs,
     /// the growable graph otherwise.
     #[inline]
-    pub fn view(&self) -> TopologyView<'g> {
+    pub(crate) fn view(&self) -> TopologyView<'g> {
         match self.growth {
             None => TopologyView::Static(self.graph),
             Some(gg) => TopologyView::Growable(gg),
@@ -218,35 +180,11 @@ impl<'g> NetSpec<'g> {
 ///
 /// `stats` is populated even when the run errors, so the facade can keep
 /// cumulative accounting for partially executed protocols.
-pub struct EngineRun {
+pub(crate) struct EngineRun {
     /// Rounds / messages / words executed before termination or error.
     pub stats: RunStats,
     /// `None` on quiescence; the error otherwise.
     pub error: Option<SimError>,
-}
-
-/// A round-execution backend.
-///
-/// An engine steps `programs` (one per node, indexed by node id) in
-/// lockstep rounds over `net` until global quiescence (all programs done
-/// and no messages in flight) or until `max_rounds` is exhausted,
-/// honoring the semantics documented on [`crate::Simulator`]: messages
-/// sent in round `r` are delivered (sorted by sender id) at the start of
-/// round `r + 1`, and a node is stepped iff it is active (round 0,
-/// non-empty inbox, or not done). Implementations must uphold the
-/// [determinism contract](self).
-pub trait RoundEngine {
-    /// This engine's selector (for display and re-configuration).
-    fn kind(&self) -> EngineKind;
-
-    /// Runs `programs` to quiescence; see the trait docs for semantics.
-    fn run<P: NodeProgram + Send>(
-        &self,
-        net: &NetSpec<'_>,
-        programs: &mut [P],
-        rngs: &mut [StdRng],
-        max_rounds: usize,
-    ) -> EngineRun;
 }
 
 /// A flat per-shard inbox arena: one contiguous word buffer holding every
@@ -433,7 +371,7 @@ impl ActivitySlab {
     /// (`mail | !done`, round 0 steps everyone), gated on being alive
     /// and in range. `mail_word` is the arena's [`InboxArena::mail_bits`]
     /// word for the same block — together they encode the activation
-    /// rule of [`RoundEngine::run`] (round 0, non-empty inbox, or not
+    /// rule of the [module docs](self) (round 0, non-empty inbox, or not
     /// done) bit for bit.
     #[inline]
     pub(crate) fn pending_word(&self, w: usize, mail_word: u64, round: usize) -> u64 {
@@ -576,10 +514,9 @@ mod tests {
     fn parse_roundtrip() {
         for kind in [
             EngineKind::Sequential,
+            EngineKind::sharded(1),
             EngineKind::sharded(2),
             EngineKind::sharded(7),
-            EngineKind::sharded_topo(4),
-            EngineKind::sharded_topo(1),
         ] {
             assert_eq!(EngineKind::parse(&kind.to_string()), Ok(kind));
         }
@@ -588,21 +525,14 @@ mod tests {
             Ok(EngineKind::sharded(DEFAULT_SHARDS))
         );
         assert_eq!(EngineKind::parse("seq"), Ok(EngineKind::Sequential));
-        assert_eq!(
-            EngineKind::parse("sharded:4:contig"),
-            Ok(EngineKind::sharded(4))
-        );
-        assert_eq!(
-            EngineKind::parse("sharded:8:topo"),
-            Ok(EngineKind::sharded_topo(8))
-        );
         assert!(EngineKind::parse("async").is_err());
         assert!(EngineKind::parse("sharded:0").is_err());
         assert!(EngineKind::parse("sharded:x").is_err());
-        assert!(EngineKind::parse("sharded:4:metis").is_err());
-        assert!(EngineKind::parse("sharded:0:topo").is_err());
+        // Partition suffixes are gone: a stale `DECOMP_ENGINE` must fail
+        // loudly instead of quietly testing another engine.
+        assert!(EngineKind::parse("sharded:4:topo").is_err());
+        assert!(EngineKind::parse("sharded:4:contig").is_err());
         assert_eq!("sharded:3".parse(), Ok(EngineKind::sharded(3)));
-        assert_eq!("sharded:3:topo".parse(), Ok(EngineKind::sharded_topo(3)));
     }
 
     #[test]

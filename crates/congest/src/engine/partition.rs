@@ -1,312 +1,114 @@
-//! Node-to-shard partitioning for the sharded engine.
+//! The sharded engine's node-to-shard split: balanced contiguous id
+//! ranges.
 //!
-//! A `Partition` assigns every node to exactly one shard and is the
-//! *only* thing the engine consults to route traffic — which makes the
-//! assignment pluggable. Two [`PartitionKind`]s ship:
+//! Shard `j` owns `starts[j]..starts[j + 1]`; the first `n % s` shards
+//! get one extra node. A node's index within its shard is `v` minus the
+//! shard's first id, so the split is just the `s + 1` range starts.
 //!
-//! * [`PartitionKind::Contiguous`] — balanced contiguous id ranges (the
-//!   historical default): shard `j` owns `[j·⌈n/s⌉ − …, …)`. Optimal
-//!   when node ids correlate with topology (ring-like circulants, grid
-//!   row-major ids), pessimal when they do not (random-regular
-//!   instances, where nearly every edge crosses a shard boundary).
-//! * [`PartitionKind::Topo`] — topology-aware greedy BFS growth: shards
-//!   are grown one at a time as BFS balls from seeded roots, with the
-//!   same balance caps as the contiguous split (shard sizes differ by at
-//!   most one). On graphs with any locality this moves most mailbox
-//!   traffic inside a shard, where the engine bypasses the mailbox plane
-//!   entirely.
-//!
-//! ## Determinism contract
-//!
-//! A partition **cannot** affect outputs, RNG streams, or any
+//! The split **cannot** affect outputs, RNG streams, or any
 //! [`crate::sim::RunStats`] counter except the `local_words` /
 //! `cross_shard_words` locality split: per-node RNG streams are
 //! engine-independent, inboxes are re-sorted by sender id before
 //! delivery, and stats are commutative sums merged in shard order (see
-//! [`crate::engine`]). The topo partitioner is a pure function of
-//! `(graph, shard count, seed)` — two builds from the same inputs yield
-//! identical assignments, which the proptests below pin together with
-//! the balance cap and full-cover invariants for both kinds.
+//! [`crate::engine`]).
 
-use decomp_graph::{Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
-use std::fmt;
+use decomp_graph::NodeId;
+use std::ops::Range;
 
-/// Selects how the sharded engine groups nodes into shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PartitionKind {
-    /// Balanced contiguous node-id ranges (deterministic default).
-    #[default]
-    Contiguous,
-    /// Seeded greedy BFS growth with balance caps: shards follow graph
-    /// topology, so most traffic stays shard-local.
-    Topo,
-}
-
-impl fmt::Display for PartitionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PartitionKind::Contiguous => write!(f, "contig"),
-            PartitionKind::Topo => write!(f, "topo"),
-        }
-    }
-}
-
-/// An immutable node → shard assignment with O(1) lookups both ways:
-/// `shard_of` is a flat lookup table (the topo assignment is not
-/// invertible by arithmetic, so both kinds share the table), `local_of`
-/// maps a node to its index within its shard's ascending node list.
+/// Balanced contiguous node-id ranges, stored as their `s + 1` starts
+/// (`starts[s] == n`).
 pub(crate) struct Partition {
-    shard_of: Vec<u32>,
-    local_of: Vec<u32>,
-    /// Ascending node ids per shard (node order *within* a shard is
-    /// always ascending id, whatever the grouping — workers step their
-    /// nodes in this order).
-    nodes: Vec<Vec<NodeId>>,
+    starts: Vec<NodeId>,
 }
 
 impl Partition {
-    /// Builds the partition of `kind` over `g` into `s` shards. `seed`
-    /// feeds the topo partitioner's root choices; the contiguous kind
-    /// ignores it.
-    pub(crate) fn build(kind: PartitionKind, g: &Graph, s: usize, seed: u64) -> Self {
-        match kind {
-            PartitionKind::Contiguous => Self::contiguous(g.n(), s),
-            PartitionKind::Topo => Self::topo(g, s, seed),
-        }
-    }
-
-    /// Balanced contiguous ranges: the first `n % s` shards get one
-    /// extra node.
+    /// Splits `0..n` into `s` balanced contiguous ranges: the first
+    /// `n % s` shards get one extra node.
     pub(crate) fn contiguous(n: usize, s: usize) -> Self {
-        let mut shard_of = vec![0u32; n];
         let (base, rem) = (n / s, n % s);
-        let mut v = 0usize;
-        for shard in 0..s {
-            let size = base + usize::from(shard < rem);
-            for _ in 0..size {
-                shard_of[v] = shard as u32;
-                v += 1;
-            }
-        }
-        debug_assert_eq!(v, n);
-        Self::from_assignment(shard_of, s)
+        let starts = (0..=s).map(|j| j * base + j.min(rem)).collect();
+        Partition { starts }
     }
 
-    /// Seeded greedy BFS growth: shard `j` is grown as a BFS ball from a
-    /// seeded root over still-unassigned nodes, capped at the same size
-    /// the contiguous split would give it (`⌊n/s⌋` or `⌈n/s⌉`), hopping
-    /// to a fresh root whenever its frontier dies in an exhausted
-    /// region. Deterministic in `(g, s, seed)`: the frontier is a FIFO
-    /// queue and neighbors are visited in ascending id order.
-    pub(crate) fn topo(g: &Graph, s: usize, seed: u64) -> Self {
-        let n = g.n();
-        let mut shard_of = vec![u32::MAX; n];
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x70b0_70b0_9e37_79b9);
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        let (base, rem) = (n / s, n % s);
-        for shard in 0..s {
-            let mut need = base + usize::from(shard < rem);
-            queue.clear();
-            while need > 0 {
-                let v = match queue.pop_front() {
-                    Some(v) => v,
-                    None => {
-                        // Fresh root: the first unassigned node at or
-                        // (cyclically) after a seeded position.
-                        let start = rng.gen_range(0..n);
-                        let root = (0..n)
-                            .map(|i| (start + i) % n)
-                            .find(|&v| shard_of[v] == u32::MAX)
-                            .expect("need > 0 implies an unassigned node exists");
-                        shard_of[root] = shard as u32;
-                        need -= 1;
-                        queue.push_back(root);
-                        continue;
-                    }
-                };
-                for &u in g.neighbors(v) {
-                    if need == 0 {
-                        break;
-                    }
-                    if shard_of[u] == u32::MAX {
-                        shard_of[u] = shard as u32;
-                        need -= 1;
-                        queue.push_back(u);
-                    }
-                }
-            }
-        }
-        Self::from_assignment(shard_of, s)
-    }
-
-    fn from_assignment(shard_of: Vec<u32>, s: usize) -> Self {
-        let n = shard_of.len();
-        let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); s];
-        let mut local_of = vec![0u32; n];
-        for (v, &shard) in shard_of.iter().enumerate() {
-            local_of[v] = nodes[shard as usize].len() as u32;
-            nodes[shard as usize].push(v);
-        }
-        Partition {
-            shard_of,
-            local_of,
-            nodes,
-        }
-    }
-
-    /// The shard owning node `v` — one table load.
+    /// The shard owning node `v`.
     #[inline]
     pub(crate) fn shard_of(&self, v: NodeId) -> usize {
-        self.shard_of[v] as usize
+        self.starts.partition_point(|&start| start <= v) - 1
     }
 
-    /// `v`'s index within its shard's ascending node list.
+    /// The node ids owned by `shard`.
     #[inline]
-    pub(crate) fn local_of(&self, v: NodeId) -> usize {
-        self.local_of[v] as usize
-    }
-
-    /// Ascending node ids owned by `shard`.
-    pub(crate) fn nodes(&self, shard: usize) -> &[NodeId] {
-        &self.nodes[shard]
+    pub(crate) fn range(&self, shard: usize) -> Range<NodeId> {
+        self.starts[shard]..self.starts[shard + 1]
     }
 
     /// Number of shards.
-    #[cfg(test)]
     pub(crate) fn num_shards(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Payload words crossing shard boundaries if every node broadcast
-    /// one `words`-word message: the partition's *cut fraction*
-    /// numerator, used by the observability tests and benches.
-    #[cfg(test)]
-    pub(crate) fn cut_edges(&self, g: &Graph) -> usize {
-        (0..g.n())
-            .map(|v| {
-                g.neighbors(v)
-                    .iter()
-                    .filter(|&&u| self.shard_of[u] != self.shard_of[v])
-                    .count()
-            })
-            .sum::<usize>()
-            / 2
+        self.starts.len() - 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decomp_graph::generators;
     use proptest::prelude::*;
 
     fn assert_partition_invariants(part: &Partition, n: usize, s: usize, ctx: &str) {
-        // Full cover: every node is owned by exactly one shard, and the
-        // two lookup tables agree with the per-shard node lists.
-        let mut covered = 0usize;
+        // Full cover: the ranges tile `0..n` in shard order, and
+        // `shard_of` agrees with them.
         assert_eq!(part.num_shards(), s, "{ctx}");
+        let mut next = 0;
         for shard in 0..s {
-            let nodes = part.nodes(shard);
-            covered += nodes.len();
+            let range = part.range(shard);
+            assert_eq!(
+                range.start, next,
+                "{ctx}: shard {shard} starts where {shard}-1 ends"
+            );
             // Balance cap: sizes differ by at most one across shards.
             assert!(
-                nodes.len() >= n / s && nodes.len() <= n / s + 1,
+                range.len() >= n / s && range.len() <= n / s + 1,
                 "{ctx}: shard {shard} has {} nodes (n={n}, s={s})",
-                nodes.len()
+                range.len()
             );
-            for (i, &v) in nodes.iter().enumerate() {
-                if i > 0 {
-                    assert!(nodes[i - 1] < v, "{ctx}: shard node order must ascend");
-                }
+            for (i, v) in range.clone().enumerate() {
                 assert_eq!(part.shard_of(v), shard, "{ctx}: shard_of({v})");
-                assert_eq!(part.local_of(v), i, "{ctx}: local_of({v})");
+                assert_eq!(v - range.start, i, "{ctx}: local index of {v}");
             }
+            next = range.end;
         }
-        assert_eq!(covered, n, "{ctx}: every node owned exactly once");
+        assert_eq!(next, n, "{ctx}: every node owned exactly once");
     }
 
     #[test]
     fn partition_is_balanced_and_invertible() {
         for n in [1usize, 2, 5, 7, 16, 33, 100] {
             for s in 1..=n.min(9) {
-                let g = generators::cycle(n.max(3));
                 let contig = Partition::contiguous(n, s);
                 assert_partition_invariants(&contig, n, s, &format!("contig n={n} s={s}"));
-                if n >= 3 {
-                    let topo = Partition::topo(&g, s, 7);
-                    assert_partition_invariants(&topo, n, s, &format!("topo n={n} s={s}"));
-                }
             }
         }
     }
 
     #[test]
     fn contiguous_matches_historical_ranges() {
-        // The contiguous kind must reproduce the old arithmetic split
-        // exactly: first n % s shards get one extra node, ranges ascend.
+        // The first n % s shards get one extra node; ranges ascend.
         let part = Partition::contiguous(10, 4);
-        assert_eq!(part.nodes(0), &[0, 1, 2]);
-        assert_eq!(part.nodes(1), &[3, 4, 5]);
-        assert_eq!(part.nodes(2), &[6, 7]);
-        assert_eq!(part.nodes(3), &[8, 9]);
-    }
-
-    #[test]
-    fn topo_groups_follow_cycle_locality() {
-        // On a cycle, a BFS-grown shard is an arc: each shard's cut is at
-        // most 2 edges, far below a random split's expectation.
-        let g = generators::cycle(64);
-        let part = Partition::topo(&g, 4, 3);
-        assert!(
-            part.cut_edges(&g) <= 2 * 4,
-            "BFS growth on a cycle must produce arcs (cut = {})",
-            part.cut_edges(&g)
-        );
-    }
-
-    #[test]
-    fn topo_cuts_less_than_contiguous_on_random_regular() {
-        // The motivating case: random-regular ids are uncorrelated with
-        // topology, so the contiguous split is essentially a random
-        // partition; BFS growth must beat it. (Deterministic instance —
-        // pinned after measurement, like the engine digests.)
-        let g = generators::random_regular(2000, 8, 1);
-        for s in [2usize, 4, 8] {
-            let contig = Partition::contiguous(g.n(), s).cut_edges(&g);
-            let topo = Partition::topo(&g, s, 0).cut_edges(&g);
-            assert!(
-                topo < contig,
-                "s={s}: topo cut {topo} must beat contiguous cut {contig}"
-            );
-        }
+        assert_eq!(part.range(0), 0..3);
+        assert_eq!(part.range(1), 3..6);
+        assert_eq!(part.range(2), 6..8);
+        assert_eq!(part.range(3), 8..10);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Both partitioner kinds, random graphs, random shard counts:
-        /// balance cap, full cover, O(1) table consistency, and
-        /// build-twice determinism.
+        /// Random node and shard counts: balance cap, full cover, and
+        /// `shard_of` consistency.
         #[test]
-        fn both_kinds_balanced_covering_deterministic(
-            n in 1usize..120,
-            extra in 0usize..60,
-            s in 1usize..10,
-            seed in 0u64..100,
-        ) {
+        fn contiguous_balanced_covering(n in 1usize..120, s in 1usize..10) {
             let s = s.min(n);
-            let g = generators::random_connected(n.max(2), extra.min(n * (n - 1) / 2), seed);
-            let n = g.n();
-            for kind in [PartitionKind::Contiguous, PartitionKind::Topo] {
-                let a = Partition::build(kind, &g, s, seed);
-                assert_partition_invariants(&a, n, s, &format!("{kind} n={n} s={s} seed={seed}"));
-                // Same inputs ⇒ identical assignment, bit for bit.
-                let b = Partition::build(kind, &g, s, seed);
-                prop_assert_eq!(&a.shard_of, &b.shard_of, "{} must be deterministic", kind);
-            }
+            let part = Partition::contiguous(n, s);
+            assert_partition_invariants(&part, n, s, &format!("n={n} s={s}"));
         }
     }
 }

@@ -1,12 +1,11 @@
 //! The deterministic sharded multi-core engine.
 //!
-//! Nodes are grouped into `s` shards by a pluggable
-//! `Partition` — balanced-contiguous id
-//! ranges by default, topology-aware BFS growth under
-//! `sharded:<N>:topo`. Each shard's programs, RNG streams, and inbox
-//! arenas are owned exclusively by one scoped worker thread for the
-//! whole run (no per-round thread spawns). A round has two phases
-//! separated by barriers:
+//! Nodes are split into `s` balanced contiguous id ranges (shards).
+//! Each shard's programs, RNG streams, and inbox arenas are owned
+//! exclusively by one scoped worker thread for the whole run (no
+//! per-round thread spawns): the worker holds `&mut` sub-slices of the
+//! caller's program and RNG slices. A round has two phases separated by
+//! barriers:
 //!
 //! 1. **compute** — every worker streams its shard's
 //!    `ActivitySlab` pending bitset and steps the
@@ -16,18 +15,19 @@
 //!    double-buffered, exactly like the sequential engine's). Only
 //!    cross-shard receivers go through per-destination-shard outgoing
 //!    batches (one word buffer + one `(to, from, off, len)` entry list
-//!    each — a payload is stored at most once per destination shard per
-//!    send); the shard's send/done flags and queued-traffic totals are
-//!    published;
+//!    each). Targets ascend and shards are contiguous, so a send's
+//!    receivers in one destination shard form a single run and its
+//!    payload is stored once per destination shard. The shard's
+//!    send/done flags and queued-traffic totals are published;
 //! 2. **deliver** — after the barrier, every worker drains its mailbox
 //!    column (in sender-shard order) into its next-round arena (one
 //!    `memcpy` of the words plus offset-rebased entries per batch),
 //!    swaps the arena buffers, and all workers take the same
 //!    continue/stop decision from the published flags.
 //!
-//! With a topology-aware partition the mailbox plane carries only the
-//! cut fraction of the traffic; the [`RunStats`] `local_words` /
-//! `cross_shard_words` split reports the realized ratio.
+//! The mailbox plane carries only the cut fraction of the traffic; the
+//! [`RunStats`] `local_words` / `cross_shard_words` split reports the
+//! realized ratio.
 //!
 //! Mailbox cell `[src][dst]` is written only by shard `src` during
 //! compute and drained only by shard `dst` during deliver, with the two
@@ -41,49 +41,28 @@
 //! is ascending, inbox entries are re-sorted by sender at consumption,
 //! RNG streams are per-node, and [`RunStats`] counters are shard-local
 //! sums merged in shard order — so a run is bit-identical to the
-//! sequential engine for *any* shard count and *any* partition, the
-//! locality split excepted. The peak-memory counters are counted on the
-//! *sender* side (payload words once per send, messages once per
-//! receiver) and summed across shards through the published per-round
-//! totals, so they too are engine-independent.
+//! sequential engine for *any* shard count, the locality split excepted.
+//! The peak-memory counters are counted on the *sender* side (payload
+//! words once per send, messages once per receiver) and summed across
+//! shards through the published per-round totals, so they too are
+//! engine-independent.
 //!
 //! A panic inside program code (model violations are panics by contract)
 //! is caught on the worker, propagated through a shared flag so every
 //! other worker unblocks at the next barrier, and re-raised on the
 //! calling thread.
 
-use super::partition::{Partition, PartitionKind};
-use super::{
-    cutoff_context, step_node, ActivitySlab, EngineKind, EngineRun, InboxArena, NetSpec,
-    RoundEngine, SequentialEngine,
-};
+use super::partition::Partition;
+use super::{cutoff_context, step_node, ActivitySlab, EngineRun, InboxArena, NetSpec};
 use crate::fault::FaultState;
 use crate::sim::{NodeProgram, Outbox, RunStats, SimError};
 use decomp_graph::NodeId;
 use rand::rngs::StdRng;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::thread;
-
-/// Scoped-thread worker pool over partitioned node shards.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardedEngine {
-    shards: usize,
-    partition: PartitionKind,
-}
-
-impl ShardedEngine {
-    /// An engine with `shards` worker threads grouping nodes by
-    /// `partition`.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize, partition: PartitionKind) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        ShardedEngine { shards, partition }
-    }
-}
 
 /// One shard-to-shard traffic batch: a contiguous word buffer plus
 /// `(to, from, off, len)` entries whose offsets index the buffer. A
@@ -104,6 +83,7 @@ impl OutBatch {
 
 #[derive(Clone, Copy)]
 struct WireEntry {
+    /// The receiver's index within the destination shard.
     to: u32,
     from: u32,
     off: u32,
@@ -122,148 +102,123 @@ struct ShardFlags {
     queued_words: AtomicUsize,
 }
 
-impl RoundEngine for ShardedEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Sharded {
-            shards: self.shards,
-            partition: self.partition,
-        }
+/// Runs `programs` on `shards` worker threads over balanced contiguous id
+/// ranges (the semantics of the [engine docs](super)). One shard — or a
+/// graph of at most one node — runs the sequential loop.
+///
+/// # Panics
+/// Panics if `shards == 0`.
+pub(crate) fn run<P: NodeProgram + Send>(
+    shards: usize,
+    net: &NetSpec<'_>,
+    programs: &mut [P],
+    rngs: &mut [StdRng],
+    max_rounds: usize,
+) -> EngineRun {
+    assert!(shards >= 1, "need at least one shard");
+    let n = net.graph.n();
+    let s = shards.min(n.max(1));
+    if s <= 1 {
+        return super::sequential::run(net, programs, rngs, max_rounds);
+    }
+    let part = Partition::contiguous(n, s);
+
+    // Cross-shard mailboxes: cell [src][dst] is written by src in the
+    // compute phase and drained by dst in the deliver phase.
+    let mailboxes: Vec<Vec<Mutex<OutBatch>>> = (0..s)
+        .map(|_| (0..s).map(|_| Mutex::new(OutBatch::default())).collect())
+        .collect();
+    let flags: Vec<ShardFlags> = (0..s)
+        .map(|_| ShardFlags {
+            sent: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            queued_msgs: AtomicUsize::new(0),
+            queued_words: AtomicUsize::new(0),
+        })
+        .collect();
+    let barrier = Barrier::new(s);
+    let panicked = AtomicBool::new(false);
+    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+
+    let results: Vec<(RunStats, Option<(usize, usize)>)> = thread::scope(|scope| {
+        // Hand each worker exclusive ownership of its shard's programs
+        // and RNG streams: shards are contiguous, so each takes the next
+        // sub-slice of both.
+        let (mut progs_left, mut rngs_left) = (programs, rngs);
+        let handles: Vec<_> = (0..s)
+            .map(|me| {
+                let len = part.range(me).len();
+                let (progs, rest) = std::mem::take(&mut progs_left).split_at_mut(len);
+                progs_left = rest;
+                let (my_rngs, rest) = std::mem::take(&mut rngs_left).split_at_mut(len);
+                rngs_left = rest;
+                let part = &part;
+                let mailboxes = &mailboxes;
+                let flags = &flags;
+                let barrier = &barrier;
+                let panicked = &panicked;
+                let panic_payload = &panic_payload;
+                scope.spawn(move || {
+                    shard_worker(
+                        net,
+                        part,
+                        me,
+                        progs,
+                        my_rngs,
+                        max_rounds,
+                        mailboxes,
+                        flags,
+                        barrier,
+                        panicked,
+                        panic_payload,
+                    )
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker thread died"))
+            .collect()
+    });
+
+    if let Some(payload) = panic_payload.into_inner().unwrap() {
+        panic::resume_unwind(payload);
     }
 
-    fn run<P: NodeProgram + Send>(
-        &self,
-        net: &NetSpec<'_>,
-        programs: &mut [P],
-        rngs: &mut [StdRng],
-        max_rounds: usize,
-    ) -> EngineRun {
-        let n = net.graph.n();
-        let s = self.shards.min(n.max(1));
-        if s <= 1 {
-            return SequentialEngine.run(net, programs, rngs, max_rounds);
+    // Shard-local stats, merged in shard order. Rounds advance in
+    // lockstep and peaks are global per-round sums every shard observes
+    // identically, so those fields agree across shards; the locality
+    // split is a per-shard sum like messages/words.
+    let mut stats = RunStats::default();
+    let mut exceeded: Option<(usize, usize)> = None;
+    for (shard_stats, shard_err) in results {
+        debug_assert!(stats.rounds == 0 || stats.rounds == shard_stats.rounds);
+        debug_assert!(
+            stats.peak_queued_messages == 0
+                || stats.peak_queued_messages == shard_stats.peak_queued_messages
+        );
+        stats.rounds = stats.rounds.max(shard_stats.rounds);
+        stats.messages += shard_stats.messages;
+        stats.words += shard_stats.words;
+        stats.local_words += shard_stats.local_words;
+        stats.cross_shard_words += shard_stats.cross_shard_words;
+        stats.peak_queued_messages = stats
+            .peak_queued_messages
+            .max(shard_stats.peak_queued_messages);
+        stats.peak_arena_words = stats.peak_arena_words.max(shard_stats.peak_arena_words);
+        if let Some((undelivered, unfinished)) = shard_err {
+            let slot = exceeded.get_or_insert((0, 0));
+            slot.0 += undelivered;
+            slot.1 += unfinished;
         }
-        let part = Partition::build(self.partition, net.graph, s, net.seed);
-
-        // Cross-shard mailboxes: cell [src][dst] is written by src in the
-        // compute phase and drained by dst in the deliver phase.
-        let mailboxes: Vec<Vec<Mutex<OutBatch>>> = (0..s)
-            .map(|_| (0..s).map(|_| Mutex::new(OutBatch::default())).collect())
-            .collect();
-        let flags: Vec<ShardFlags> = (0..s)
-            .map(|_| ShardFlags {
-                sent: AtomicBool::new(false),
-                done: AtomicBool::new(false),
-                queued_msgs: AtomicUsize::new(0),
-                queued_words: AtomicUsize::new(0),
-            })
-            .collect();
-        let barrier = Barrier::new(s);
-        let panicked = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-        // Hand each worker exclusive ownership of its shard's programs
-        // and RNG streams. Shards own arbitrary (disjoint, covering) node
-        // sets, so the hand-off takes each `&mut` out of an option slot
-        // rather than splitting slices.
-        let mut prog_slots: Vec<Option<&mut P>> = programs.iter_mut().map(Some).collect();
-        let mut rng_slots: Vec<Option<&mut StdRng>> = rngs.iter_mut().map(Some).collect();
-        let shard_state: Vec<(usize, Vec<&mut P>, Vec<&mut StdRng>)> = (0..s)
-            .map(|me| {
-                let progs = part
-                    .nodes(me)
-                    .iter()
-                    .map(|&v| {
-                        prog_slots[v]
-                            .take()
-                            .expect("node owned by exactly one shard")
-                    })
-                    .collect();
-                let my_rngs = part
-                    .nodes(me)
-                    .iter()
-                    .map(|&v| {
-                        rng_slots[v]
-                            .take()
-                            .expect("node owned by exactly one shard")
-                    })
-                    .collect();
-                (me, progs, my_rngs)
-            })
-            .collect();
-
-        let results: Vec<(RunStats, Option<(usize, usize)>)> = thread::scope(|scope| {
-            let handles: Vec<_> = shard_state
-                .into_iter()
-                .map(|(me, mut progs, mut my_rngs)| {
-                    let part = &part;
-                    let mailboxes = &mailboxes;
-                    let flags = &flags;
-                    let barrier = &barrier;
-                    let panicked = &panicked;
-                    let panic_payload = &panic_payload;
-                    scope.spawn(move || {
-                        shard_worker(
-                            net,
-                            part,
-                            s,
-                            me,
-                            &mut progs,
-                            &mut my_rngs,
-                            max_rounds,
-                            mailboxes,
-                            flags,
-                            barrier,
-                            panicked,
-                            panic_payload,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker thread died"))
-                .collect()
-        });
-
-        if let Some(payload) = panic_payload.into_inner().unwrap() {
-            panic::resume_unwind(payload);
-        }
-
-        // Shard-local stats, merged in shard order. Rounds advance in
-        // lockstep and peaks are global per-round sums every shard
-        // observes identically, so those fields agree across shards; the
-        // locality split is a per-shard sum like messages/words.
-        let mut stats = RunStats::default();
-        let mut exceeded: Option<(usize, usize)> = None;
-        for (shard_stats, shard_err) in results {
-            debug_assert!(stats.rounds == 0 || stats.rounds == shard_stats.rounds);
-            debug_assert!(
-                stats.peak_queued_messages == 0
-                    || stats.peak_queued_messages == shard_stats.peak_queued_messages
-            );
-            stats.rounds = stats.rounds.max(shard_stats.rounds);
-            stats.messages += shard_stats.messages;
-            stats.words += shard_stats.words;
-            stats.local_words += shard_stats.local_words;
-            stats.cross_shard_words += shard_stats.cross_shard_words;
-            stats.peak_queued_messages = stats
-                .peak_queued_messages
-                .max(shard_stats.peak_queued_messages);
-            stats.peak_arena_words = stats.peak_arena_words.max(shard_stats.peak_arena_words);
-            if let Some((undelivered, unfinished)) = shard_err {
-                let slot = exceeded.get_or_insert((0, 0));
-                slot.0 += undelivered;
-                slot.1 += unfinished;
-            }
-        }
-        EngineRun {
-            stats,
-            error: exceeded.map(|(undelivered, unfinished)| SimError::ExceededMaxRounds {
-                max_rounds,
-                undelivered,
-                unfinished,
-            }),
-        }
+    }
+    EngineRun {
+        stats,
+        error: exceeded.map(|(undelivered, unfinished)| SimError::ExceededMaxRounds {
+            max_rounds,
+            undelivered,
+            unfinished,
+        }),
     }
 }
 
@@ -274,10 +229,9 @@ impl RoundEngine for ShardedEngine {
 fn shard_worker<P: NodeProgram + Send>(
     net: &NetSpec<'_>,
     part: &Partition,
-    s: usize,
     me: usize,
-    progs: &mut [&mut P],
-    rngs: &mut [&mut StdRng],
+    progs: &mut [P],
+    rngs: &mut [StdRng],
     max_rounds: usize,
     mailboxes: &[Vec<Mutex<OutBatch>>],
     flags: &[ShardFlags],
@@ -285,8 +239,9 @@ fn shard_worker<P: NodeProgram + Send>(
     panicked: &AtomicBool,
     panic_payload: &Mutex<Option<Box<dyn std::any::Any + Send>>>,
 ) -> (RunStats, Option<(usize, usize)>) {
-    let nodes = part.nodes(me);
-    let local_n = nodes.len();
+    let s = part.num_shards();
+    let nodes = part.range(me);
+    let (lo, local_n) = (nodes.start, nodes.len());
     let mut stats = RunStats::default();
     // This shard's double-buffered inbox arenas (`cur` = deliveries into
     // the current round, `next` = the coming round, fed by the local
@@ -303,15 +258,6 @@ fn shard_worker<P: NodeProgram + Send>(
     let mut nbr_scratch: Vec<NodeId> = Vec::new();
     let mut out_bufs: Vec<OutBatch> = (0..s).map(|_| OutBatch::default()).collect();
     let mut scratch = OutBatch::default();
-    // Per-destination payload dedup across the runs of one sink call
-    // (one `(receivers, payload)` group): stamps record which
-    // destinations already hold this group's payload (and at which
-    // offset), so a topo partition's interleaved target shards still
-    // store one copy per destination — distinct payloads from the same
-    // node never share a stamp because every sink call bumps `send_id`.
-    let mut send_id = 0u64;
-    let mut dst_stamp = vec![0u64; s];
-    let mut dst_off = vec![0u32; s];
     // Local running tallies for the locality split (folded into `stats`
     // at exit — the sink closure runs while `stats` is borrowed by
     // `step_node`).
@@ -322,10 +268,9 @@ fn shard_worker<P: NodeProgram + Send>(
     // shards agree on the global dead set without communication.
     let mut faults = net.faults.map(|plan| FaultState::new(plan, net.graph.n()));
     // Dormant (not-yet-arrived) vertices start asleep in this shard's
-    // slab. The partition was built over the final topology, so an
-    // arriving vertex's shard (and local index) is deterministic.
+    // slab (the split covers every vertex id, arrivals included).
     if let Some(fs) = faults.as_ref() {
-        for (i, &v) in nodes.iter().enumerate() {
+        for (i, v) in nodes.clone().enumerate() {
             if fs.is_dormant(v) {
                 slab.mark_asleep(i);
             }
@@ -340,8 +285,8 @@ fn shard_worker<P: NodeProgram + Send>(
         // this round like its own round 0).
         if let Some(fs) = faults.as_mut() {
             if fs.advance_to(round) {
-                cur.purge(|local, from| !fs.deliverable(from, nodes[local]));
-                for (i, &v) in nodes.iter().enumerate() {
+                cur.purge(|local, from| !fs.deliverable(from, lo + local));
+                for (i, v) in nodes.clone().enumerate() {
                     if fs.is_dead(v) {
                         slab.mark_dead(i);
                     } else if !fs.is_dormant(v) {
@@ -355,11 +300,7 @@ fn shard_worker<P: NodeProgram + Send>(
         if round >= max_rounds {
             stats.local_words = local_words_total;
             stats.cross_shard_words = cross_words_total;
-            let ctx = cutoff_context(
-                &cur,
-                nodes.iter().copied().zip(progs.iter().map(|p| &**p)),
-                faults.as_ref(),
-            );
+            let ctx = cutoff_context(&cur, nodes.clone().zip(progs.iter()), faults.as_ref());
             return (stats, Some(ctx));
         }
 
@@ -377,7 +318,7 @@ fn shard_worker<P: NodeProgram + Send>(
                 while pend != 0 {
                     let i = w * 64 + pend.trailing_zeros() as usize;
                     pend &= pend - 1;
-                    let v = nodes[i];
+                    let v = lo + i;
                     cur.sort(i);
                     let inbox = cur.inbox(i);
                     let nbr_scratch = &mut nbr_scratch;
@@ -387,15 +328,12 @@ fn shard_worker<P: NodeProgram + Send>(
                     let qw = &mut queued_words;
                     let lw = &mut local_words_total;
                     let cw = &mut cross_words_total;
-                    let sid = &mut send_id;
-                    let dst_stamp = &mut dst_stamp;
-                    let dst_off = &mut dst_off;
                     let sent = step_node(
                         net,
                         v,
                         round,
-                        &mut *progs[i],
-                        &mut *rngs[i],
+                        &mut progs[i],
+                        &mut rngs[i],
                         faults.as_ref(),
                         inbox,
                         &mut outbox,
@@ -404,52 +342,43 @@ fn shard_worker<P: NodeProgram + Send>(
                         &mut |targets, payload| {
                             *qm += targets.len();
                             *qw += payload.len();
-                            *sid += 1;
-                            let my_send = *sid;
-                            // Group consecutive same-shard targets into
-                            // runs; each destination (this shard
-                            // included) receives at most one payload
-                            // copy per send, guarded by the stamps.
+                            // Targets ascend and shards are contiguous id
+                            // ranges, so each destination shard (this one
+                            // included) is exactly one run of targets and
+                            // receives one payload copy per send.
+                            debug_assert!(targets.windows(2).all(|w| w[0] < w[1]));
+                            let len = payload.len() as u32;
                             let mut a = 0;
                             while a < targets.len() {
                                 let dst = part.shard_of(targets[a]);
+                                let Range { start, end } = part.range(dst);
                                 let mut b = a + 1;
-                                while b < targets.len() && part.shard_of(targets[b]) == dst {
+                                while b < targets.len() && targets[b] < end {
                                     b += 1;
                                 }
-                                let run_words = payload.len() * (b - a);
+                                let run = &targets[a..b];
+                                let run_words = payload.len() * run.len();
                                 if dst == me {
                                     // Local bypass: deliver straight into
                                     // the next-round arena, skipping the
                                     // mailbox plane.
                                     *lw += run_words;
-                                    if dst_stamp[me] != my_send {
-                                        dst_stamp[me] = my_send;
-                                        dst_off[me] = next_arena.push_payload(payload);
-                                    }
-                                    for &u in &targets[a..b] {
-                                        next_arena.push_entry(
-                                            part.local_of(u),
-                                            v,
-                                            dst_off[me],
-                                            payload.len() as u32,
-                                        );
+                                    let off = next_arena.push_payload(payload);
+                                    for &u in run {
+                                        next_arena.push_entry(u - start, v, off, len);
                                     }
                                 } else {
                                     *cw += run_words;
                                     let batch = &mut bufs[dst];
-                                    if dst_stamp[dst] != my_send {
-                                        dst_stamp[dst] = my_send;
-                                        dst_off[dst] = u32::try_from(batch.words.len())
-                                            .expect("shard batch exceeds u32 words");
-                                        batch.words.extend_from_slice(payload);
-                                    }
-                                    for &u in &targets[a..b] {
+                                    let off = u32::try_from(batch.words.len())
+                                        .expect("shard batch exceeds u32 words");
+                                    batch.words.extend_from_slice(payload);
+                                    for &u in run {
                                         batch.entries.push(WireEntry {
-                                            to: u as u32,
+                                            to: (u - start) as u32,
                                             from: v as u32,
-                                            off: dst_off[dst],
-                                            len: payload.len() as u32,
+                                            off,
+                                            len,
                                         });
                                     }
                                 }
@@ -521,12 +450,7 @@ fn shard_worker<P: NodeProgram + Send>(
             std::mem::swap(&mut *src_row[me].lock().unwrap(), &mut scratch);
             let base = next.push_payload(&scratch.words);
             for e in &scratch.entries {
-                next.push_entry(
-                    part.local_of(e.to as NodeId),
-                    e.from as NodeId,
-                    base + e.off,
-                    e.len,
-                );
+                next.push_entry(e.to as usize, e.from as NodeId, base + e.off, e.len);
             }
             scratch.clear();
         }

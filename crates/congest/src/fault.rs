@@ -27,8 +27,9 @@
 //! implicitly inactive — until its arrival round, at which point it runs
 //! its round-0 logic over the final topology (the KT1 assumption is over
 //! the final graph; see `docs/DETERMINISM.md` "Packing: churn
-//! contract"). Because the final topology is fixed up front, sharded runs
-//! partition it once and arriving vertices land in a deterministic shard.
+//! contract"). Sharded runs split every vertex id, arrivals included,
+//! into contiguous shards up front, so an arriving vertex's shard is
+//! fixed.
 
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;

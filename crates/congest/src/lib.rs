@@ -19,15 +19,15 @@
 //!
 //! ## Engines
 //!
-//! [`Simulator`] is a facade over a pluggable round-execution layer
-//! ([`engine`]): the default [`engine::SequentialEngine`] single-threaded
-//! loop, or the [`engine::ShardedEngine`] scoped-thread backend that
-//! partitions nodes into contiguous shards and exchanges cross-shard
-//! traffic through per-shard mailboxes under a round barrier. Engines are
+//! [`Simulator`] runs its rounds on one of two backends ([`engine`]),
+//! picked by [`EngineKind`]: the default single-threaded sequential
+//! loop, or a scoped-thread sharded loop that splits nodes into
+//! contiguous id ranges and exchanges cross-shard traffic through
+//! per-shard mailboxes under a round barrier. The backends are
 //! **bit-for-bit equivalent** — identical outputs, RNG streams, and
-//! [`RunStats`] for any shard count — so every downstream algorithm
-//! scales across cores without changing its [`NodeProgram`]. Select one
-//! with [`Simulator::with_engine`].
+//! [`RunStats`] (locality split aside) for any shard count — so every
+//! downstream algorithm scales across cores without changing its
+//! [`NodeProgram`]. Select one with [`Simulator::with_engine`].
 //!
 //! ## Primitives
 //!
@@ -67,7 +67,7 @@ pub mod mst;
 pub mod multiflood;
 pub mod sim;
 
-pub use engine::{EngineKind, PartitionKind, RoundEngine, SequentialEngine, ShardedEngine};
+pub use engine::EngineKind;
 pub use fault::{Fault, FaultPlan, FaultPlanError, FaultState, ScheduledFault};
 pub use message::{Message, MsgView, INLINE_WORDS};
 pub use sim::{Inbox, InboxIter, Model, NodeCtx, NodeProgram, RunStats, SimError, Simulator};

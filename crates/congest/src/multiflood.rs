@@ -124,7 +124,11 @@ pub fn multikey_flood(
                 dirty: Default::default(),
                 queued: Default::default(),
             };
-            let keys: Vec<u64> = p.table.keys().copied().collect();
+            // Ascending keys, not hash order: once a node holds more
+            // keys than one message carries, this order decides which
+            // keys wait a round.
+            let mut keys: Vec<u64> = p.table.keys().copied().collect();
+            keys.sort_unstable();
             for k in keys {
                 p.mark_dirty(k);
             }

@@ -3,11 +3,10 @@
 //! A [`Simulator`] wraps a [`Graph`] as the communication network and runs
 //! [`NodeProgram`]s in lockstep rounds, enforcing the bandwidth constraints
 //! of the selected [`Model`] and accounting rounds / messages / words.
-//! The round loop itself is pluggable: the facade delegates to a
-//! [`crate::engine::RoundEngine`] chosen via [`Simulator::with_engine`]
-//! (sequential by default, or the deterministic sharded multi-core
-//! backend — see [`crate::engine`] for the bit-for-bit determinism
-//! contract between backends).
+//! The facade hands the round loop to the backend chosen via
+//! [`Simulator::with_engine`] (sequential by default, or the
+//! deterministic sharded multi-core backend — see [`crate::engine`] for
+//! the bit-for-bit determinism contract between backends).
 //!
 //! Messages sent in round `r` are delivered at the start of round `r + 1`.
 //! A run terminates when every program reports [`NodeProgram::is_done`] and
@@ -18,7 +17,7 @@
 //! phases synchronized by round counters) run several programs back to
 //! back on one simulator; the cumulative statistics add up across runs.
 
-use crate::engine::{EngineKind, NetSpec, RoundEngine, SequentialEngine, ShardedEngine};
+use crate::engine::{self, EngineKind, NetSpec};
 use crate::fault::FaultPlan;
 use crate::message::{Message, MsgView};
 use decomp_graph::{Graph, GrowableGraph, NodeId};
@@ -71,11 +70,11 @@ pub struct RunStats {
     /// `local_words + cross_shard_words == words`, always.
     ///
     /// **The one engine-dependent field pair**: the split describes the
-    /// engine's *partition*, not the protocol — normalize with
+    /// engine's *shard split*, not the protocol — normalize with
     /// [`RunStats::locality_blind`] before cross-engine comparisons.
     pub local_words: usize,
     /// Payload words delivered across a shard boundary (through the
-    /// sharded engine's mailbox plane) — the partition's realized cut
+    /// sharded engine's mailbox plane) — the shard split's realized cut
     /// traffic. Zero under the sequential engine.
     pub cross_shard_words: usize,
     /// Deliveries the receiving *protocol* judged redundant — e.g. a
@@ -566,7 +565,6 @@ pub struct Simulator<'g> {
     word_budget: usize,
     engine: EngineKind,
     faults: Option<FaultPlan>,
-    seed: u64,
     rngs: Vec<StdRng>,
     cumulative: RunStats,
 }
@@ -595,7 +593,6 @@ impl<'g> Simulator<'g> {
             word_budget: DEFAULT_WORD_BUDGET,
             engine: EngineKind::Sequential,
             faults: None,
-            seed,
             rngs,
             cumulative: RunStats::default(),
         }
@@ -628,7 +625,7 @@ impl<'g> Simulator<'g> {
     /// `graph`: each round `r`, a node's neighbor list is the edges of
     /// `gg` with activation epoch `<= r` (epochs are rounds). The
     /// simulator's `graph` must be `gg.base()` — the engines keep using
-    /// it for sizing, partitioning, and RNG streams, none of which
+    /// it for sizing, the shard split, and RNG streams, none of which
     /// affect outputs.
     ///
     /// Compose with [`Simulator::with_faults`] for arrivals/deaths:
@@ -655,8 +652,8 @@ impl<'g> Simulator<'g> {
 
     /// Selects the round-execution backend. Engine choice never changes
     /// outputs or statistics (see [`crate::engine`]) beyond the
-    /// [`RunStats`] locality split — which describes the engine's
-    /// partition, not the protocol — only wall-clock behavior.
+    /// [`RunStats`] locality split — which describes the shard split,
+    /// not the protocol — only wall-clock behavior.
     ///
     /// # Example
     ///
@@ -671,15 +668,11 @@ impl<'g> Simulator<'g> {
     ///     let tree = distributed_bfs(&mut sim, 0).unwrap();
     ///     (tree.dist, tree.parent, sim.stats().locality_blind())
     /// };
-    /// // Bit-for-bit equivalent across engines and partitions: same
-    /// // tree, same stats (modulo the local/cross-shard word split).
+    /// // Bit-for-bit equivalent across engines: same tree, same stats
+    /// // (modulo the local/cross-shard word split).
     /// assert_eq!(
     ///     run(EngineKind::Sequential),
     ///     run(EngineKind::sharded(4)),
-    /// );
-    /// assert_eq!(
-    ///     run(EngineKind::Sequential),
-    ///     run(EngineKind::sharded_topo(4)),
     /// );
     /// ```
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
@@ -742,16 +735,15 @@ impl<'g> Simulator<'g> {
             model: self.model,
             word_budget: self.word_budget,
             faults: self.faults.as_ref(),
-            seed: self.seed,
         };
-        let outcome =
-            match self.engine {
-                EngineKind::Sequential => {
-                    SequentialEngine.run(&net, &mut programs, &mut self.rngs, max_rounds)
-                }
-                EngineKind::Sharded { shards, partition } => ShardedEngine::new(shards, partition)
-                    .run(&net, &mut programs, &mut self.rngs, max_rounds),
-            };
+        let outcome = match self.engine {
+            EngineKind::Sequential => {
+                engine::sequential::run(&net, &mut programs, &mut self.rngs, max_rounds)
+            }
+            EngineKind::Sharded { shards } => {
+                engine::sharded::run(shards, &net, &mut programs, &mut self.rngs, max_rounds)
+            }
+        };
         self.cumulative.absorb(outcome.stats);
         match outcome.error {
             Some(err) => Err(err),
@@ -807,12 +799,11 @@ mod tests {
         }
     }
 
-    fn engines() -> [EngineKind; 4] {
+    fn engines() -> [EngineKind; 3] {
         [
             EngineKind::Sequential,
             EngineKind::sharded(2),
             EngineKind::sharded(4),
-            EngineKind::sharded_topo(4),
         ]
     }
 
@@ -1446,25 +1437,16 @@ mod tests {
         let seq = run(EngineKind::Sequential);
         assert_eq!(seq.local_words, seq.words, "one thread owns every node");
         assert_eq!(seq.cross_shard_words, 0);
-        for engine in [EngineKind::sharded(4), EngineKind::sharded_topo(4)] {
-            let stats = run(engine);
-            assert_eq!(
-                stats.local_words + stats.cross_shard_words,
-                stats.words,
-                "{engine}"
-            );
-            assert!(
-                stats.cross_shard_words > 0,
-                "{engine}: 4 shards on harary(4,20) must cut something"
-            );
-            assert_eq!(stats.locality_blind(), seq.locality_blind(), "{engine}");
-        }
-        // Topo shards on a circulant follow the ring, contiguous shards
-        // are already arcs: both cut, topo never cuts more than the
-        // random-looking assignment a mismatched id order would give.
-        let contig = run(EngineKind::sharded(4));
-        let topo = run(EngineKind::sharded_topo(4));
-        assert_eq!(contig.words, topo.words);
+        let sharded = run(EngineKind::sharded(4));
+        assert_eq!(
+            sharded.local_words + sharded.cross_shard_words,
+            sharded.words
+        );
+        assert!(
+            sharded.cross_shard_words > 0,
+            "4 shards on harary(4,20) must cut something"
+        );
+        assert_eq!(sharded.locality_blind(), seq.locality_blind());
     }
 
     #[test]

@@ -367,6 +367,5 @@ mod tests {
         assert_eq!(seq, run(EngineKind::Sequential));
         assert_eq!(seq, run(EngineKind::sharded(2)));
         assert_eq!(seq, run(EngineKind::sharded(4)));
-        assert_eq!(seq, run(EngineKind::sharded_topo(4)));
     }
 }

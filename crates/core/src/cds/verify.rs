@@ -167,7 +167,9 @@ pub fn verify_distributed(
             if known[v].is_empty() {
                 continue;
             }
-            let keys: Vec<u64> = known[v].keys().copied().collect();
+            // Draw by index into the sorted keys, not hash order.
+            let mut keys: Vec<u64> = known[v].keys().copied().collect();
+            keys.sort_unstable();
             let c = keys[rng.gen_range(0..keys.len())];
             let id = known[v][&c];
             for &u in g.neighbors(v) {

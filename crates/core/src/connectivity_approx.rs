@@ -141,4 +141,22 @@ mod tests {
         assert!(approx.packing_size > 0.0);
         assert!(sim.stats().rounds > 0);
     }
+
+    #[test]
+    fn distributed_rounds_are_run_to_run_deterministic() {
+        // The flood's dirty-key order and the tester's class draw follow
+        // sorted keys, never hash order, so repeated runs in one process
+        // charge the same rounds (with hash order, about one run in four
+        // differed).
+        let g = generators::harary(8, 40);
+        let rounds = || {
+            let mut sim = Simulator::new(&g, Model::VCongest);
+            approx_vertex_connectivity_distributed(&mut sim, 7).unwrap();
+            sim.stats().rounds
+        };
+        let first = rounds();
+        for _ in 0..19 {
+            assert_eq!(rounds(), first);
+        }
+    }
 }

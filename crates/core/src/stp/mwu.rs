@@ -28,7 +28,7 @@
 use crate::packing::{SpanTreePacking, WeightedSpanTree};
 use decomp_graph::mst::minimum_spanning_forest;
 use decomp_graph::Graph;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration for [`fractional_stp_mwu`].
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ impl MwuDriver {
         initial_tree: Vec<usize>,
         mut mst_oracle: impl FnMut(&[f64], &[f64], &[f64]) -> Result<(Vec<usize>, f64, f64), E>,
     ) -> Result<MwuOutcome, E> {
-        let mut collection: HashMap<Vec<usize>, f64> = HashMap::new();
+        let mut collection: BTreeMap<Vec<usize>, f64> = BTreeMap::new();
         let mut x = vec![0.0f64; self.m];
         for &e in &initial_tree {
             x[e] = 1.0;
@@ -126,7 +126,7 @@ impl MwuDriver {
         let mut iterations = Vec::new();
         let mut terminated = false;
 
-        let blend = |collection: &mut HashMap<Vec<usize>, f64>,
+        let blend = |collection: &mut BTreeMap<Vec<usize>, f64>,
                      x: &mut Vec<f64>,
                      tree: Vec<usize>,
                      gamma: f64| {
@@ -205,7 +205,7 @@ fn safe_ratio(a: f64, b: f64) -> f64 {
 
 /// Raw driver outcome, converted by the public entry points.
 pub(crate) struct MwuOutcome {
-    pub collection: HashMap<Vec<usize>, f64>,
+    pub collection: BTreeMap<Vec<usize>, f64>,
     pub final_max_x: f64,
     pub final_max_z: f64,
     pub iterations: Vec<MwuIteration>,
@@ -379,6 +379,24 @@ mod tests {
             "multiplicity {} too large",
             r.packing.max_edge_multiplicity(&g)
         );
+    }
+
+    #[test]
+    fn tree_order_is_run_to_run_deterministic() {
+        // Trees leave the collection in key order, not hash order, so
+        // samplers that index into the packing (E7b) are reproducible.
+        let g = generators::harary(8, 32);
+        let trees = || -> Vec<(Vec<usize>, f64)> {
+            let (_, r) = run(&g, 0.1);
+            r.packing
+                .trees
+                .into_iter()
+                .map(|t| (t.edge_indices, t.weight))
+                .collect()
+        };
+        let first = trees();
+        assert!(first.len() > 1, "need several trees to observe an order");
+        assert!(trees() == first, "tree order differs between two runs");
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub fn rng(seed: u64) -> StdRng {
 }
 
 /// The engine sweep the equivalence suites run: sequential plus the
-/// sharded backend at 2 and 4 contiguous shards and 4 topology-aware
-/// shards. Every entry must produce bit-identical outputs and
+/// sharded backend at 2 and 4 shards. Every entry must produce
+/// bit-identical outputs and
 /// statistics — modulo the `RunStats` locality split, which suites
 /// normalize with `RunStats::locality_blind` (the `congest::engine`
 /// determinism contract).
@@ -53,15 +53,14 @@ pub fn engines() -> Vec<EngineKind> {
         EngineKind::Sequential,
         EngineKind::sharded(2),
         EngineKind::sharded(4),
-        EngineKind::sharded_topo(4),
     ]
 }
 
 /// The engine selected by the `DECOMP_ENGINE` environment variable
-/// (`sequential`, `sharded`, `sharded:<N>`, or `sharded:<N>:topo`),
-/// defaulting to sequential. CI's engine-equivalence jobs rerun the
-/// simulator-driven suites — golden registry included — under
-/// `DECOMP_ENGINE=sharded:4` and `DECOMP_ENGINE=sharded:4:topo`.
+/// (`sequential`, `sharded`, or `sharded:<N>`), defaulting to
+/// sequential. CI's engine-equivalence jobs rerun the simulator-driven
+/// suites — golden registry included — under `DECOMP_ENGINE=sequential`
+/// and `DECOMP_ENGINE=sharded:4`.
 ///
 /// # Panics
 /// Panics on an unparsable `DECOMP_ENGINE` value, so CI misconfiguration

@@ -148,10 +148,8 @@ fn main() {
 
     let (expect, seq_wall) = run_simulator(&g, EngineKind::Sequential);
     let mut rows: Vec<(String, u64, f64)> = vec![("simulator/sequential".into(), expect, seq_wall)];
-    for engine in [EngineKind::sharded(4), EngineKind::sharded_topo(4)] {
-        let (digest, wall) = run_simulator(&g, engine);
-        rows.push((format!("simulator/{engine}"), digest, wall));
-    }
+    let (digest, wall) = run_simulator(&g, EngineKind::sharded(4));
+    rows.push(("simulator/sharded:4".into(), digest, wall));
     let (digest, wall) = run_thread_per_node(&g);
     rows.push(("thread-per-node baseline".into(), digest, wall));
 

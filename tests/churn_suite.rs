@@ -8,8 +8,8 @@
 //! death degradation guarantee of vertex-disjoint (integral) packings,
 //! plus a differential pin of the wave loop against the greedy schedule.
 //!
-//! CI sweeps this suite under `DECOMP_ENGINE=sequential`, `sharded:4`,
-//! and `sharded:4:topo`.
+//! CI sweeps this suite under `DECOMP_ENGINE=sequential` and
+//! `sharded:4`.
 
 use connectivity_decomposition::broadcast::churn::gossip_under_churn;
 use connectivity_decomposition::broadcast::gossip::{
