@@ -3,7 +3,8 @@
 //! lower bound (Theorem G.2).
 //!
 //! Measured rounds come from the label-propagation substitute for
-//! Thurimella's component identification (DESIGN.md §3), so the columns
+//! Thurimella's component identification ("Known substitutions" in
+//! `docs/PAPER_MAP.md`), so the columns
 //! show both the measured simulator rounds and the charged theoretical
 //! formulas evaluated on the same instance.
 

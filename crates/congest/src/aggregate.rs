@@ -152,17 +152,6 @@ pub fn tree_aggregate(
     Ok(root_result)
 }
 
-/// The paper's `O(D)` preamble: builds a BFS tree from `root`, counts the
-/// nodes, and returns `(n, diameter_2approx, tree)`.
-pub fn preamble(
-    sim: &mut Simulator<'_>,
-    root: usize,
-) -> Result<(usize, usize, DistBfsTree), SimError> {
-    let tree = crate::bfs::distributed_bfs(sim, root)?;
-    let count = tree_aggregate(sim, &tree, AggOp::Sum, &vec![1u64; sim.graph().n()])?;
-    Ok((count as usize, 2 * tree.depth(), tree))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,16 +208,6 @@ mod tests {
             tree_aggregate(&mut sim, &tree, AggOp::Sum, &[41]).unwrap(),
             41
         );
-    }
-
-    #[test]
-    fn preamble_learns_n_and_diameter() {
-        let g = generators::grid(3, 6);
-        let mut sim = Simulator::new(&g, Model::VCongest);
-        let (n, d2, _) = preamble(&mut sim, 0).unwrap();
-        assert_eq!(n, 18);
-        let true_d = decomp_graph::traversal::diameter(&g).unwrap();
-        assert!(d2 >= true_d && d2 <= 2 * true_d, "{d2} vs {true_d}");
     }
 
     #[test]

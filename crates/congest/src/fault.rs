@@ -149,18 +149,6 @@ impl FaultPlan {
         }))
     }
 
-    /// The worst-case edge policy: the `f` edges with the largest
-    /// endpoint-degree sum (ties broken lexicographically), all cut at
-    /// `round`.
-    pub fn worst_case_edges(g: &Graph, f: usize, round: usize) -> Self {
-        let mut edges: Vec<(NodeId, NodeId)> = g.edges().to_vec();
-        edges.sort_by_key(|&(u, v)| (std::cmp::Reverse(g.degree(u) + g.degree(v)), u, v));
-        Self::new(edges.into_iter().take(f).map(|(u, v)| ScheduledFault {
-            round,
-            fault: Fault::Edge(u, v),
-        }))
-    }
-
     /// `a` distinct vertices of the final topology `g` chosen uniformly
     /// at random (seeded) to be dormant from round 0, each arriving at a
     /// round drawn uniformly from `rounds` (inclusive bounds). `a` is
@@ -176,23 +164,6 @@ impl FaultPlan {
         Self::new(ids[..a].iter().map(|&v| ScheduledFault {
             round: draw_round(&mut rng, rounds),
             fault: Fault::AddVertex(v),
-        }))
-    }
-
-    /// `a` distinct edges of the final topology `g` chosen uniformly at
-    /// random (seeded) to be inactive from round 0, each activating at a
-    /// round drawn uniformly from `rounds`. `a` is clamped to `g.m()`.
-    pub fn random_edge_arrivals(g: &Graph, a: usize, rounds: (usize, usize), seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xfa17_0004);
-        let mut edges: Vec<(NodeId, NodeId)> = g.edges().to_vec();
-        let a = a.min(edges.len());
-        for i in 0..a {
-            let j = rng.gen_range(i..edges.len());
-            edges.swap(i, j);
-        }
-        Self::new(edges[..a].iter().map(|&(u, v)| ScheduledFault {
-            round: draw_round(&mut rng, rounds),
-            fault: Fault::AddEdge(u, v),
         }))
     }
 
@@ -894,9 +865,6 @@ mod tests {
         assert_ne!(a, FaultPlan::random_arrivals(&g, 5, (1, 9), 8));
         assert_eq!(a.len(), 5);
         assert_eq!(a.validate(&g), Ok(()));
-        let e = FaultPlan::random_edge_arrivals(&g, 3, (0, 4), 11);
-        assert_eq!(e, FaultPlan::random_edge_arrivals(&g, 3, (0, 4), 11));
-        assert_eq!(e.len(), 3);
         // Kill + arrival plans merge into one sorted schedule.
         let merged = a.merged(&FaultPlan::random_vertices(&g, 2, (2, 6), 3));
         assert_eq!(merged.len(), 7);

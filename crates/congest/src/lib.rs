@@ -32,14 +32,18 @@
 //! ## Primitives
 //!
 //! * [`bfs`] — distributed BFS-tree construction (`O(D)` rounds),
-//! * [`leader`] — leader election / global max-id flooding,
 //! * [`aggregate`] — convergecast + broadcast over a BFS tree,
+//! * [`broadcast`] — pipelined broadcast of `b` messages down a tree,
 //! * [`components`] — connected-component identification of a marked
 //!   subgraph by iterated min-label flooding,
+//! * [`multiflood`] — per-key component-wide min/max floods (the
+//!   Appendix B pipeline's workhorse),
 //! * [`mst`] — distributed Borůvka-style minimum spanning tree.
 //!
-//! See `DESIGN.md` §3 for how these substitute for the Kutten–Peleg /
-//! Thurimella black boxes the paper cites.
+//! [`fault`] schedules vertex and edge deletions and arrivals that both
+//! engines apply mid-run. The "Known substitutions" section of
+//! `docs/PAPER_MAP.md` lists how these primitives stand in for the
+//! Kutten–Peleg / Thurimella black boxes the paper cites.
 //!
 //! # Example
 //!
@@ -61,7 +65,6 @@ pub mod broadcast;
 pub mod components;
 pub mod engine;
 pub mod fault;
-pub mod leader;
 pub mod message;
 pub mod mst;
 pub mod multiflood;

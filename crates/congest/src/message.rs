@@ -146,17 +146,6 @@ impl Message {
     pub fn word(&self, i: usize) -> u64 {
         self.words()[i]
     }
-
-    /// Word at position `i` reinterpreted as `f64`
-    /// (for MWU cost exchange; see module docs).
-    pub fn word_as_f64(&self, i: usize) -> f64 {
-        f64::from_bits(self.word(i))
-    }
-
-    /// Appends an `f64` as its bit pattern.
-    pub fn push_f64(self, x: f64) -> Self {
-        self.push(x.to_bits())
-    }
 }
 
 impl Default for Message {
@@ -231,34 +220,6 @@ impl<'a> MsgView<'a> {
     pub fn word(&self, i: usize) -> u64 {
         self.0[i]
     }
-
-    /// Word at position `i` reinterpreted as `f64`.
-    pub fn word_as_f64(&self, i: usize) -> f64 {
-        f64::from_bits(self.0[i])
-    }
-
-    /// An owning copy of this payload.
-    pub fn to_message(&self) -> Message {
-        Message::from_words(self.0.iter().copied())
-    }
-}
-
-/// Encodes an `Option<u64>` where `u64::MAX` means `None` (node ids and
-/// component ids never reach `u64::MAX`).
-pub const NONE_WORD: u64 = u64::MAX;
-
-/// Helper: encode `Option<u64>` into a word.
-pub fn encode_opt(x: Option<u64>) -> u64 {
-    x.unwrap_or(NONE_WORD)
-}
-
-/// Helper: decode a word into `Option<u64>`.
-pub fn decode_opt(w: u64) -> Option<u64> {
-    if w == NONE_WORD {
-        None
-    } else {
-        Some(w)
-    }
 }
 
 #[cfg(test)]
@@ -278,18 +239,6 @@ mod tests {
         assert_eq!(m.words(), &[7, 9]);
         assert_eq!(m.get(1), Some(9));
         assert_eq!(m.get(2), None);
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        let m = Message::new().push_f64(3.5);
-        assert_eq!(m.word_as_f64(0), 3.5);
-    }
-
-    #[test]
-    fn opt_encoding() {
-        assert_eq!(decode_opt(encode_opt(Some(5))), Some(5));
-        assert_eq!(decode_opt(encode_opt(None)), None);
     }
 
     #[test]
@@ -338,6 +287,5 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert_eq!(v.word(1), 42);
         assert_eq!(v.get(3), None);
-        assert_eq!(v.to_message(), m);
     }
 }

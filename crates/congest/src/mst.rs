@@ -1,7 +1,8 @@
 //! Distributed minimum spanning tree (Borůvka-style fragment merging).
 //!
 //! Stand-in for the Kutten–Peleg `O(D + √n log* n)` MST the paper invokes
-//! (Section 5.1 and Appendix B); see DESIGN.md §3. The algorithm is the
+//! (Section 5.1 and Appendix B); see "Known substitutions" in
+//! `docs/PAPER_MAP.md`. The algorithm is the
 //! classical synchronous Borůvka/GHS scheme:
 //!
 //! 1. identify the fragments of the forest chosen so far

@@ -702,9 +702,11 @@ impl<'g> Simulator<'g> {
 
     /// Adds externally-charged rounds to the cumulative statistics.
     ///
-    /// Used for the documented substitutions (DESIGN.md §3): when a paper
-    /// subroutine is replaced by a centralized oracle, its theoretical
-    /// distributed cost is charged here so round totals remain meaningful.
+    /// Used for the documented substitutions ("Known substitutions" in
+    /// `docs/PAPER_MAP.md`): when a protocol step is computed centrally
+    /// instead of simulated (an announcement meta-round, a verifier's
+    /// failure flood), its distributed round cost is charged here so round
+    /// totals remain meaningful.
     pub fn charge_rounds(&mut self, rounds: usize) {
         self.cumulative.rounds += rounds;
     }

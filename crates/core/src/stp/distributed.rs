@@ -119,7 +119,8 @@ pub struct DistSampledReport {
 /// Our simulator runs the subgraphs **sequentially** (summing their
 /// measured rounds); Lemma 5.1 shows the real algorithm pipelines all the
 /// per-iteration MST upcasts over one BFS tree, and the corresponding
-/// charge is reported alongside (DESIGN.md §3).
+/// charge is reported alongside ("Known substitutions" in
+/// `docs/PAPER_MAP.md`).
 ///
 /// # Errors
 /// Propagates simulator round-limit errors.

@@ -8,8 +8,8 @@
 //! (the subgraphs are edge-disjoint).
 //!
 //! The paper picks `η` from a distributed 3-approximation of `λ`
-//! (Ghaffari–Kuhn); we substitute the exact `λ` oracle and charge the
-//! documented distributed cost (DESIGN.md §3, substitution 2).
+//! (Ghaffari–Kuhn); we substitute the exact `λ` oracle ("Known
+//! substitutions" in `docs/PAPER_MAP.md`).
 
 use crate::packing::{SpanTreePacking, WeightedSpanTree};
 use crate::stp::mwu::{fractional_stp_mwu, MwuConfig};

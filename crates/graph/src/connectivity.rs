@@ -1,11 +1,11 @@
-//! Exact edge and vertex connectivity, and Menger disjoint-path extraction.
+//! Exact edge and vertex connectivity.
 //!
 //! These provide the ground truth (`λ`, `k`) against which the paper's
 //! decomposition sizes and the approximation ratios of Corollary 1.7 are
-//! measured.
+//! measured. Both reduce to unit-capacity max-flows ([`crate::flow`]).
 
-use crate::flow::{unit_digraph, vertex_split_digraph, FlowNetwork};
-use crate::graph::{Graph, NodeId};
+use crate::flow::{unit_digraph, vertex_split_digraph};
+use crate::graph::Graph;
 use crate::traversal::is_connected;
 
 /// Exact edge connectivity `λ(G)`.
@@ -32,28 +32,6 @@ pub fn edge_connectivity(g: &Graph) -> usize {
         }
     }
     best
-}
-
-/// Maximum number of edge-disjoint `s`–`t` paths (local edge connectivity).
-pub fn local_edge_connectivity(g: &Graph, s: NodeId, t: NodeId) -> usize {
-    assert_ne!(s, t, "terminals must differ");
-    let (mut net, _) = unit_digraph(g);
-    net.max_flow(s, t) as usize
-}
-
-/// Maximum number of internally vertex-disjoint `s`–`t` paths for
-/// non-adjacent `s`, `t` (local vertex connectivity).
-///
-/// # Panics
-/// Panics if `s == t`.
-pub fn local_vertex_connectivity(g: &Graph, s: NodeId, t: NodeId) -> usize {
-    assert_ne!(s, t, "terminals must differ");
-    assert!(
-        !g.has_edge(s, t),
-        "local vertex connectivity is undefined for adjacent terminals"
-    );
-    let mut net = vertex_split_digraph(g, s, t);
-    net.max_flow(2 * s + 1, 2 * t) as usize
 }
 
 /// Exact vertex connectivity `k(G)`.
@@ -97,244 +75,6 @@ pub fn vertex_connectivity(g: &Graph) -> usize {
         s_idx += 1;
     }
     ub
-}
-
-/// Returns a minimum vertex cut of `g` — a set of `k(G)` vertices whose
-/// removal disconnects the graph — or `None` when no vertex cut exists
-/// (complete graphs and graphs with `n <= 1`), or `Some(vec![])` when the
-/// graph is already disconnected.
-pub fn minimum_vertex_cut(g: &Graph) -> Option<Vec<NodeId>> {
-    let n = g.n();
-    if n <= 1 || g.m() == n * (n - 1) / 2 {
-        return None;
-    }
-    if !is_connected(g) {
-        return Some(Vec::new());
-    }
-    let k = vertex_connectivity(g);
-    // Find a witnessing non-adjacent pair and extract the cut from the
-    // residual reachability of the saturated split network.
-    let sources = (k + 1).min(n);
-    for s in 0..sources {
-        for t in g.vertices() {
-            if t == s || g.has_edge(s, t) {
-                continue;
-            }
-            let mut net = vertex_split_digraph(g, s, t);
-            let f = net.max_flow(2 * s + 1, 2 * t) as usize;
-            if f != k {
-                continue;
-            }
-            let side = net.min_cut_side(2 * s + 1);
-            let cut: Vec<NodeId> = g
-                .vertices()
-                .filter(|&v| side[2 * v] && !side[2 * v + 1])
-                .collect();
-            debug_assert_eq!(cut.len(), k, "cut size must equal connectivity");
-            return Some(cut);
-        }
-    }
-    unreachable!("some witnessing pair must achieve the connectivity");
-}
-
-/// Returns a minimum edge cut of `g` as edge indices into
-/// [`Graph::edges`]; empty for disconnected graphs, `None` for `n <= 1`.
-pub fn minimum_edge_cut(g: &Graph) -> Option<Vec<usize>> {
-    let n = g.n();
-    if n <= 1 {
-        return None;
-    }
-    if !is_connected(g) {
-        return Some(Vec::new());
-    }
-    let lambda = edge_connectivity(g);
-    for t in 1..n {
-        let (mut net, _) = unit_digraph(g);
-        let f = net.max_flow(0, t) as usize;
-        if f != lambda {
-            continue;
-        }
-        let side = net.min_cut_side(0);
-        let cut: Vec<usize> = g
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|(_, &(u, v))| side[u] != side[v])
-            .map(|(e, _)| e)
-            .collect();
-        debug_assert_eq!(cut.len(), lambda, "cut size must equal connectivity");
-        return Some(cut);
-    }
-    unreachable!("some sink must achieve the edge connectivity");
-}
-
-/// Extracts `f` edge-disjoint `s`–`t` paths from a saturated unit-capacity
-/// flow, where `f` is the flow value. Each path is a vertex sequence
-/// starting at `s` and ending at `t`.
-pub fn edge_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
-    assert_ne!(s, t, "terminals must differ");
-    let (mut net, arc_of_edge) = unit_digraph(g);
-    let f = net.max_flow(s, t);
-    decompose_unit_paths(g, &net, &arc_of_edge, s, t, f as usize)
-}
-
-fn decompose_unit_paths(
-    g: &Graph,
-    net: &FlowNetwork,
-    arc_of_edge: &[(usize, usize)],
-    s: NodeId,
-    t: NodeId,
-    f: usize,
-) -> Vec<Vec<NodeId>> {
-    // Net flow per undirected edge: +1 means u->v carries flow (u<v), -1
-    // the reverse, 0 none (includes cancelling 2-cycles).
-    let mut out_arcs: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); g.n()];
-    for (idx, &(u, v)) in g.edges().iter().enumerate() {
-        let (a_uv, a_vu) = arc_of_edge[idx];
-        let net_flow = net.flow_on(a_uv) - net.flow_on(a_vu);
-        match net_flow.signum() {
-            1 => out_arcs[u].push((v, idx)),
-            -1 => out_arcs[v].push((u, idx)),
-            _ => {}
-        }
-    }
-    let mut paths = Vec::with_capacity(f);
-    for _ in 0..f {
-        let mut path = vec![s];
-        let mut cur = s;
-        while cur != t {
-            let (next, _idx) = out_arcs[cur].pop().expect("flow conservation violated");
-            path.push(next);
-            cur = next;
-        }
-        paths.push(path);
-    }
-    paths
-}
-
-/// Extracts the maximum set of internally vertex-disjoint `s`–`t` paths.
-pub fn vertex_disjoint_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
-    assert_ne!(s, t, "terminals must differ");
-    assert!(
-        !g.has_edge(s, t),
-        "vertex-disjoint path extraction requires non-adjacent terminals"
-    );
-    let mut net = vertex_split_digraph(g, s, t);
-    let f = net.max_flow(2 * s + 1, 2 * t) as usize;
-    // Reconstruct by walking positive-flow arcs in the split digraph.
-    // Arc layout: first n arcs are the split arcs (id 2v for vertex v),
-    // then per edge two arcs. We rebuild an out-adjacency of flow.
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); 2 * g.n()];
-    // split arcs: arc ids 0..2n step 2 (v_in -> v_out)
-    for v in g.vertices() {
-        let id = 2 * v; // v-th add_arc call produced arc ids 2v (fwd), 2v+1 (rev)
-        let flow = net.flow_on(id);
-        for _ in 0..flow.min(g.n() as i64) {
-            out[2 * v].push(2 * v + 1);
-        }
-    }
-    // edge arcs follow: for edge index e, arcs 2n + 4e (u_out->v_in fwd) and
-    // 2n + 4e + 2 (v_out->u_in fwd).
-    let base = 2 * g.n();
-    for (e, &(u, v)) in g.edges().iter().enumerate() {
-        let a = base + 4 * e;
-        let b = base + 4 * e + 2;
-        let fa = net.flow_on(a);
-        let fb = net.flow_on(b);
-        // Cancel opposite flows on the same undirected edge.
-        let net_uv = fa - fb;
-        if net_uv > 0 {
-            for _ in 0..net_uv {
-                out[2 * u + 1].push(2 * v);
-            }
-        } else {
-            for _ in 0..-net_uv {
-                out[2 * v + 1].push(2 * u);
-            }
-        }
-    }
-    let mut paths = Vec::with_capacity(f);
-    for _ in 0..f {
-        let mut path = vec![s];
-        let mut cur = 2 * s + 1; // s_out
-        loop {
-            let next = out[cur].pop().expect("flow conservation violated");
-            if next.is_multiple_of(2) {
-                let v = next / 2;
-                if v == t {
-                    path.push(t);
-                    break;
-                }
-                path.push(v);
-            }
-            // advance: from v_in go through split arc to v_out
-            cur = if next.is_multiple_of(2) {
-                out[next].pop().expect("split arc missing")
-            } else {
-                next
-            };
-        }
-        paths.push(path);
-    }
-    paths
-}
-
-/// Verifies that `paths` are pairwise internally vertex-disjoint `s`–`t`
-/// paths in `g`. Returns `Err` with a description on the first violation.
-pub fn check_vertex_disjoint_paths(
-    g: &Graph,
-    s: NodeId,
-    t: NodeId,
-    paths: &[Vec<NodeId>],
-) -> Result<(), String> {
-    let mut used = vec![false; g.n()];
-    for (i, p) in paths.iter().enumerate() {
-        if p.first() != Some(&s) || p.last() != Some(&t) {
-            return Err(format!("path {i} does not run s->t"));
-        }
-        for w in p.windows(2) {
-            if !g.has_edge(w[0], w[1]) {
-                return Err(format!("path {i} uses non-edge ({}, {})", w[0], w[1]));
-            }
-        }
-        for &v in &p[1..p.len() - 1] {
-            if v == s || v == t {
-                return Err(format!("path {i} revisits a terminal"));
-            }
-            if used[v] {
-                return Err(format!("internal vertex {v} reused (path {i})"));
-            }
-            used[v] = true;
-        }
-    }
-    Ok(())
-}
-
-/// Verifies that `paths` are pairwise edge-disjoint `s`–`t` paths in `g`.
-pub fn check_edge_disjoint_paths(
-    g: &Graph,
-    s: NodeId,
-    t: NodeId,
-    paths: &[Vec<NodeId>],
-) -> Result<(), String> {
-    let mut used = vec![false; g.m()];
-    for (i, p) in paths.iter().enumerate() {
-        if p.first() != Some(&s) || p.last() != Some(&t) {
-            return Err(format!("path {i} does not run s->t"));
-        }
-        for w in p.windows(2) {
-            match g.edge_index(w[0], w[1]) {
-                None => return Err(format!("path {i} uses non-edge ({}, {})", w[0], w[1])),
-                Some(e) => {
-                    if used[e] {
-                        return Err(format!("edge ({}, {}) reused (path {i})", w[0], w[1]));
-                    }
-                    used[e] = true;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -427,109 +167,74 @@ mod tests {
         assert_eq!(vertex_connectivity(&g), 1);
     }
 
-    #[test]
-    fn edge_disjoint_paths_valid() {
-        let g = generators::harary(4, 10);
-        let paths = edge_disjoint_paths(&g, 0, 5);
-        assert_eq!(paths.len(), 4);
-        check_edge_disjoint_paths(&g, 0, 5, &paths).unwrap();
-    }
-
-    #[test]
-    fn vertex_disjoint_paths_valid() {
-        let g = generators::harary(4, 12);
-        // pick non-adjacent pair: 0 and 6
-        assert!(!g.has_edge(0, 6));
-        let paths = vertex_disjoint_paths(&g, 0, 6);
-        assert_eq!(paths.len(), 4);
-        check_vertex_disjoint_paths(&g, 0, 6, &paths).unwrap();
-    }
-
-    #[test]
-    fn local_connectivity_matches_menger() {
-        let g = generators::hypercube(3);
-        // antipodal vertices of Q3
-        assert_eq!(local_vertex_connectivity(&g, 0, 7), 3);
-        assert_eq!(local_edge_connectivity(&g, 0, 7), 3);
-    }
-
-    #[test]
-    fn minimum_vertex_cut_disconnects() {
-        for (g, expect_k) in [
-            (generators::harary(4, 14), 4usize),
-            (generators::barbell(5, 2), 1),
-            (generators::hypercube(3), 3),
-            (generators::clique_plus_triples(5), 3),
-        ] {
-            let cut = minimum_vertex_cut(&g).expect("non-complete graph");
-            assert_eq!(cut.len(), expect_k);
-            let keep: Vec<usize> = g.vertices().filter(|v| !cut.contains(v)).collect();
-            let (sub, _) = g.induced_subgraph(&keep);
-            assert!(
-                !crate::traversal::is_connected(&sub),
-                "removing the cut must disconnect"
-            );
+    /// Whether the vertices outside the bitmask `removed` induce a
+    /// connected subgraph (vacuously true for fewer than two survivors).
+    fn survivors_connected(g: &Graph, removed: u32) -> bool {
+        let alive = !removed & ((1u32 << g.n()) - 1);
+        if alive.count_ones() < 2 {
+            return true;
         }
-    }
-
-    #[test]
-    fn minimum_vertex_cut_none_for_complete() {
-        assert_eq!(minimum_vertex_cut(&generators::complete(5)), None);
-        assert_eq!(minimum_vertex_cut(&Graph::empty(1)), None);
-    }
-
-    #[test]
-    fn minimum_edge_cut_disconnects() {
-        for (g, expect) in [
-            (generators::cycle(8), 2usize),
-            (generators::barbell(4, 1), 1),
-            (generators::harary(4, 12), 4),
-        ] {
-            let cut = minimum_edge_cut(&g).expect("n > 1");
-            assert_eq!(cut.len(), expect);
-            let cut_set: std::collections::HashSet<usize> = cut.into_iter().collect();
-            let h = g.edge_subgraph(|u, v| !cut_set.contains(&g.edge_index(u, v).unwrap()));
-            assert!(!crate::traversal::is_connected(&h));
+        let start = alive.trailing_zeros() as usize;
+        let mut seen = 1u32 << start;
+        let mut stack = vec![start];
+        while let Some(u) = stack.pop() {
+            for &v in g.neighbors(u) {
+                if alive & !seen & (1 << v) != 0 {
+                    seen |= 1 << v;
+                    stack.push(v);
+                }
+            }
         }
+        seen == alive
     }
 
-    #[test]
-    fn minimum_cuts_on_disconnected_graphs_are_empty() {
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
-        assert_eq!(minimum_vertex_cut(&g), Some(vec![]));
-        assert_eq!(minimum_edge_cut(&g), Some(vec![]));
+    /// `k(G)` by enumerating every vertex subset: the smallest set whose
+    /// removal disconnects the graph (the empty set when it is already
+    /// disconnected), or `n - 1` when no set does.
+    fn brute_force_vertex_connectivity(g: &Graph) -> usize {
+        (0u32..1 << g.n())
+            .filter(|&s| !survivors_connected(g, s))
+            .map(|s| s.count_ones() as usize)
+            .min()
+            .unwrap_or(g.n() - 1)
     }
 
-    #[test]
-    fn check_rejects_bad_paths() {
-        let g = generators::path(4);
-        let bogus = vec![vec![0, 2, 3]];
-        assert!(check_edge_disjoint_paths(&g, 0, 3, &bogus).is_err());
-        let reused = vec![vec![0, 1, 2, 3], vec![0, 1, 2, 3]];
-        assert!(check_edge_disjoint_paths(&g, 0, 3, &reused).is_err());
-        assert!(check_vertex_disjoint_paths(&g, 0, 3, &reused).is_err());
+    /// `λ(G)` by enumerating every proper non-empty side `S`: the smallest
+    /// number of edges crossing `δ(S)`.
+    fn brute_force_edge_connectivity(g: &Graph) -> usize {
+        (1u32..(1 << g.n()) - 1)
+            .map(|s| {
+                g.edges()
+                    .iter()
+                    .filter(|&&(u, v)| (s >> u & 1) != (s >> v & 1))
+                    .count()
+            })
+            .min()
+            .unwrap_or(0)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Menger: the number of extracted disjoint paths equals local
-        /// connectivity, and the certificates verify.
+        /// Exactness: two dense 5-vertex blocks joined by 1–6 cross edges
+        /// put `k` and `λ` below the minimum degree, where only a correct
+        /// flow reduction (every one of Even's sources, every sink) finds
+        /// them; both must equal brute force over all 2^10 vertex subsets.
         #[test]
-        fn menger_paths_verify(seed in 0u64..1000) {
-            let g = generators::gnp(14, 0.35, seed);
-            let s = 0;
-            let t = 13;
-            let le = local_edge_connectivity(&g, s, t);
-            let ep = edge_disjoint_paths(&g, s, t);
-            prop_assert_eq!(ep.len(), le);
-            prop_assert!(check_edge_disjoint_paths(&g, s, t, &ep).is_ok());
-            if !g.has_edge(s, t) {
-                let lv = local_vertex_connectivity(&g, s, t);
-                let vp = vertex_disjoint_paths(&g, s, t);
-                prop_assert_eq!(vp.len(), lv);
-                prop_assert!(check_vertex_disjoint_paths(&g, s, t, &vp).is_ok());
-            }
+        fn connectivity_matches_brute_force(
+            seeds in (0u64..1000, 0u64..1000),
+            cross in collection::vec((0usize..5, 5usize..10), 1..7),
+        ) {
+            let (a, b) = (generators::gnp(5, 0.9, seeds.0), generators::gnp(5, 0.9, seeds.1));
+            let edges = a
+                .edges()
+                .iter()
+                .copied()
+                .chain(b.edges().iter().map(|&(u, v)| (u + 5, v + 5)))
+                .chain(cross);
+            let g = Graph::from_edges(10, edges);
+            prop_assert_eq!(vertex_connectivity(&g), brute_force_vertex_connectivity(&g));
+            prop_assert_eq!(edge_connectivity(&g), brute_force_edge_connectivity(&g));
         }
 
         /// k <= λ <= min degree (Whitney's inequalities).

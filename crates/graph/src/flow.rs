@@ -1,8 +1,8 @@
 //! Dinic's max-flow on integer-capacity directed networks.
 //!
 //! Used as the ground-truth engine for exact edge/vertex connectivity and
-//! for Menger disjoint-path extraction (Lemma 4.3's proof is "a simple
-//! application of Menger's theorem" — we verify it computationally).
+//! to count the disjoint connector paths of Lemma 4.3 (whose proof is "a
+//! simple application of Menger's theorem" — we verify it computationally).
 
 use crate::graph::{Graph, NodeId};
 
@@ -64,16 +64,6 @@ impl FlowNetwork {
         self.cap.push(0);
         self.adj[v].push(id + 1);
         id
-    }
-
-    /// Flow currently pushed through arc `id` (capacity of its reverse).
-    pub fn flow_on(&self, id: usize) -> i64 {
-        self.cap[id ^ 1]
-    }
-
-    /// Residual capacity of arc `id`.
-    pub fn residual(&self, id: usize) -> i64 {
-        self.cap[id]
     }
 
     /// Computes the maximum `s`→`t` flow via Dinic's algorithm, mutating
@@ -173,24 +163,6 @@ impl FlowNetwork {
         }
         0
     }
-
-    /// Vertices reachable from `s` in the residual network (the source side
-    /// of a minimum cut once `max_flow` has run).
-    pub fn min_cut_side(&self, s: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.n()];
-        let mut stack = vec![s];
-        seen[s] = true;
-        while let Some(u) = stack.pop() {
-            for &a in &self.adj[u] {
-                let v = self.head[a];
-                if self.cap[a] > 0 && !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        seen
-    }
 }
 
 /// Builds the unit-capacity digraph of an undirected graph: each edge
@@ -269,18 +241,6 @@ mod tests {
         net.add_arc(1, 3, 2);
         net.add_arc(2, 3, 3);
         assert_eq!(net.max_flow(0, 3), 5);
-    }
-
-    #[test]
-    fn min_cut_side_after_flow() {
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 1);
-        net.add_arc(1, 2, 1);
-        net.add_arc(2, 3, 1);
-        net.max_flow(0, 3);
-        let side = net.min_cut_side(0);
-        assert!(side[0]);
-        assert!(!side[3]);
     }
 
     #[test]

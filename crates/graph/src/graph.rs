@@ -123,11 +123,6 @@ impl Graph {
         (0..self.n()).map(|v| self.degree(v)).min()
     }
 
-    /// Maximum degree over all vertices; `None` for the empty graph.
-    pub fn max_degree(&self) -> Option<usize> {
-        (0..self.n()).map(|v| self.degree(v)).max()
-    }
-
     /// The subgraph induced by `keep`, together with the mapping from new
     /// vertex ids to original ids.
     ///
@@ -295,7 +290,6 @@ mod tests {
         assert_eq!(g.n(), 0);
         assert_eq!(g.m(), 0);
         assert_eq!(g.min_degree(), None);
-        assert_eq!(g.max_degree(), None);
     }
 
     #[test]

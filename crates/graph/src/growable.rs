@@ -77,12 +77,6 @@ impl GrowableGraph {
         &self.base
     }
 
-    /// Total number of distinct edges, active or future.
-    #[inline]
-    pub fn m_total(&self) -> usize {
-        self.base.m() + self.overlay_edges
-    }
-
     /// Edges added after construction (the overlay).
     #[inline]
     pub fn overlay_len(&self) -> usize {
@@ -298,7 +292,6 @@ mod tests {
         let gg = GrowableGraph::from_base(Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]));
         assert_eq!(collect(&gg, 1, 0), vec![0, 2]);
         assert_eq!(gg.edge_epoch(0, 1), Some(0));
-        assert_eq!(gg.m_total(), 3);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! * graph [`generators`] covering all families used in the experiments
 //!   (Harary graphs, random regular graphs, `G(n,p)`, hypercubes, the
 //!   clique-plus-triples counterexample, diameter-controlled families, ...),
-//! * classical algorithms: [`traversal`] (BFS/DFS/components/diameter),
-//!   [`mst`] (Kruskal/Prim), [`flow`] (Dinic), exact edge/vertex
-//!   [`connectivity`] with Menger path extraction, [`domination`] checks,
-//!   greedy maximal [`matching`], and Karger edge [`sample`] splitting,
+//! * classical algorithms: [`traversal`] (BFS/components/diameter),
+//!   [`mst`] (Kruskal), [`flow`] (Dinic), exact edge/vertex
+//!   [`connectivity`] (the ground-truth `λ` and `k`), [`domination`]
+//!   checks, [`sparsecert`] sparse certificates, and Karger edge
+//!   [`sample`] splitting,
 //! * a [`unionfind`] disjoint-set forest.
 //!
 //! # Example
@@ -32,14 +33,12 @@
 //! assert_eq!(connectivity::edge_connectivity(&g), 4);
 //! ```
 
-pub mod articulation;
 pub mod connectivity;
 pub mod domination;
 pub mod flow;
 pub mod generators;
 pub mod graph;
 pub mod growable;
-pub mod matching;
 pub mod mst;
 pub mod sample;
 pub mod sparsecert;

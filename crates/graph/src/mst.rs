@@ -71,11 +71,6 @@ pub fn minimum_spanning_forest(g: &Graph, weight: impl Fn(usize) -> f64) -> Span
     }
 }
 
-/// Convenience: an arbitrary spanning forest (all weights equal).
-pub fn spanning_forest(g: &Graph) -> SpanningForest {
-    minimum_spanning_forest(g, |_| 1.0)
-}
-
 /// A rooted tree on a subset of `g`'s vertices, as used for dominating and
 /// spanning trees throughout the workspace.
 ///
@@ -217,7 +212,7 @@ mod tests {
     fn mst_on_connected_graph_is_tree() {
         let g = generators::gnp(20, 0.3, 3);
         if crate::traversal::is_connected(&g) {
-            let f = spanning_forest(&g);
+            let f = minimum_spanning_forest(&g, |_| 1.0);
             assert!(f.is_spanning_tree(&g));
         }
     }
@@ -225,7 +220,7 @@ mod tests {
     #[test]
     fn mst_counts_components() {
         let g = Graph::from_edges(5, [(0, 1), (2, 3)]);
-        let f = spanning_forest(&g);
+        let f = minimum_spanning_forest(&g, |_| 1.0);
         assert_eq!(f.num_trees, 3);
         assert_eq!(f.edge_indices.len(), 2);
     }

@@ -39,19 +39,6 @@ pub fn choose_eta(lambda: usize, n: usize, epsilon: f64) -> usize {
     eta.max(1)
 }
 
-/// Keeps each edge independently with probability `p` (Karger-style
-/// skeleton, used by the integral packing variant and sampling tests).
-pub fn random_edge_subsample(g: &Graph, p: f64, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Graph::from_edges(
-        g.n(),
-        g.edges()
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_bool(p.clamp(0.0, 1.0))),
-    )
-}
-
 /// The paper's `κ`: the vertex connectivity remaining after sampling each
 /// vertex independently with probability 1/2 (\[12\] proves
 /// `κ = Ω(k / log³ n)` w.h.p.; integral dominating-tree packings have size
@@ -179,20 +166,5 @@ mod tests {
         // A path dies under vertex sampling almost surely.
         let g = generators::path(20);
         assert_eq!(sampled_vertex_connectivity(&g, 4, 1), 0);
-    }
-
-    #[test]
-    fn subsample_extremes() {
-        let g = generators::complete(8);
-        assert_eq!(random_edge_subsample(&g, 0.0, 1).m(), 0);
-        assert_eq!(random_edge_subsample(&g, 1.0, 1).m(), g.m());
-    }
-
-    #[test]
-    fn subsample_deterministic_per_seed() {
-        let g = generators::gnp(20, 0.5, 3);
-        let a = random_edge_subsample(&g, 0.5, 9);
-        let b = random_edge_subsample(&g, 0.5, 9);
-        assert_eq!(a.edges(), b.edges());
     }
 }

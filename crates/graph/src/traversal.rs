@@ -1,4 +1,4 @@
-//! Breadth-first / depth-first traversal, connected components, diameter.
+//! Breadth-first traversal, connected components, diameter.
 //!
 //! These are the primitives the paper's preamble assumes: nodes learn `n`
 //! and a 2-approximation of the diameter `D` via "a simple and standard BFS
@@ -34,21 +34,6 @@ impl BfsTree {
             .filter(|&d| d != usize::MAX)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Path from the source to `v` (inclusive), or `None` if unreachable.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if !self.reached(v) {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != self.source {
-            cur = self.parent[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
     }
 
     /// Tree edges `(parent, child)` of the BFS tree.
@@ -142,28 +127,6 @@ pub fn diameter_2approx(g: &Graph) -> Option<usize> {
     Some(2 * bfs(g, 0).eccentricity())
 }
 
-/// Iterative DFS preorder from `source` (component of `source` only).
-pub fn dfs_preorder(g: &Graph, source: NodeId) -> Vec<NodeId> {
-    assert!(source < g.n(), "DFS source out of range");
-    let mut seen = vec![false; g.n()];
-    let mut order = Vec::new();
-    let mut stack = vec![source];
-    while let Some(u) = stack.pop() {
-        if seen[u] {
-            continue;
-        }
-        seen[u] = true;
-        order.push(u);
-        // Push in reverse so that smaller neighbors are visited first.
-        for &v in g.neighbors(u).iter().rev() {
-            if !seen[v] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +138,7 @@ mod tests {
         let g = generators::path(5);
         let t = bfs(&g, 0);
         assert_eq!(t.dist, vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.path_to(4), Some(vec![0, 1, 2, 3, 4]));
+        assert_eq!(t.parent, vec![usize::MAX, 0, 1, 2, 3]);
         assert_eq!(t.eccentricity(), 4);
     }
 
@@ -184,7 +147,8 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]);
         let t = bfs(&g, 0);
         assert!(!t.reached(2));
-        assert_eq!(t.path_to(3), None);
+        assert!(!t.reached(3));
+        assert_eq!(t.parent[3], usize::MAX);
         assert_eq!(t.tree_edges(), vec![(0, 1)]);
     }
 
@@ -218,12 +182,6 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1)]);
         assert_eq!(diameter(&g), None);
         assert_eq!(diameter_2approx(&g), None);
-    }
-
-    #[test]
-    fn dfs_visits_component() {
-        let g = generators::path(4);
-        assert_eq!(dfs_preorder(&g, 0), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use connectivity_decomposition::congest::aggregate::{tree_aggregate, AggOp};
 use connectivity_decomposition::congest::bfs::distributed_bfs;
 use connectivity_decomposition::congest::broadcast::pipelined_broadcast;
 use connectivity_decomposition::congest::components::component_labels;
-use connectivity_decomposition::congest::leader::flood_max;
 use connectivity_decomposition::congest::mst::distributed_mst;
 use connectivity_decomposition::congest::Model;
 use connectivity_decomposition::graph::{generators, mst, traversal};
@@ -108,19 +107,6 @@ fn aggregation_matches_direct_sums() {
         assert_eq!(sum, values.iter().sum::<u64>());
         let max = tree_aggregate(&mut sim, &tree, AggOp::Max, &values).unwrap();
         assert_eq!(max, *values.iter().max().unwrap());
-    }
-}
-
-#[test]
-fn leader_is_global_max_value() {
-    for seed in 0..6 {
-        let g = generators::random_connected(20, 8, seed);
-        let mut rng = decomp_testkit::rng(seed);
-        let values: Vec<u64> = (0..g.n()).map(|_| rng.gen_range(0..100)).collect();
-        let mut sim = decomp_testkit::sim(&g, Model::VCongest);
-        let winner = flood_max(&mut sim, &values).unwrap();
-        let best = (0..g.n()).max_by_key(|&v| (values[v], v)).unwrap();
-        assert_eq!(winner, best, "seed {seed}");
     }
 }
 

@@ -5,13 +5,12 @@
 //! locality split describes the engine's shard split, not the protocol, so
 //! comparisons go through `RunStats::locality_blind`.
 //!
-//! Coverage: raw primitives (BFS, leader election, multi-key flooding in
-//! both models), the full Appendix B distributed CDS pipeline, the
-//! Appendix E distributed verifier, the error path, and a proptest sweep
-//! over random connected graphs with a message-heavy program.
+//! Coverage: raw primitives (BFS, multi-key flooding in both models), the
+//! full Appendix B distributed CDS pipeline, the Appendix E distributed
+//! verifier, the error path, and a proptest sweep over random connected
+//! graphs with a message-heavy program.
 
 use connectivity_decomposition::congest::bfs::distributed_bfs;
-use connectivity_decomposition::congest::leader::flood_max;
 use connectivity_decomposition::congest::multiflood::{multikey_flood, Combine};
 use connectivity_decomposition::congest::{
     EngineKind, Inbox, Message, Model, NodeCtx, NodeProgram, RunStats, SimError, Simulator,
@@ -47,18 +46,6 @@ fn bfs_bit_identical_on_every_fixture() {
             let mut sim = Simulator::new(&f.graph, Model::VCongest).with_engine(engine);
             let tree = distributed_bfs(&mut sim, 0).unwrap();
             (tree.dist, tree.parent, sim.stats().locality_blind())
-        });
-    }
-}
-
-#[test]
-fn leader_election_bit_identical_on_every_fixture() {
-    for f in fixtures::small() {
-        let values: Vec<u64> = (0..f.graph.n() as u64).map(|v| v * 7 % 31).collect();
-        assert_equivalent(&f.name, |engine| {
-            let mut sim = Simulator::new(&f.graph, Model::VCongest).with_engine(engine);
-            let winner = flood_max(&mut sim, &values).unwrap();
-            (winner, sim.stats().locality_blind())
         });
     }
 }
