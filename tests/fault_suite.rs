@@ -16,9 +16,9 @@ use connectivity_decomposition::broadcast::gossip::{
     gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig, GossipReport,
 };
 use connectivity_decomposition::broadcast::gossip_distributed::{
-    gossip_protocol_churn, gossip_protocol_faulty, DistGossipReport,
+    gossip_protocol_churn, gossip_protocol_faulty, gossip_protocol_on, DistGossipReport,
 };
-use connectivity_decomposition::congest::{Fault, FaultPlan, ScheduledFault};
+use connectivity_decomposition::congest::{Fault, FaultPlan, Model, ScheduledFault, Simulator};
 use connectivity_decomposition::core::cds::centralized::{
     cds_packing, cds_packing_with_state, CdsPackingConfig,
 };
@@ -209,6 +209,58 @@ fn faulty_run_without_faults_matches_the_fault_free_schedule() {
         )
         .unwrap();
         assert_eq!(plain, faulty, "{}", f.name);
+    }
+}
+
+#[test]
+fn faulty_rlnc_run_without_faults_matches_the_fault_free_schedule() {
+    // The coded regime's half of the identity above: an empty plan fires
+    // no wave, so the coefficient stream, digest and report match.
+    for f in fixtures::small() {
+        let packing = packing_for(&f);
+        if packing.num_trees() == 0 {
+            continue;
+        }
+        let origins: Vec<usize> = (0..f.graph.n()).collect();
+        let config = GossipConfig::rlnc(8, 5);
+        let plain = gossip_via_trees_with(&f.graph, &packing, &origins, 9, config);
+        let faulty =
+            gossip_via_trees_faulty(&f.graph, &packing, &origins, 9, config, &FaultPlan::none())
+                .unwrap();
+        assert_eq!(plain, faulty, "{}", f.name);
+    }
+}
+
+#[test]
+fn empty_plan_simulator_matches_the_fault_free_simulator() {
+    // A simulator given an empty plan runs exactly as one given none, on
+    // every engine and for the tree and coded protocols alike.
+    for f in fixtures::small() {
+        let packing = packing_for(&f);
+        if packing.num_trees() == 0 {
+            continue;
+        }
+        let origins: Vec<usize> = (0..f.graph.n()).collect();
+        for engine in decomp_testkit::engines() {
+            for config in [GossipConfig::default(), GossipConfig::rlnc(8, 5)] {
+                let run = |sim: &mut Simulator<'_>| {
+                    let r = gossip_protocol_on(sim, &packing, &origins, 3, config)
+                        .unwrap_or_else(|e| panic!("{} {engine} {config:?}: {e}", f.name));
+                    (r.complete, r.per_tree_load, r.stats, sim.stats())
+                };
+                let mut plain =
+                    Simulator::with_seed(&f.graph, Model::VCongest, 7).with_engine(engine);
+                let mut empty = Simulator::with_seed(&f.graph, Model::VCongest, 7)
+                    .with_engine(engine)
+                    .with_faults(FaultPlan::none());
+                assert_eq!(
+                    run(&mut plain),
+                    run(&mut empty),
+                    "{} {engine} {config:?}",
+                    f.name
+                );
+            }
+        }
     }
 }
 
