@@ -1040,7 +1040,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
         fn mul_is_associative_and_commutative(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
             prop_assert_eq!(gf256::mul(a, b), gf256::mul(b, a));
             prop_assert_eq!(
@@ -1049,7 +1048,6 @@ mod tests {
             );
         }
 
-        #[test]
         fn mul_distributes_over_xor(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
             prop_assert_eq!(
                 gf256::mul(a, b ^ c),
@@ -1057,14 +1055,12 @@ mod tests {
             );
         }
 
-        #[test]
         fn inverses_cancel(a in 0u8..255) {
             let a = a + 1; // 1..=255 (the vendored sampler can't express it)
             prop_assert_eq!(gf256::mul(a, gf256::inv(a)), 1);
             prop_assert_eq!(gf256::inv(gf256::inv(a)), a);
         }
 
-        #[test]
         fn axpy_matches_scalar_loop(
             dst in proptest::collection::vec(any::<u8>(), 1..64),
             c in any::<u8>(),
@@ -1082,7 +1078,6 @@ mod tests {
             prop_assert_eq!(fast, slow);
         }
 
-        #[test]
         fn decoder_rank_is_permutation_invariant(
             size in 1usize..9,
             npackets in 1usize..14,
@@ -1128,7 +1123,6 @@ mod tests {
             }
         }
 
-        #[test]
         fn decode_of_encode_roundtrips(
             size in 1usize..11,
             plen in 0usize..9,
@@ -1155,7 +1149,6 @@ mod tests {
             prop_assert_eq!(dec.decode().unwrap(), symbols);
         }
 
-        #[test]
         fn recombinations_of_received_rows_are_never_innovative(
             size in 2usize..9,
             nfeed in 1usize..6,

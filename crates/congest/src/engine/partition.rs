@@ -104,7 +104,6 @@ mod tests {
 
         /// Random node and shard counts: balance cap, full cover, and
         /// `shard_of` consistency.
-        #[test]
         fn contiguous_balanced_covering(n in 1usize..120, s in 1usize..10) {
             let s = s.min(n);
             let part = Partition::contiguous(n, s);

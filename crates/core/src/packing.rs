@@ -588,7 +588,6 @@ mod tests {
 
             /// Dropping trees from a feasible packing keeps it feasible,
             /// and scaling by any factor in [0,1] keeps it feasible.
-            #[test]
             fn packing_feasibility_is_downward_closed(
                 seed in 0u64..50,
                 keep_mask in proptest::collection::vec(any::<bool>(), 64),
@@ -613,7 +612,6 @@ mod tests {
             /// The shared sampler's empirical tree frequencies track
             /// `x_τ / Σx` on random weight vectors (the distribution the
             /// fractional regime time-shares by).
-            #[test]
             fn sampler_frequencies_track_weights(
                 weights in proptest::collection::vec(0.02f64..1.0, 1..8),
                 seed in 0u64..1000,
@@ -638,7 +636,6 @@ mod tests {
 
             /// Vertex loads are consistent with multiplicities: for a
             /// uniform-weight packing, load = weight * multiplicity.
-            #[test]
             fn loads_match_multiplicity(weight in 0.01f64..0.2) {
                 let g = generators::star(6);
                 let trees: Vec<WeightedDomTree> = (0..4)

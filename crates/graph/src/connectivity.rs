@@ -220,7 +220,6 @@ mod tests {
         /// put `k` and `λ` below the minimum degree, where only a correct
         /// flow reduction (every one of Even's sources, every sink) finds
         /// them; both must equal brute force over all 2^10 vertex subsets.
-        #[test]
         fn connectivity_matches_brute_force(
             seeds in (0u64..1000, 0u64..1000),
             cross in collection::vec((0usize..5, 5usize..10), 1..7),
@@ -238,7 +237,6 @@ mod tests {
         }
 
         /// k <= λ <= min degree (Whitney's inequalities).
-        #[test]
         fn whitney_inequalities(seed in 0u64..500) {
             let g = generators::gnp(12, 0.4, seed);
             let k = vertex_connectivity(&g);
@@ -250,7 +248,6 @@ mod tests {
 
         /// Vertex connectivity is invariant under relabeling-free edge
         /// addition monotonicity: adding an edge never decreases k.
-        #[test]
         fn monotone_under_edge_addition(seed in 0u64..200) {
             let g = generators::gnp(10, 0.3, seed);
             let k0 = vertex_connectivity(&g);

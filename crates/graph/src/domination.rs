@@ -227,7 +227,6 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// greedy_cds always yields a valid CDS on connected graphs.
-        #[test]
         fn greedy_cds_valid(seed in 0u64..500, n in 2usize..40) {
             let g = generators::random_connected(n, n / 2, seed);
             let cds = greedy_cds(&g);
@@ -235,7 +234,6 @@ mod tests {
         }
 
         /// A BFS spanning tree passes is_spanning_tree.
-        #[test]
         fn bfs_tree_spans(seed in 0u64..200, n in 2usize..30) {
             let g = generators::random_connected(n, n, seed);
             let t = crate::traversal::bfs(&g, 0);

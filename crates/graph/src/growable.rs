@@ -392,7 +392,6 @@ mod properties {
 
         /// Tentpole oracle: neighbor iteration at every epoch equals a
         /// from-scratch CSR rebuild of the edges active at that epoch.
-        #[test]
         fn iteration_matches_scratch_csr_at_every_epoch(
             n in 2usize..20,
             seed in 0u64..u64::MAX,

@@ -281,7 +281,6 @@ mod tests {
 
         /// The MST weight is minimal: no single-edge swap improves it
         /// (cut/cycle property check on random weights).
-        #[test]
         fn mst_cut_property(seed in 0u64..500) {
             use rand::{Rng, SeedableRng};
             let g = generators::random_connected(12, 8, seed);

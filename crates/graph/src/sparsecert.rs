@@ -131,7 +131,6 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Certificates never increase and never lose low connectivity.
-        #[test]
         fn certificate_invariants(seed in 0u64..200, k in 1usize..5) {
             let g = generators::gnp(14, 0.5, seed);
             let cert = sparse_certificate(&g, k);

@@ -194,7 +194,6 @@ mod tests {
     proptest! {
         /// BFS distance is symmetric on undirected graphs:
         /// dist(u -> v) == dist(v -> u).
-        #[test]
         fn bfs_distance_symmetric(seed in 0u64..50) {
             let g = generators::gnp(24, 0.15, seed);
             let from0 = bfs(&g, 0);
@@ -205,7 +204,6 @@ mod tests {
         }
 
         /// Triangle inequality on BFS distances.
-        #[test]
         fn bfs_triangle_inequality(seed in 0u64..30) {
             let g = generators::gnp(20, 0.2, seed);
             let d0 = bfs(&g, 0).dist;

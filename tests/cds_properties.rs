@@ -80,7 +80,6 @@ proptest! {
     /// is label-identical to a from-scratch replay of the untouched
     /// membership — and the running component counts always match the
     /// scratch oracle, even while the vertex is out.
-    #[test]
     fn insert_is_the_inverse_of_delete_bit_for_bit(
         seed in any::<u64>(),
         n in 10usize..28,
@@ -136,7 +135,6 @@ proptest! {
     /// replay of the same final membership, and the admission rule
     /// itself is a pure function of the class partition (replaying the
     /// same history re-picks the same class).
-    #[test]
     fn admit_matches_scratch_repack_bit_for_bit(
         seed in any::<u64>(),
         n in 10usize..28,
