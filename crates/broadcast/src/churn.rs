@@ -162,15 +162,7 @@ pub fn gossip_under_churn<'g>(
     let diameters = hook.trees.iter().flatten().map(|tree| tree.diameter(n));
     let max_tree_diameter = diameters.max().unwrap_or(0);
 
-    let report = run_schedule(
-        g,
-        origins,
-        member,
-        tree_of,
-        Greedy::new(n),
-        Some(ft),
-        &mut hook,
-    );
+    let report = run_schedule(g, origins, member, tree_of, Greedy::new(n), ft, &mut hook);
     Ok(GossipReport {
         max_tree_diameter,
         admitted_via_packing: hook.admitted_via_packing,

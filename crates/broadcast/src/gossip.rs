@@ -29,22 +29,22 @@
 //! actually constructs is a *fractional* packing — trees carry weights
 //! `x_τ` and overlap, and the Corollary A.1 rate assumes every shared
 //! vertex time-shares its one relay slot per round across its trees in
-//! proportion to the weights. [`GossipConfig`] opts the schedule into
-//! that regime: [`TreeChoice::Weighted`] assigns messages to trees with
+//! proportion to the weights. [`GossipConfig::Weighted`] opts the
+//! schedule into that regime: it assigns messages to trees with
 //! probability `x_τ / Σx` (the shared
-//! [`decomp_core::packing::TreeSampler`]), and [`Sharing::Weighted`]
-//! replaces the global lowest-index greedy pick with a deterministic
-//! credit scheduler — each round every tree with an eligible pending
-//! message at a vertex earns `x_τ` credit, the highest-credit tree
-//! (ties to the lowest tree id) relays its lowest-indexed message, and
-//! the served tree is charged the round's total accrued credit. Both
-//! schedules are digest-pinned against verbatim reference scans, and
-//! both — faulty or not, like [`crate::churn`]'s wave loop — run the
-//! one round loop of the private `schedule` module.
+//! [`decomp_core::packing::TreeSampler`]), and replaces the global
+//! lowest-index greedy pick with a deterministic credit scheduler —
+//! each round every tree with an eligible pending message at a vertex
+//! earns `x_τ` credit, the highest-credit tree (ties to the lowest tree
+//! id) relays its lowest-indexed message, and the served tree is
+//! charged the round's total accrued credit. Both schedules are
+//! digest-pinned against verbatim reference scans, and both — faulty or
+//! not, like [`crate::churn`]'s wave loop — run the one round loop of
+//! the private `schedule` module.
 //!
 //! ## The network-coded regime (beyond the paper)
 //!
-//! [`Regime::Rlnc`] swaps tree forwarding out entirely: messages are
+//! [`GossipConfig::Rlnc`] swaps tree forwarding out entirely: messages are
 //! grouped into GF(2⁸) generations and relays broadcast seeded-random
 //! linear combinations of their received rows ([`crate::rlnc`]). Any
 //! innovative packet helps every receiver, so the convoy effect of
@@ -87,8 +87,8 @@ pub struct GossipReport {
     /// Whether no message was lost outright.
     pub complete: bool,
     /// Messages assigned to each tree (each class, under churn) at the
-    /// start; all zeros under [`Regime::Rlnc`], whose packets ride no
-    /// tree.
+    /// start; all zeros under [`GossipConfig::Rlnc`], whose packets ride
+    /// no tree.
     pub per_tree_load: Vec<usize>,
     /// Largest diameter among the trees carrying messages at the start
     /// (the `O~(n/k)` term).
@@ -114,7 +114,7 @@ pub struct GossipReport {
     pub lost_messages: usize,
     /// Deliveries that taught the receiver nothing: under the tree
     /// regimes, a relay reaching a vertex that already held the message;
-    /// under [`Regime::Rlnc`], a coded packet that was not innovative
+    /// under [`GossipConfig::Rlnc`], a coded packet that was not innovative
     /// (it reduced to zero against the receiver's echelon rows, or the
     /// receiver had already reached full rank). The bandwidth half of
     /// the rounds-vs-bandwidth trade the regimes are benchmarked on.
@@ -122,7 +122,7 @@ pub struct GossipReport {
     /// Messages moved to another carrier, re-admitted from the flood, or
     /// reseeded in place by the repair passes — the cumulative
     /// `reassigned_messages` column of [`GossipReport::waves`]. Zero on
-    /// fault-free runs and under [`Regime::Rlnc`] (coding needs no
+    /// fault-free runs and under [`GossipConfig::Rlnc`] (coding needs no
     /// repair).
     pub repair_events: usize,
     /// Rounds in which at least one relay served a message on the flood
@@ -172,9 +172,9 @@ pub struct WaveSample {
     pub flood_rounds_before: usize,
 }
 
-/// Why a gossip run refused to start or failed: the conditions the
-/// panicking [`gossip_via_trees_with`] `assert!`s on, plus an invalid
-/// plan and a simulator phase that ran out of rounds.
+/// Why a gossip run refused to start or failed: an invalid input or
+/// plan, or a simulator phase that ran out of rounds.
+/// [`gossip_via_trees_with`] panics with this error's message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipError {
     /// The fault plan failed [`FaultPlan::validate`].
@@ -182,7 +182,7 @@ pub enum GossipError {
     /// The packing holds no trees (for the churn protocol: no class
     /// certifies over the final topology).
     EmptyPacking,
-    /// [`TreeChoice::Weighted`] was requested but no tree carries
+    /// [`GossipConfig::Weighted`] was requested but no tree carries
     /// positive weight, so the sampler has nothing to draw from.
     ZeroWeightPacking,
     /// The (final) topology is disconnected; no run can complete.
@@ -218,49 +218,32 @@ impl std::error::Error for GossipError {
 /// A message to gossip: its origin vertex.
 pub type MessageOrigin = NodeId;
 
-/// How a message picks the tree that will carry it.
+/// Schedule configuration for [`gossip_via_trees_with`]: one of the
+/// three regimes. The default reproduces the historical schedule bit for
+/// bit, RNG stream included.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TreeChoice {
-    /// Uniformly random tree, ignoring weights (the integral reading).
+pub enum GossipConfig {
+    /// The integral reading of Appendix A: each message picks a tree
+    /// uniformly at random, ignoring weights, and each vertex relays its
+    /// globally lowest-indexed eligible message.
     #[default]
     Uniform,
-    /// Weight-proportional: tree `τ` with probability `x_τ / Σx`, via
-    /// the shared [`decomp_core::packing::TreeSampler`].
+    /// The fractional regime Theorem 1.1 and Corollary A.1 assume: tree
+    /// `τ` with probability `x_τ / Σx`, via the shared
+    /// [`decomp_core::packing::TreeSampler`], and deterministic weighted
+    /// time-sharing — per-(vertex, tree) credit accumulators earn `x_τ`
+    /// per round while tree `τ` has an eligible message pending; the
+    /// highest-credit tree (ties broken toward the lowest tree id)
+    /// relays its lowest-indexed message and is charged the round's
+    /// total accrual, so long-run tree `τ` gets an `x_τ / Σx` share of
+    /// the vertex's relay slots.
     Weighted,
-}
-
-/// How a vertex splits its one relay slot per round across trees.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sharing {
-    /// Relay the globally lowest-indexed eligible message (the
-    /// historical schedule; ignores tree weights).
-    #[default]
-    Greedy,
-    /// Deterministic weighted time-sharing: per-(vertex, tree) credit
-    /// accumulators earn `x_τ` per round while tree `τ` has an eligible
-    /// message pending; the highest-credit tree (ties broken toward the
-    /// lowest tree id) relays its lowest-indexed message and is charged
-    /// the round's total accrual — long-run, tree `τ` gets an
-    /// `x_τ / Σx` share of the vertex's relay slots.
-    Weighted,
-}
-
-/// The transport a gossip run schedules over: the paper's committed
-/// trees, or random linear network coding.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Regime {
-    /// Tree forwarding (the paper's Appendix-A schedules): each message
-    /// commits to one tree per [`TreeChoice`], and vertices split their
-    /// relay slot per [`Sharing`].
-    #[default]
-    Trees,
     /// Random linear network coding over GF(2⁸) ([`crate::rlnc`],
     /// beyond the paper): messages are grouped into generations of
     /// `generation_size` symbols and relays broadcast seeded-random
-    /// combinations of their received rows — [`TreeChoice`] and
-    /// [`Sharing`] are ignored. `seed` keys the coefficient stream
-    /// (mixed with the run seed), so a `(run seed, regime)` pair pins
-    /// the schedule bit-for-bit.
+    /// combinations of their received rows. `seed` keys the coefficient
+    /// stream (mixed with the run seed), so a `(run seed, config)` pair
+    /// pins the schedule bit-for-bit.
     Rlnc {
         /// Symbols per generation, in `1..=`[`crate::rlnc::MAX_GENERATION`]
         /// (the protocol layer further requires ≤ 48 so coefficients
@@ -271,50 +254,27 @@ pub enum Regime {
     },
 }
 
-/// Schedule configuration for [`gossip_via_trees_with`], selecting among
-/// the three regimes: the default (`Trees` with `Uniform` / `Greedy`)
-/// reproduces the historical schedule bit for bit, RNG stream included;
-/// [`GossipConfig::weighted`] is the fractional regime of Theorem 1.1;
-/// [`GossipConfig::rlnc`] is the network-coded regime (beyond the
-/// paper), where [`tree_choice`](Self::tree_choice) and
-/// [`sharing`](Self::sharing) are ignored.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GossipConfig {
-    /// Message-to-tree assignment policy ([`Regime::Trees`] only).
-    pub tree_choice: TreeChoice,
-    /// Per-vertex relay-slot sharing policy ([`Regime::Trees`] only).
-    pub sharing: Sharing,
-    /// Transport regime: committed trees or network coding.
-    pub regime: Regime,
-}
-
 impl GossipConfig {
     /// The fully fractional regime: weighted tree choice *and* weighted
     /// time-sharing (Theorem 1.1 / Corollary A.1 as proved).
     pub fn weighted() -> Self {
-        GossipConfig {
-            tree_choice: TreeChoice::Weighted,
-            sharing: Sharing::Weighted,
-            ..Default::default()
-        }
+        GossipConfig::Weighted
     }
 
     /// The network-coded regime: relays send seeded-random GF(2⁸)
     /// combinations of their received generation instead of forwarding
     /// along committed trees ([`crate::rlnc`]).
     pub fn rlnc(generation_size: usize, seed: u64) -> Self {
-        GossipConfig {
-            regime: Regime::Rlnc {
-                generation_size,
-                seed,
-            },
-            ..Default::default()
+        GossipConfig::Rlnc {
+            generation_size,
+            seed,
         }
     }
 }
 
 /// Simulates the tree-parallel gossip schedule of Appendix A under an
-/// explicit [`GossipConfig`].
+/// explicit [`GossipConfig`]: [`gossip_via_trees_faulty`] with the
+/// empty plan.
 ///
 /// `origins[i]` holds message `i`. Each message is assigned to a tree of
 /// `packing` (uniformly, or weight-proportionally); vertices relay one
@@ -324,10 +284,10 @@ impl GossipConfig {
 /// the historical schedule, RNG stream included.
 ///
 /// # Panics
-/// Panics if the packing is empty (or, under [`TreeChoice::Weighted`],
-/// carries no weight), a tree fails to dominate, or the graph is
-/// disconnected — [`gossip_via_trees_faulty`] returns these as
-/// [`GossipError`]s instead.
+/// Panics with the [`GossipError`] that [`gossip_via_trees_faulty`]
+/// returns (an empty packing, a weightless one under
+/// [`GossipConfig::Weighted`], or a disconnected graph), and if a tree
+/// fails to dominate.
 pub fn gossip_via_trees_with(
     g: &Graph,
     packing: &DomTreePacking,
@@ -335,12 +295,8 @@ pub fn gossip_via_trees_with(
     seed: u64,
     config: GossipConfig,
 ) -> GossipReport {
-    assert!(packing.num_trees() > 0, "need at least one tree");
-    assert!(
-        decomp_graph::traversal::is_connected(g),
-        "gossip requires a connected graph"
-    );
-    run_gossip(g, packing, origins, seed, config, None)
+    gossip_via_trees_faulty(g, packing, origins, seed, config, &FaultPlan::none())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`gossip_via_trees_with`] under a seeded [`FaultPlan`] (rounds in the
@@ -349,11 +305,11 @@ pub fn gossip_via_trees_with(
 /// no longer count toward delivery, cut edges drop relays in both
 /// directions, and each fault round runs a repair pass that reassigns
 /// stuck messages to surviving trees (or a flood fallback). Returns the
-/// report with its [`waves`](GossipReport::waves) curve filled in; input
-/// validation failures come back as [`GossipError`]s instead of the
-/// panics of the fault-free entry point. The plan itself is not
-/// validated: the schedule tolerates sloppy plans, such as a cut edge
-/// whose endpoint is already dead.
+/// report with its [`waves`](GossipReport::waves) curve filled in, or
+/// the input validation failure as a [`GossipError`]. The plan itself is
+/// not validated: the schedule tolerates sloppy plans, such as a cut
+/// edge whose endpoint is already dead. An empty plan runs the
+/// fault-free schedule.
 ///
 /// The *initial* graph must be connected; completion of every
 /// non-[`lost`](GossipReport::lost_messages) message further requires
@@ -369,7 +325,43 @@ pub fn gossip_via_trees_faulty(
     plan: &FaultPlan,
 ) -> Result<GossipReport, GossipError> {
     check_inputs(g, packing, config)?;
-    Ok(run_gossip(g, packing, origins, seed, config, Some(plan)))
+    let n = g.n();
+    // Per-tree membership, 1 bit per vertex.
+    let member = BitRows::from_trees(packing, n);
+    let ft = FaultState::new(plan, n);
+    let report = match config {
+        GossipConfig::Rlnc {
+            generation_size,
+            seed: coeff_seed,
+        } => crate::rlnc::rlnc_schedule(
+            g,
+            packing,
+            &member,
+            origins,
+            seed,
+            generation_size,
+            coeff_seed,
+            ft,
+        ),
+        GossipConfig::Uniform | GossipConfig::Weighted => {
+            // Message-to-tree assignment draws first, preserving the
+            // historical RNG stream bit for bit.
+            let weighted = config == GossipConfig::Weighted;
+            let tree_of = assign_trees(packing, origins.len(), seed, weighted);
+            let mut hook = StaticRepair { g, packing };
+            if weighted {
+                let policy = Weighted::new(n, packing);
+                run_schedule(g, origins, member, tree_of, policy, ft, &mut hook)
+            } else {
+                run_schedule(g, origins, member, tree_of, Greedy::new(n), ft, &mut hook)
+            }
+        }
+    };
+    let diameters = packing.trees.iter().map(|t| t.diameter(n));
+    Ok(GossipReport {
+        max_tree_diameter: diameters.max().unwrap_or(0),
+        ..report
+    })
 }
 
 /// The checks every fallible entry point runs before it starts: a
@@ -386,88 +378,32 @@ pub(crate) fn check_inputs(
     if packing.num_trees() == 0 {
         return Err(GossipError::EmptyPacking);
     }
-    if config.regime == Regime::Trees
-        && config.tree_choice == TreeChoice::Weighted
-        && packing.try_sampler().is_none()
-    {
-        return Err(GossipError::ZeroWeightPacking);
+    match config {
+        GossipConfig::Weighted if packing.try_sampler().is_none() => {
+            Err(GossipError::ZeroWeightPacking)
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Message `i`'s tree, drawn in order from `seed`'s stream: uniformly,
-/// or weight-proportionally under [`TreeChoice::Weighted`] (the shared
+/// or weight-proportionally when `weighted` (the shared
 /// [`decomp_core::packing::TreeSampler`]). The schedule and the protocol
 /// both draw here, so one seed assigns the same trees in either.
 pub(crate) fn assign_trees(
     packing: &DomTreePacking,
     nmsg: usize,
     seed: u64,
-    choice: TreeChoice,
+    weighted: bool,
 ) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
-    match choice {
-        TreeChoice::Uniform => (0..nmsg)
+    if weighted {
+        let sampler = packing.try_sampler().expect("packing must carry weight");
+        (0..nmsg).map(|_| sampler.sample(&mut rng)).collect()
+    } else {
+        (0..nmsg)
             .map(|_| rng.gen_range(0..packing.num_trees()))
-            .collect(),
-        TreeChoice::Weighted => {
-            let sampler = packing.try_sampler().expect("packing must carry weight");
-            (0..nmsg).map(|_| sampler.sample(&mut rng)).collect()
-        }
-    }
-}
-
-/// Shared body of the gossip entry points: membership bitsets, tree
-/// assignment, schedule dispatch. Inputs are pre-validated (panicking
-/// asserts in [`gossip_via_trees_with`], [`GossipError`]s in the faulty
-/// entry — except the weighted-sampler panic, kept in [`assign_trees`]
-/// so [`gossip_via_trees_with`] preserves its historical message).
-fn run_gossip(
-    g: &Graph,
-    packing: &DomTreePacking,
-    origins: &[MessageOrigin],
-    seed: u64,
-    config: GossipConfig,
-    faults: Option<&FaultPlan>,
-) -> GossipReport {
-    let n = g.n();
-    // Per-tree membership, 1 bit per vertex.
-    let member = BitRows::from_trees(packing, n);
-    let report = match config.regime {
-        Regime::Trees => {
-            // Message-to-tree assignment draws first, preserving the
-            // historical RNG stream bit for bit.
-            let tree_of = assign_trees(packing, origins.len(), seed, config.tree_choice);
-            let ft = faults.map(|p| FaultState::new(p, n));
-            let mut hook = StaticRepair { g, packing };
-            match config.sharing {
-                Sharing::Greedy => {
-                    run_schedule(g, origins, member, tree_of, Greedy::new(n), ft, &mut hook)
-                }
-                Sharing::Weighted => {
-                    let policy = Weighted::new(n, packing);
-                    run_schedule(g, origins, member, tree_of, policy, ft, &mut hook)
-                }
-            }
-        }
-        Regime::Rlnc {
-            generation_size,
-            seed: coeff_seed,
-        } => crate::rlnc::rlnc_schedule(
-            g,
-            packing,
-            &member,
-            origins,
-            seed,
-            generation_size,
-            coeff_seed,
-            faults,
-        ),
-    };
-    let diameters = packing.trees.iter().map(|t| t.diameter(n));
-    GossipReport {
-        max_tree_diameter: diameters.max().unwrap_or(0),
-        ..report
+            .collect()
     }
 }
 
@@ -636,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one tree")]
+    #[should_panic(expected = "packing holds no trees")]
     fn rejects_empty_packing() {
         let g = generators::cycle(4);
         greedy(&g, &DomTreePacking::default(), &[0], 0);
@@ -726,7 +662,7 @@ mod tests {
     }
 
     /// The weighted credit scheduler, reimplemented as a naive
-    /// `O(nmsg · n)` scan — the oracle pinning [`Sharing::Weighted`]
+    /// `O(nmsg · n)` scan — the oracle pinning [`GossipConfig::Weighted`]
     /// exactly as `reference_schedule` pins the greedy default. Per
     /// round and vertex it walks *all* trees in ascending-id order,
     /// accrues `x_τ` for each tree with an eligible message, and serves
@@ -738,7 +674,6 @@ mod tests {
         packing: &DomTreePacking,
         origins: &[usize],
         seed: u64,
-        tree_choice: TreeChoice,
     ) -> (usize, u64, Vec<Vec<usize>>) {
         let n = g.n();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -757,13 +692,8 @@ mod tests {
             tree_member.push(member);
         }
         let nmsg = origins.len();
-        let tree_of: Vec<usize> = match tree_choice {
-            TreeChoice::Uniform => (0..nmsg).map(|_| rng.gen_range(0..num_trees)).collect(),
-            TreeChoice::Weighted => {
-                let sampler = packing.sampler();
-                (0..nmsg).map(|_| sampler.sample(&mut rng)).collect()
-            }
-        };
+        let sampler = packing.sampler();
+        let tree_of: Vec<usize> = (0..nmsg).map(|_| sampler.sample(&mut rng)).collect();
         let mut received: Vec<Vec<bool>> = (0..nmsg)
             .map(|m| {
                 let mut r = vec![false; n];
@@ -849,9 +779,8 @@ mod tests {
         // The weighted credit scheduler is pinned by digest against its
         // own verbatim O(nmsg · n) oracle, exactly as
         // `bitset_schedule_matches_reference_scan` pins the greedy
-        // default — same families, seeds, and both tree-choice policies,
-        // plus an uneven-weight packing so the credit accrual exercises
-        // distinct x_τ.
+        // default — same families and seeds, plus an uneven-weight
+        // packing so the credit accrual exercises distinct x_τ.
         let cases: Vec<(Graph, DomTreePacking)> = vec![
             {
                 let g = generators::harary(8, 40);
@@ -873,30 +802,24 @@ mod tests {
         ];
         for (g, packing) in &cases {
             for seed in [0u64, 5, 9] {
-                for tree_choice in [TreeChoice::Uniform, TreeChoice::Weighted] {
-                    let origins: Vec<usize> = (0..2 * g.n()).map(|i| (i * 7) % g.n()).collect();
-                    let config = GossipConfig {
-                        tree_choice,
-                        sharing: Sharing::Weighted,
-                        ..Default::default()
-                    };
-                    let r = gossip_via_trees_with(g, packing, &origins, seed, config);
-                    let (ref_rounds, ref_digest, recv_round) =
-                        reference_weighted_schedule(g, packing, &origins, seed, tree_choice);
-                    assert_eq!(
-                        r.rounds, ref_rounds,
-                        "schedule length diverged (seed {seed}, {tree_choice:?})"
+                let origins: Vec<usize> = (0..2 * g.n()).map(|i| (i * 7) % g.n()).collect();
+                let config = GossipConfig::weighted();
+                let r = gossip_via_trees_with(g, packing, &origins, seed, config);
+                let (ref_rounds, ref_digest, recv_round) =
+                    reference_weighted_schedule(g, packing, &origins, seed);
+                assert_eq!(
+                    r.rounds, ref_rounds,
+                    "schedule length diverged (seed {seed})"
+                );
+                assert_eq!(
+                    r.schedule_digest, ref_digest,
+                    "relay schedule diverged (seed {seed})"
+                );
+                for row in &recv_round {
+                    assert!(
+                        row.iter().all(|&rd| rd != usize::MAX),
+                        "reference schedule incomplete"
                     );
-                    assert_eq!(
-                        r.schedule_digest, ref_digest,
-                        "relay schedule diverged (seed {seed}, {tree_choice:?})"
-                    );
-                    for row in &recv_round {
-                        assert!(
-                            row.iter().all(|&rd| rd != usize::MAX),
-                            "reference schedule incomplete"
-                        );
-                    }
                 }
             }
         }
@@ -1008,8 +931,7 @@ mod tests {
         let origins: Vec<usize> = (0..3 * g.n()).map(|i| (i * 5) % g.n()).collect();
         let config = GossipConfig::weighted();
         let r = gossip_via_trees_with(&g, &packing, &origins, 11, config);
-        let (ref_rounds, ref_digest, _) =
-            reference_weighted_schedule(&g, &packing, &origins, 11, TreeChoice::Weighted);
+        let (ref_rounds, ref_digest, _) = reference_weighted_schedule(&g, &packing, &origins, 11);
         assert_eq!(
             r.rounds, ref_rounds,
             "retirement changed the schedule length"

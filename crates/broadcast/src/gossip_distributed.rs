@@ -10,13 +10,12 @@
 //! FIFO), which the tests check.
 //!
 //! Tokens carry the tree chosen at the origin, drawn by the schedule's
-//! own assignment: under
-//! [`TreeChoice::Weighted`](crate::gossip::TreeChoice::Weighted) from
-//! the shared weight-proportional sampler
+//! own assignment: under [`GossipConfig::Weighted`] from the shared
+//! weight-proportional sampler
 //! ([`decomp_core::packing::TreeSampler`]), so the protocol follows the
 //! same fractional-regime assignment as the schedule-level simulation.
 //!
-//! Under [`Regime::Rlnc`] the protocol forwards no tree tokens at all:
+//! Under [`GossipConfig::Rlnc`] the protocol forwards no tree tokens at all:
 //! each node runs one [`RlncDecoder`] per generation and broadcasts
 //! seeded-random GF(2⁸) combinations of its received rows — coefficients
 //! packed into the V-CONGEST word budget, payloads the known
@@ -26,7 +25,7 @@
 //! bit-identical across engines.
 
 use crate::churn::certify_class;
-use crate::gossip::{assign_trees, check_inputs, GossipConfig, GossipError, Regime};
+use crate::gossip::{assign_trees, check_inputs, GossipConfig, GossipError};
 use crate::rlnc::{symbol_word, RlncDecoder};
 use crate::schedule::{dominates, tree_load, tree_ok, BitRows};
 use decomp_congest::{
@@ -242,11 +241,10 @@ pub struct DistGossipReport {
 /// simulator (engine included — the regression suites sweep
 /// `DECOMP_ENGINE` through here): message `i` starts at `origins[i]`,
 /// gets a tree of `packing` (uniformly, or weight-proportionally under
-/// [`TreeChoice::Weighted`](crate::gossip::TreeChoice::Weighted) — the
-/// same draw as the schedule's), and is relayed FIFO by that tree's
-/// members; the sharing policy does not apply here. `seed` drives the
-/// message-to-tree assignment only; per-node RNG streams come from the
-/// simulator itself.
+/// [`GossipConfig::Weighted`] — the same draw as the schedule's), and is
+/// relayed FIFO by that tree's members; weighted time-sharing does not
+/// apply here. `seed` drives the message-to-tree assignment only;
+/// per-node RNG streams come from the simulator itself.
 ///
 /// # Errors
 /// A disconnected simulator graph, an empty packing, or (under weighted
@@ -255,7 +253,7 @@ pub struct DistGossipReport {
 ///
 /// # Panics
 /// Panics if the simulator is not in [`Model::VCongest`], or under
-/// [`Regime::Rlnc`] with a generation size out of range.
+/// [`GossipConfig::Rlnc`] with a generation size out of range.
 pub fn gossip_protocol_on(
     sim: &mut Simulator<'_>,
     packing: &DomTreePacking,
@@ -270,14 +268,15 @@ pub fn gossip_protocol_on(
         "gossip is a V-CONGEST protocol"
     );
     check_inputs(g, packing, config)?;
-    if let Regime::Rlnc {
-        generation_size, ..
-    } = config.regime
-    {
-        return rlnc_protocol_on(sim, packing, origins, generation_size);
-    }
+    let weighted = match config {
+        GossipConfig::Rlnc {
+            generation_size, ..
+        } => return rlnc_protocol_on(sim, packing, origins, generation_size),
+        GossipConfig::Uniform => false,
+        GossipConfig::Weighted => true,
+    };
     let n = g.n();
-    let tree_of = assign_trees(packing, origins.len(), seed, config.tree_choice);
+    let tree_of = assign_trees(packing, origins.len(), seed, weighted);
     let programs = gossip_programs(
         tree_membership(packing, n),
         injections(&tree_of, origins, n),
@@ -340,7 +339,7 @@ fn gossip_programs(
         .collect()
 }
 
-/// The [`Regime::Rlnc`] body of [`gossip_protocol_on`]: one
+/// The [`GossipConfig::Rlnc`] body of [`gossip_protocol_on`]: one
 /// [`RlncGossipProgram`] per node over generations of `gsize` messages.
 /// Tree assignment is skipped entirely (coded packets ride no tree, so
 /// `per_tree_load` is all zeros) and the regime's coefficient seed is
@@ -430,7 +429,7 @@ const FLOOD_TOKEN: u32 = u32::MAX;
 /// from either phase as [`GossipError::Sim`].
 ///
 /// # Panics
-/// Panics under [`Regime::Rlnc`] (the repair reasons about trees).
+/// Panics under [`GossipConfig::Rlnc`] (the repair reasons about trees).
 pub fn gossip_protocol_faulty(
     g: &Graph,
     packing: &DomTreePacking,
@@ -466,10 +465,10 @@ pub fn gossip_protocol_faulty(
 ///
 /// `topology` is a settled `&Graph` or a growing
 /// [`GrowableGraph`](decomp_graph::GrowableGraph). On a growing one,
-/// phase 1 runs the engines on `gg.base()` through the growth view
-/// ([`Simulator::with_growth`]) — each round's neighbor lists are the
-/// edges with activation epoch `<= round`, so no engine ever sees the
-/// final adjacency up front — and class-free arrivals (vertices the
+/// phase 1 runs the engines over the growth view (a [`Simulator`] built
+/// over `&gg`) — each round's neighbor lists are the edges with
+/// activation epoch `<= round`, so no engine ever sees the final
+/// adjacency up front — and class-free arrivals (vertices the
 /// packing predates) are *admitted* into the class state between the
 /// phases ([`ClassState::admit_vertex`]), so repair re-injection serves
 /// them from re-extracted trees instead of flooding. A settled run
@@ -583,12 +582,12 @@ fn check_two_phase(g: &Graph, config: GossipConfig, plan: &FaultPlan) -> Result<
     // The repair phase reasons about surviving *trees*; coded gossip has
     // no tree-bound repair story at the protocol layer — the
     // schedule-level `gossip_via_trees_faulty` covers RLNC under faults.
-    assert_eq!(
-        config.regime,
-        Regime::Trees,
-        "the two-phase protocols support the tree regimes only"
-    );
-    Ok(())
+    match config {
+        GossipConfig::Uniform | GossipConfig::Weighted => Ok(()),
+        GossipConfig::Rlnc { .. } => {
+            panic!("the two-phase protocols support the tree regimes only")
+        }
+    }
 }
 
 /// The one two-phase body. Phase 1 runs the protocol over `packing` on
@@ -615,7 +614,7 @@ fn run_two_phase(
     check_inputs(g, packing, config)?;
     let n = g.n();
     let nmsg = origins.len();
-    let tree_of = assign_trees(packing, nmsg, seed, config.tree_choice);
+    let tree_of = assign_trees(packing, nmsg, seed, config == GossipConfig::Weighted);
     // The run idles until the last arrival if it must.
     let last_event = plan.events().last().map_or(0, |e| e.round);
     let cap = 64 * (n + nmsg) + 4096 + last_event;
@@ -623,12 +622,9 @@ fn run_two_phase(
     // Phase 1: the protocol under fire. A growing run delivers over the
     // view (base CSR + epoch-stamped overlay) — the base is the engines'
     // bookkeeping topology, never their adjacency source.
-    let mut sim = Simulator::with_seed(view.base(), Model::VCongest, seed)
+    let mut sim = Simulator::with_seed(view, Model::VCongest, seed)
         .with_engine(engine)
         .with_faults(plan.clone());
-    if let TopologyView::Growable(gg) = view {
-        sim = sim.with_growth(gg);
-    }
     let programs = gossip_programs(
         tree_membership(packing, n),
         injections(&tree_of, origins, n),
@@ -1305,18 +1301,7 @@ mod tests {
         };
         packing.trees[0].weight = 0.0;
         let origins: Vec<usize> = (0..2 * g.n()).map(|i| i % g.n()).collect();
-        let weighted = protocol(
-            &g,
-            &packing,
-            &origins,
-            5,
-            GossipConfig {
-                tree_choice: crate::gossip::TreeChoice::Weighted,
-                sharing: crate::gossip::Sharing::Greedy,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let weighted = protocol(&g, &packing, &origins, 5, GossipConfig::weighted()).unwrap();
         assert!(weighted.complete);
         assert_eq!(
             weighted.per_tree_load[0], 0,

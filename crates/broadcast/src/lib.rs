@@ -5,10 +5,11 @@
 //!
 //! * [`gossip`] — all-to-all broadcast (gossiping) by assigning messages to
 //!   random dominating trees and pipelining them up/down each tree
-//!   (Appendix A, Corollary A.1); [`gossip::GossipConfig`] selects between
-//!   the integral reading (uniform tree choice, greedy relaying) and the
-//!   fractional regime Theorem 1.1 actually proves (weight-proportional
-//!   choice + weighted per-vertex time-sharing);
+//!   (Appendix A, Corollary A.1); [`gossip::GossipConfig`] selects
+//!   among the integral reading (uniform tree choice, greedy relaying),
+//!   the fractional regime Theorem 1.1 actually proves
+//!   (weight-proportional choice + weighted per-vertex time-sharing),
+//!   and network coding;
 //! * [`throughput`] — steady-state broadcast throughput along the trees of
 //!   a packing, against the information-theoretic limits `k` / `⌈(λ−1)/2⌉`
 //!   (Corollaries 1.4 / 1.5);
@@ -18,7 +19,7 @@
 //! * [`rlnc`] — random linear network coding over GF(2⁸) (beyond the
 //!   paper): the field algebra, the incremental-Gaussian-elimination
 //!   decoder, and the coded gossip regime
-//!   [`gossip::Regime::Rlnc`] selects, where relays broadcast
+//!   [`gossip::GossipConfig::Rlnc`] selects, where relays broadcast
 //!   seeded-random combinations instead of forwarding along committed
 //!   trees.
 //!

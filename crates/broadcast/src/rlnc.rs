@@ -26,13 +26,13 @@
 //!   zero against the pivot rows changes nothing and is counted as
 //!   wasted bandwidth), rank tracking, and back-substitution decode.
 //! * `rlnc_schedule` (crate-internal) — the centralized round loop
-//!   behind [`Regime::Rlnc`](crate::gossip::Regime): per round every
-//!   vertex holding part of a still-needed generation picks one
-//!   seeded-uniform generation among those a neighbor still needs and
-//!   broadcasts a seeded-random combination of its rows. All coefficient
-//!   draws come from one `StdRng` seeded by `run seed ⊕ mix(rlnc seed)`,
-//!   so the relay digest pins the schedule bit-for-bit across runs and
-//!   engines (docs/DETERMINISM.md).
+//!   behind [`GossipConfig::Rlnc`](crate::gossip::GossipConfig::Rlnc):
+//!   per round every vertex holding part of a still-needed generation
+//!   picks one seeded-uniform generation among those a neighbor still
+//!   needs and broadcasts a seeded-random combination of its rows. All
+//!   coefficient draws come from one `StdRng` seeded by
+//!   `run seed ⊕ mix(rlnc seed)`, so the relay digest pins the schedule
+//!   bit-for-bit across runs and engines (docs/DETERMINISM.md).
 //!
 //! Fault behaviour differs from the tree schedules by design: there is
 //! no repair pass, because there is nothing to repair — coded packets
@@ -43,7 +43,7 @@
 
 use crate::gossip::{GossipReport, MessageOrigin, WaveSample};
 use crate::schedule::{idle_until_next_event, relay_hash, tree_ok, BitRows};
-use decomp_congest::{FaultPlan, FaultState};
+use decomp_congest::FaultState;
 use decomp_core::packing::DomTreePacking;
 use decomp_graph::Graph;
 use rand::rngs::StdRng;
@@ -653,8 +653,9 @@ impl<'g> RlncState<'g> {
     }
 }
 
-/// The RLNC round loop behind [`Regime::Rlnc`](crate::gossip::Regime):
-/// same V-CONGEST discipline as the tree schedules (one broadcast per
+/// The RLNC round loop behind
+/// [`GossipConfig::Rlnc`](crate::gossip::GossipConfig::Rlnc): same
+/// V-CONGEST discipline as the tree schedules (one broadcast per
 /// vertex per round, choices from round-start state, deliveries applied
 /// in ascending sender order), but relays send seeded-random GF(2⁸)
 /// combinations of one generation instead of forwarding tree tokens.
@@ -669,7 +670,7 @@ pub(crate) fn rlnc_schedule(
     seed: u64,
     gsize: usize,
     coeff_seed: u64,
-    faults: Option<&FaultPlan>,
+    mut ft: FaultState<'_>,
 ) -> GossipReport {
     let n = g.n();
     let nmsg = origins.len();
@@ -694,7 +695,6 @@ pub(crate) fn rlnc_schedule(
         debug_assert!(innovative, "distinct unit seeds are always innovative");
     }
 
-    let mut tracker = faults.map(|p| FaultState::new(p, n));
     let mut lost_messages = 0usize;
     let mut rounds = 0usize;
     let mut schedule_digest = 0u64;
@@ -710,37 +710,35 @@ pub(crate) fn rlnc_schedule(
         );
         // Phase 0 — faults fire before any relay choice, as in the
         // tree schedules' round structure.
-        if let Some(ft) = tracker.as_mut() {
-            if ft.advance_to(rounds) {
-                for &v in ft.newly_dead() {
-                    st.kill(v);
-                }
-                let lost = st.shrink_caps(ft, &mut scratch_slab, &mut pkt);
-                lost_messages += lost;
-                let surviving_trees = packing
-                    .trees
-                    .iter()
-                    .enumerate()
-                    .filter(|(t, tree)| tree_ok(g, ft, *t, tree, member))
-                    .count();
-                waves.push(WaveSample {
-                    round: rounds,
-                    faults_fired: ft.fired(),
-                    live_vertices: ft.live(),
-                    surviving_trees,
-                    incomplete_messages: (0..gens)
-                        .filter(|&gen| st.incomplete_at[gen] > 0)
-                        .map(|gen| st.cap[gen] as usize)
-                        .sum(),
-                    reassigned_messages: 0,
-                    lost_messages: lost,
-                    reextracted_classes: 0,
-                    flood_rounds_before: 0,
-                });
-                if st.total_incomplete == 0 {
-                    rounds -= 1;
-                    break;
-                }
+        if ft.advance_to(rounds) {
+            for &v in ft.newly_dead() {
+                st.kill(v);
+            }
+            let lost = st.shrink_caps(&ft, &mut scratch_slab, &mut pkt);
+            lost_messages += lost;
+            let surviving_trees = packing
+                .trees
+                .iter()
+                .enumerate()
+                .filter(|(t, tree)| tree_ok(g, &ft, *t, tree, member))
+                .count();
+            waves.push(WaveSample {
+                round: rounds,
+                faults_fired: ft.fired(),
+                live_vertices: ft.live(),
+                surviving_trees,
+                incomplete_messages: (0..gens)
+                    .filter(|&gen| st.incomplete_at[gen] > 0)
+                    .map(|gen| st.cap[gen] as usize)
+                    .sum(),
+                reassigned_messages: 0,
+                lost_messages: lost,
+                reextracted_classes: 0,
+                flood_rounds_before: 0,
+            });
+            if st.total_incomplete == 0 {
+                rounds -= 1;
+                break;
             }
         }
         // Phase 1 — relay choices from round-start state: each live
@@ -748,14 +746,13 @@ pub(crate) fn rlnc_schedule(
         // holds rank in and some neighbor still needs, then a
         // seeded-random combination of its rows. Stale candidates
         // (no needy neighbor — a monotone condition) are pruned as
-        // they are drawn.
+        // they are drawn. As in the tree schedules, the liveness checks
+        // run only once the tracker has fired (or awaits an arrival).
+        let live_checks = ft.any_fired();
         relays.clear();
         arena.clear();
         for v in 0..n {
-            if tracker
-                .as_ref()
-                .is_some_and(|t| t.is_dead(v) || t.is_dormant(v))
-            {
+            if live_checks && (ft.is_dead(v) || ft.is_dormant(v)) {
                 continue;
             }
             let gen = loop {
@@ -797,10 +794,7 @@ pub(crate) fn rlnc_schedule(
         for (ri, &(v, gen)) in relays.iter().enumerate() {
             let coeffs = &arena[ri * gsize..(ri + 1) * gsize];
             for &u in g.neighbors(v as usize) {
-                if tracker
-                    .as_ref()
-                    .is_some_and(|t| !t.deliverable(v as usize, u))
-                {
+                if live_checks && !ft.deliverable(v as usize, u) {
                     continue;
                 }
                 pkt.copy_from_slice(coeffs);
@@ -810,7 +804,7 @@ pub(crate) fn rlnc_schedule(
         if relays.is_empty() && st.total_incomplete > 0 {
             // Idle only while a scheduled arrival is still due (e.g. a
             // dormant origin holds the sole copy of its generation).
-            rounds = idle_until_next_event(tracker.as_ref(), rounds);
+            rounds = idle_until_next_event(&ft, rounds);
         }
     }
     let peak_state_words =

@@ -15,8 +15,9 @@
 //! the policy ([`Greedy`] vs [`Weighted`]); a static packing and live
 //! churn differ only in the hook (`gossip::StaticRepair` keeps the
 //! packing's trees, `churn::ChurnRepair` re-extracts the touched
-//! classes). Without a fault plan the loop carries no tracker, no
-//! `relayed` bitset, and no edge checks.
+//! classes). A fault-free run is the run of the empty plan: its tracker
+//! never fires, so the loop skips the liveness and edge checks, and an
+//! empty plan carries no `relayed` bitset.
 
 use crate::gossip::{GossipReport, MessageOrigin, WaveSample};
 use decomp_congest::FaultState;
@@ -188,14 +189,15 @@ struct TreeLane {
 }
 
 /// The weighted time-sharing reading of the fractional regime
-/// ([`Sharing::Weighted`](crate::gossip::Sharing::Weighted)): per round,
-/// every tree with an eligible pending message at a vertex earns `x_τ`
-/// credit; the highest-credit tree (ties to the lowest tree id) relays
-/// its lowest-indexed pending message and is charged the round's total
-/// accrual across the vertex's active trees. A lane whose heap has
-/// drained *and* whose tree has no incomplete message left anywhere
-/// retires — nothing can ever refill it, so keeping it would only let a
-/// finished tree's credit shadow live ones (and inflate the state peak).
+/// ([`GossipConfig::Weighted`](crate::gossip::GossipConfig::Weighted)):
+/// per round, every tree with an eligible pending message at a vertex
+/// earns `x_τ` credit; the highest-credit tree (ties to the lowest tree
+/// id) relays its lowest-indexed pending message and is charged the
+/// round's total accrual across the vertex's active trees. A lane whose
+/// heap has drained *and* whose tree has no incomplete message left
+/// anywhere retires — nothing can ever refill it, so keeping it would
+/// only let a finished tree's credit shadow live ones (and inflate the
+/// state peak).
 pub(crate) struct Weighted {
     weight: Vec<f64>,
     lanes: Vec<Vec<TreeLane>>,
@@ -457,8 +459,8 @@ fn assignment_still_covers(
 ///
 /// # Panics
 /// Panics when no event is due: the schedule has stalled.
-pub(crate) fn idle_until_next_event(faults: Option<&FaultState<'_>>, rounds: usize) -> usize {
-    let Some(r) = faults.and_then(|ft| ft.next_event_round()) else {
+pub(crate) fn idle_until_next_event(ft: &FaultState<'_>, rounds: usize) -> usize {
+    let Some(r) = ft.next_event_round() else {
         panic!(
             "gossip schedule stalled: a message can no longer make progress \
              (is some tree not dominating, or did faults disconnect the survivors?)"
@@ -486,13 +488,13 @@ pub(crate) fn tree_load(tree_of: &[usize], carriers: usize) -> Vec<usize> {
 }
 
 /// Runs the schedule to completion: message `m` starts at `origins[m]`
-/// on carrier `tree_of[m]` (a row of `member`, or [`FLOOD`]). With
-/// `faults`, every round first advances the tracker and, when events
-/// fire, runs the repair pass through `hook` and records a
-/// [`WaveSample`]; events at rounds 0 and 1 fire before the first relay
-/// choice. Idle rounds while an arrival is still due fast-forward to its
-/// eve ([`idle_until_next_event`]). The report's tree diameter and
-/// admission counts are the caller's to fill.
+/// on carrier `tree_of[m]` (a row of `member`, or [`FLOOD`]). Every
+/// round first advances the tracker `ft` and, when events fire, runs the
+/// repair pass through `hook` and records a [`WaveSample`]; events at
+/// rounds 0 and 1 fire before the first relay choice. Idle rounds while
+/// an arrival is still due fast-forward to its eve
+/// ([`idle_until_next_event`]). The report's tree diameter and admission
+/// counts are the caller's to fill.
 ///
 /// # Panics
 /// Panics if a message can no longer make progress (a tree that does not
@@ -503,20 +505,21 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
     mut member: BitRows,
     mut tree_of: Vec<usize>,
     mut policy: P,
-    mut faults: Option<FaultState<'_>>,
+    mut ft: FaultState<'_>,
     hook: &mut H,
 ) -> GossipReport {
     let n = g.n();
     let nmsg = origins.len();
     let per_tree_load = tree_load(&tree_of, member.rows);
-    // received: one bit row per message. Fault-free, a (message, vertex)
-    // pair is queued at most once (on the vertex's 0→1 reception,
-    // members only, plus the origin hand-off), so popping doubles as the
-    // `relayed` table; the repair pass reseeds holders, so under a plan
-    // relays are tracked explicitly in the `relayed` bitset.
+    // received: one bit row per message. Without repair, a (message,
+    // vertex) pair is queued at most once (on the vertex's 0→1
+    // reception, members only, plus the origin hand-off), so popping
+    // doubles as the `relayed` table; the repair pass reseeds holders,
+    // so a plan with events tracks relays explicitly in the `relayed`
+    // bitset (`nmsg × n` bits, which an empty plan never reads).
     let mut received = BitRows::new(nmsg, n);
     let mut remaining: Vec<usize> = vec![n - 1; nmsg];
-    let mut relayed = faults.as_ref().map(|_| BitRows::new(nmsg, n));
+    let mut relayed = ft.next_event_round().map(|_| BitRows::new(nmsg, n));
     let mut worklist: Vec<u32> = Vec::new();
     let mut queued: Vec<bool> = vec![false; n];
     let mut incomplete = 0usize;
@@ -549,140 +552,138 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
         );
         // Phase 0 — faults scheduled at this round fire before any
         // relay choice is made.
-        if let Some(ft) = faults.as_mut() {
-            if ft.advance_to(rounds) {
-                let ft = &*ft;
-                let relayed = relayed.as_mut().expect("fault path tracks relays");
-                // Dead vertices drop their relay queues and no longer
-                // count toward delivery.
+        if ft.advance_to(rounds) {
+            let ft = &ft;
+            let relayed = relayed.as_mut().expect("a plan that fires has events");
+            // Dead vertices drop their relay queues and no longer
+            // count toward delivery.
+            for &v in ft.newly_dead() {
+                policy.clear(v);
+            }
+            for (m, rem) in remaining.iter_mut().enumerate() {
+                if *rem == 0 {
+                    continue;
+                }
                 for &v in ft.newly_dead() {
-                    policy.clear(v);
-                }
-                for (m, rem) in remaining.iter_mut().enumerate() {
-                    if *rem == 0 {
-                        continue;
-                    }
-                    for &v in ft.newly_dead() {
-                        if !received.get(m, v) {
-                            *rem -= 1;
-                            if *rem == 0 {
-                                incomplete -= 1;
-                                policy.dropped(tree_of[m]);
-                            }
+                    if !received.get(m, v) {
+                        *rem -= 1;
+                        if *rem == 0 {
+                            incomplete -= 1;
+                            policy.dropped(tree_of[m]);
                         }
                     }
                 }
-                let (alive, reextracted) = hook.carriers(rounds, ft, &mut member);
-                // Repair pass: any incomplete message whose assignment
-                // no longer covers its needy vertices is moved to the
-                // lowest-id intact carrier holding it — or floods if
-                // none can carry it — and its eligible holders are
-                // reseeded (allowed to relay again). The same pass
-                // serves arrivals: a message complete among the old
-                // population has every holder relayed, so the arrival
-                // of a still-needy vertex reseeds it onto a carrier
-                // that dominates the newcomer.
-                let mut reassigned = 0usize;
-                let mut lost = 0usize;
-                for m in 0..nmsg {
-                    if remaining[m] == 0 {
-                        continue;
-                    }
-                    // Dormant holders count (a dormant origin's message
-                    // is not lost — it arrives with the vertex); their
-                    // reseeded entries wait in the queue until arrival.
-                    let holders: Vec<usize> = (0..n)
-                        .filter(|&v| !ft.is_dead(v) && received.get(m, v))
-                        .collect();
-                    if holders.is_empty() {
-                        remaining[m] = 0;
-                        incomplete -= 1;
-                        policy.dropped(tree_of[m]);
-                        lost += 1;
-                        continue;
-                    }
-                    let eligible =
-                        |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
-                    let target = || {
-                        (0..alive.len())
-                            .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
-                            .unwrap_or(FLOOD)
-                    };
-                    let covers = |t: usize| {
-                        assignment_still_covers(
-                            g,
-                            ft,
-                            origins[m],
-                            t == FLOOD,
-                            |v| t != FLOOD && member.get(t, v),
-                            |v| received.get(m, v),
-                            |v| relayed.get(m, v),
-                        )
-                    };
-                    let cur = tree_of[m];
-                    let next = if cur == FLOOD && H::READMIT_FLOOD {
-                        match target() {
-                            FLOOD if covers(FLOOD) => continue,
-                            t => t,
-                        }
-                    } else if (cur == FLOOD || alive[cur]) && covers(cur) {
-                        continue;
-                    } else {
-                        target()
-                    };
-                    policy.dropped(cur);
-                    policy.carried(next);
-                    tree_of[m] = next;
-                    reassigned += 1;
-                    for &v in &holders {
-                        if eligible(next, v) {
-                            relayed.clear(m, v);
-                            policy.push(v, next, m as u32);
-                            enqueue(&mut queued, &mut worklist, v);
-                        }
-                    }
+            }
+            let (alive, reextracted) = hook.carriers(rounds, ft, &mut member);
+            // Repair pass: any incomplete message whose assignment
+            // no longer covers its needy vertices is moved to the
+            // lowest-id intact carrier holding it — or floods if
+            // none can carry it — and its eligible holders are
+            // reseeded (allowed to relay again). The same pass
+            // serves arrivals: a message complete among the old
+            // population has every holder relayed, so the arrival
+            // of a still-needy vertex reseeds it onto a carrier
+            // that dominates the newcomer.
+            let mut reassigned = 0usize;
+            let mut lost = 0usize;
+            for m in 0..nmsg {
+                if remaining[m] == 0 {
+                    continue;
                 }
-                lost_messages += lost;
-                repair_events += reassigned;
-                // Arrivals whose pending relays were seeded while they
-                // slept (a dormant origin, or a reseed above) rejoin
-                // the worklist now.
-                for &v in ft.woke() {
-                    if policy.has_pending(v) {
+                // Dormant holders count (a dormant origin's message
+                // is not lost — it arrives with the vertex); their
+                // reseeded entries wait in the queue until arrival.
+                let holders: Vec<usize> = (0..n)
+                    .filter(|&v| !ft.is_dead(v) && received.get(m, v))
+                    .collect();
+                if holders.is_empty() {
+                    remaining[m] = 0;
+                    incomplete -= 1;
+                    policy.dropped(tree_of[m]);
+                    lost += 1;
+                    continue;
+                }
+                let eligible =
+                    |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
+                let target = || {
+                    (0..alive.len())
+                        .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
+                        .unwrap_or(FLOOD)
+                };
+                let covers = |t: usize| {
+                    assignment_still_covers(
+                        g,
+                        ft,
+                        origins[m],
+                        t == FLOOD,
+                        |v| t != FLOOD && member.get(t, v),
+                        |v| received.get(m, v),
+                        |v| relayed.get(m, v),
+                    )
+                };
+                let cur = tree_of[m];
+                let next = if cur == FLOOD && H::READMIT_FLOOD {
+                    match target() {
+                        FLOOD if covers(FLOOD) => continue,
+                        t => t,
+                    }
+                } else if (cur == FLOOD || alive[cur]) && covers(cur) {
+                    continue;
+                } else {
+                    target()
+                };
+                policy.dropped(cur);
+                policy.carried(next);
+                tree_of[m] = next;
+                reassigned += 1;
+                for &v in &holders {
+                    if eligible(next, v) {
+                        relayed.clear(m, v);
+                        policy.push(v, next, m as u32);
                         enqueue(&mut queued, &mut worklist, v);
                     }
                 }
-                waves.push(WaveSample {
-                    round: rounds,
-                    faults_fired: ft.fired(),
-                    live_vertices: ft.live(),
-                    surviving_trees: alive.iter().filter(|&&a| a).count(),
-                    incomplete_messages: incomplete,
-                    reassigned_messages: reassigned,
-                    lost_messages: lost,
-                    reextracted_classes: reextracted,
-                    flood_rounds_before: flood_rounds,
-                });
-                if incomplete == 0 {
-                    rounds -= 1;
-                    break;
+            }
+            lost_messages += lost;
+            repair_events += reassigned;
+            // Arrivals whose pending relays were seeded while they
+            // slept (a dormant origin, or a reseed above) rejoin
+            // the worklist now.
+            for &v in ft.woke() {
+                if policy.has_pending(v) {
+                    enqueue(&mut queued, &mut worklist, v);
                 }
+            }
+            waves.push(WaveSample {
+                round: rounds,
+                faults_fired: ft.fired(),
+                live_vertices: ft.live(),
+                surviving_trees: alive.iter().filter(|&&a| a).count(),
+                incomplete_messages: incomplete,
+                reassigned_messages: reassigned,
+                lost_messages: lost,
+                reextracted_classes: reextracted,
+                flood_rounds_before: flood_rounds,
+            });
+            if incomplete == 0 {
+                rounds -= 1;
+                break;
             }
         }
         // Phase 1 — choices, from the state at round start: each active
         // vertex pops its relay, lazily discarding messages that
-        // completed in earlier rounds and, on the fault path, entries
-        // this vertex already relayed (reseed duplicates). Dormant
-        // vertices sit out (their queues keep the entries).
+        // completed in earlier rounds and, under a plan, entries this
+        // vertex already relayed (reseed duplicates). Dead and dormant
+        // vertices sit out (a dormant queue keeps its entries). Until an
+        // event fires, with no arrival pending, every vertex is live and
+        // every edge delivers, so the liveness checks are skipped.
+        let live_checks = ft.any_fired();
         std::mem::swap(&mut frontier, &mut worklist);
         relays.clear();
         for &v in &frontier {
             let v = v as usize;
             queued[v] = false;
-            if faults
-                .as_ref()
-                .is_some_and(|ft| ft.is_dead(v) || ft.is_dormant(v))
-            {
+            if live_checks && (ft.is_dead(v) || ft.is_dormant(v)) {
                 continue;
             }
             let stale = |m: u32| {
@@ -703,7 +704,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
             let tree = tree_of[m];
             flooded |= tree == FLOOD;
             for &u in g.neighbors(v) {
-                if faults.as_ref().is_some_and(|ft| !ft.deliverable(v, u)) {
+                if live_checks && !ft.deliverable(v, u) {
                     continue;
                 }
                 if !received.get(m, u) {
@@ -732,7 +733,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
         }
         frontier.clear();
         if relays.is_empty() && incomplete > 0 {
-            rounds = idle_until_next_event(faults.as_ref(), rounds);
+            rounds = idle_until_next_event(&ft, rounds);
         }
     }
     GossipReport {

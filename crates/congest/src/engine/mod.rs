@@ -1,8 +1,8 @@
 //! The two round-execution backends behind [`crate::Simulator`].
 //!
-//! The [`crate::Simulator`] facade owns the network (graph, model, word
-//! budget, per-node RNG streams) and hands the round loop to one of two
-//! plain functions, picked by [`EngineKind`]:
+//! The [`crate::Simulator`] facade owns the network (topology view,
+//! model, word budget, fault plan, per-node RNG streams) and hands the
+//! round loop to one of two plain functions, picked by [`EngineKind`]:
 //!
 //! * `sequential::run` — the classic single-threaded lockstep loop;
 //! * `sharded::run` — a deterministic multi-core backend that splits
@@ -73,7 +73,7 @@ pub(crate) mod sharded;
 
 use crate::fault::{FaultPlan, FaultState};
 use crate::sim::{InEntry, Inbox, Model, NodeCtx, NodeProgram, Outbox, RunStats, SimError};
-use decomp_graph::{Graph, GrowableGraph, NodeId, TopologyView};
+use decomp_graph::{NodeId, TopologyView};
 use rand::rngs::StdRng;
 use std::fmt;
 use std::str::FromStr;
@@ -143,37 +143,22 @@ impl FromStr for EngineKind {
 
 /// The immutable network parameters an engine executes against.
 pub(crate) struct NetSpec<'g> {
-    /// Bookkeeping topology: vertex count, shard split, buffer sizing.
-    /// For settled runs this is also the delivery topology; growable
-    /// runs deliver over [`NetSpec::view`] instead (`graph` is then the
-    /// growable topology's epoch-0 CSR base, which lacks future edges).
-    pub graph: &'g Graph,
-    /// Growable topology, when the run's adjacency is revealed only at
-    /// arrival rounds: engines deliver over
-    /// [`GrowableGraph::neighbors_at`] with epoch = round, so a program
-    /// can never observe a future edge (degree included). `None` keeps
-    /// the settled fast path byte-for-byte.
-    pub growth: Option<&'g GrowableGraph>,
+    /// The delivery topology. A settled graph delivers over its CSR
+    /// slices; a growable one over
+    /// [`GrowableGraph::neighbors_at`](decomp_graph::GrowableGraph::neighbors_at)
+    /// with epoch = round, so a program can never observe a future edge
+    /// (degree included). Vertex count, shard split and buffer sizing
+    /// come from the view's base.
+    pub topology: TopologyView<'g>,
     /// The CONGEST variant whose constraints are enforced.
     pub model: Model,
     /// Per-message payload budget in words.
     pub word_budget: usize,
-    /// Deterministic failure schedule, if any (see [`crate::fault`]).
-    /// Engines derive identical per-run `FaultState`s from it — the
-    /// sharded backend builds one per worker, advanced in lockstep.
-    pub faults: Option<&'g FaultPlan>,
-}
-
-impl<'g> NetSpec<'g> {
-    /// The topology view engines deliver over: static for settled runs,
-    /// the growable graph otherwise.
-    #[inline]
-    pub(crate) fn view(&self) -> TopologyView<'g> {
-        match self.growth {
-            None => TopologyView::Static(self.graph),
-            Some(gg) => TopologyView::Growable(gg),
-        }
-    }
+    /// Deterministic failure schedule (see [`crate::fault`]); a
+    /// fault-free run carries the empty plan. Engines derive identical
+    /// per-run `FaultState`s from it — the sharded backend builds one
+    /// per worker, advanced in lockstep.
+    pub faults: &'g FaultPlan,
 }
 
 /// The outcome of one engine run.
@@ -415,11 +400,11 @@ impl ActivitySlab {
 pub(crate) fn cutoff_context<'a, P: NodeProgram + 'a>(
     arena: &InboxArena,
     programs: impl Iterator<Item = (NodeId, &'a P)>,
-    faults: Option<&FaultState<'_>>,
+    faults: &FaultState<'_>,
 ) -> (usize, usize) {
     let undelivered = arena.total_msgs();
     let unfinished = programs
-        .filter(|&(v, p)| faults.is_none_or(|f| !f.is_dead(v)) && !p.is_done())
+        .filter(|&(v, p)| !faults.is_dead(v) && !p.is_done())
         .count();
     (undelivered, unfinished)
 }
@@ -430,11 +415,12 @@ pub(crate) fn cutoff_context<'a, P: NodeProgram + 'a>(
 /// payload copy (a local broadcast) arrive in a single call, so delivery
 /// never clones payloads.
 ///
-/// Under an active fault schedule, targets that are dead or sit behind a
-/// cut edge are filtered *here*, before any accounting: the surviving
-/// receivers arrive as maximal contiguous runs, and stats count only
-/// what is actually delivered. Both engines get identical runs because
-/// the split happens in this shared helper.
+/// Once a fault has fired (or while an arrival is pending), targets that
+/// are dead, dormant, or behind a cut or inactive edge are filtered
+/// *here*, before any accounting: the surviving receivers arrive as
+/// maximal contiguous runs, and stats count only what is actually
+/// delivered. Both engines get identical runs because the split happens
+/// in this shared helper.
 ///
 /// Returns `true` iff the node attempted a send (even one whose targets
 /// all died — the attempt still holds the run open one round, matching
@@ -449,7 +435,7 @@ pub(crate) fn step_node<P: NodeProgram>(
     round: usize,
     program: &mut P,
     rng: &mut StdRng,
-    faults: Option<&FaultState<'_>>,
+    faults: &FaultState<'_>,
     inbox: Inbox<'_>,
     outbox: &mut Outbox,
     nbr_scratch: &mut Vec<NodeId>,
@@ -463,13 +449,13 @@ pub(crate) fn step_node<P: NodeProgram>(
     // stable for the whole round (epochs advance only at round starts),
     // so the outbox's per-neighbor spans stay consistent.
     let neighbors =
-        net.view()
+        net.topology
             .active_neighbors(v, round.min(u32::MAX as usize) as u32, nbr_scratch);
     outbox.reset(neighbors.len());
     {
         let mut ctx = NodeCtx::new(
             v,
-            net.graph.n(),
+            net.topology.n(),
             round,
             neighbors,
             net.model,
@@ -479,29 +465,28 @@ pub(crate) fn step_node<P: NodeProgram>(
         );
         program.round(&mut ctx, &inbox);
     }
-    let live_faults = faults.filter(|f| f.any_fired());
-    outbox.drain(neighbors, |targets, payload| match live_faults {
-        None => {
+    let live_checks = faults.any_fired();
+    outbox.drain(neighbors, |targets, payload| {
+        if !live_checks {
             stats.messages += targets.len();
             stats.words += payload.len() * targets.len();
             sink(targets, payload);
+            return;
         }
-        Some(f) => {
-            let mut a = 0;
-            while a < targets.len() {
-                if !f.deliverable(v, targets[a]) {
-                    a += 1;
-                    continue;
-                }
-                let mut b = a + 1;
-                while b < targets.len() && f.deliverable(v, targets[b]) {
-                    b += 1;
-                }
-                stats.messages += b - a;
-                stats.words += payload.len() * (b - a);
-                sink(&targets[a..b], payload);
-                a = b;
+        let mut a = 0;
+        while a < targets.len() {
+            if !faults.deliverable(v, targets[a]) {
+                a += 1;
+                continue;
             }
+            let mut b = a + 1;
+            while b < targets.len() && faults.deliverable(v, targets[b]) {
+                b += 1;
+            }
+            stats.messages += b - a;
+            stats.words += payload.len() * (b - a);
+            sink(&targets[a..b], payload);
+            a = b;
         }
     })
 }

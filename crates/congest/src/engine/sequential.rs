@@ -22,7 +22,7 @@ pub(crate) fn run<P: NodeProgram>(
     rngs: &mut [StdRng],
     max_rounds: usize,
 ) -> EngineRun {
-    let n = net.graph.n();
+    let n = net.topology.n();
     let mut stats = RunStats::default();
     // cur = messages delivered into this round; next = deliveries
     // being queued for the following round.
@@ -33,15 +33,13 @@ pub(crate) fn run<P: NodeProgram>(
     // Active-neighbor scratch for growable runs (untouched — and
     // unallocated — on the settled fast path).
     let mut nbr_scratch: Vec<NodeId> = Vec::new();
-    let mut faults = net.faults.map(|plan| FaultState::new(plan, n));
+    let mut faults = FaultState::new(net.faults, n);
     // Not-yet-arrived vertices start dormant: skipped by the pending
     // scan (their RNG streams untouched) but blocking quiescence, so
     // the run idles to the last arrival round if it must.
-    if let Some(fs) = faults.as_ref() {
-        for v in 0..n {
-            if fs.is_dormant(v) {
-                slab.mark_asleep(v);
-            }
+    for v in 0..n {
+        if faults.is_dormant(v) {
+            slab.mark_asleep(v);
         }
     }
     let mut round = 0usize;
@@ -51,21 +49,19 @@ pub(crate) fn run<P: NodeProgram>(
         // and before any inbox is consumed, and arrivals wake (a
         // fresh arrival has `done = 0`, so it is stepped this round
         // like its own round 0).
-        if let Some(fs) = faults.as_mut() {
-            if fs.advance_to(round) {
-                cur.purge(|local, from| !fs.deliverable(from, local));
-                for v in 0..n {
-                    if fs.is_dead(v) {
-                        slab.mark_dead(v);
-                    } else if !fs.is_dormant(v) {
-                        slab.wake(v);
-                    }
+        if faults.advance_to(round) {
+            cur.purge(|local, from| !faults.deliverable(from, local));
+            for v in 0..n {
+                if faults.is_dead(v) {
+                    slab.mark_dead(v);
+                } else if !faults.is_dormant(v) {
+                    slab.wake(v);
                 }
             }
         }
         if round >= max_rounds {
             let (undelivered, unfinished) =
-                cutoff_context(&cur, programs.iter().enumerate(), faults.as_ref());
+                cutoff_context(&cur, programs.iter().enumerate(), &faults);
             // One thread owns every node: the whole run is
             // shard-local by definition.
             stats.local_words = stats.words;
@@ -95,7 +91,7 @@ pub(crate) fn run<P: NodeProgram>(
                     round,
                     &mut programs[v],
                     &mut rngs[v],
-                    faults.as_ref(),
+                    &faults,
                     inbox,
                     &mut outbox,
                     &mut nbr_scratch,

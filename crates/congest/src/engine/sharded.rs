@@ -116,7 +116,7 @@ pub(crate) fn run<P: NodeProgram + Send>(
     max_rounds: usize,
 ) -> EngineRun {
     assert!(shards >= 1, "need at least one shard");
-    let n = net.graph.n();
+    let n = net.topology.n();
     let s = shards.min(n.max(1));
     if s <= 1 {
         return super::sequential::run(net, programs, rngs, max_rounds);
@@ -266,14 +266,12 @@ fn shard_worker<P: NodeProgram + Send>(
     // Every worker derives its own fault view from the shared plan and
     // advances it in lockstep — a pure function of (plan, round), so all
     // shards agree on the global dead set without communication.
-    let mut faults = net.faults.map(|plan| FaultState::new(plan, net.graph.n()));
+    let mut faults = FaultState::new(net.faults, net.topology.n());
     // Dormant (not-yet-arrived) vertices start asleep in this shard's
     // slab (the split covers every vertex id, arrivals included).
-    if let Some(fs) = faults.as_ref() {
-        for (i, v) in nodes.clone().enumerate() {
-            if fs.is_dormant(v) {
-                slab.mark_asleep(i);
-            }
+    for (i, v) in nodes.clone().enumerate() {
+        if faults.is_dormant(v) {
+            slab.mark_asleep(i);
         }
     }
     let mut round = 0usize;
@@ -283,15 +281,13 @@ fn shard_worker<P: NodeProgram + Send>(
         // invalidated (global sender id, shard-local receiver), and wake
         // arrivals (a fresh arrival has `done = 0`, so it is stepped
         // this round like its own round 0).
-        if let Some(fs) = faults.as_mut() {
-            if fs.advance_to(round) {
-                cur.purge(|local, from| !fs.deliverable(from, lo + local));
-                for (i, v) in nodes.clone().enumerate() {
-                    if fs.is_dead(v) {
-                        slab.mark_dead(i);
-                    } else if !fs.is_dormant(v) {
-                        slab.wake(i);
-                    }
+        if faults.advance_to(round) {
+            cur.purge(|local, from| !faults.deliverable(from, lo + local));
+            for (i, v) in nodes.clone().enumerate() {
+                if faults.is_dead(v) {
+                    slab.mark_dead(i);
+                } else if !faults.is_dormant(v) {
+                    slab.wake(i);
                 }
             }
         }
@@ -300,7 +296,7 @@ fn shard_worker<P: NodeProgram + Send>(
         if round >= max_rounds {
             stats.local_words = local_words_total;
             stats.cross_shard_words = cross_words_total;
-            let ctx = cutoff_context(&cur, nodes.clone().zip(progs.iter()), faults.as_ref());
+            let ctx = cutoff_context(&cur, nodes.clone().zip(progs.iter()), &faults);
             return (stats, Some(ctx));
         }
 
@@ -334,7 +330,7 @@ fn shard_worker<P: NodeProgram + Send>(
                         round,
                         &mut progs[i],
                         &mut rngs[i],
-                        faults.as_ref(),
+                        &faults,
                         inbox,
                         &mut outbox,
                         nbr_scratch,

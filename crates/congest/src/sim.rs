@@ -1,6 +1,8 @@
 //! The synchronous round-based simulator facade.
 //!
-//! A [`Simulator`] wraps a [`Graph`] as the communication network and runs
+//! A [`Simulator`] wraps a [`TopologyView`] — a settled [`Graph`], or a
+//! [`GrowableGraph`](decomp_graph::GrowableGraph) whose edges activate
+//! at their epochs — as the communication network and runs
 //! [`NodeProgram`]s in lockstep rounds, enforcing the bandwidth constraints
 //! of the selected [`Model`] and accounting rounds / messages / words.
 //! The facade hands the round loop to the backend chosen via
@@ -20,7 +22,7 @@
 use crate::engine::{self, EngineKind, NetSpec};
 use crate::fault::FaultPlan;
 use crate::message::{Message, MsgView};
-use decomp_graph::{Graph, GrowableGraph, NodeId};
+use decomp_graph::{Graph, NodeId, TopologyView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -559,12 +561,11 @@ pub trait NodeProgram {
 /// The synchronous simulator facade. See the [module docs](self) for
 /// semantics and [`crate::engine`] for the execution backends.
 pub struct Simulator<'g> {
-    graph: &'g Graph,
-    growth: Option<&'g GrowableGraph>,
+    topology: TopologyView<'g>,
     model: Model,
     word_budget: usize,
     engine: EngineKind,
-    faults: Option<FaultPlan>,
+    faults: FaultPlan,
     rngs: Vec<StdRng>,
     cumulative: RunStats,
 }
@@ -575,24 +576,33 @@ pub struct Simulator<'g> {
 pub const DEFAULT_WORD_BUDGET: usize = 8;
 
 impl<'g> Simulator<'g> {
-    /// A simulator over `graph` in `model` with the default word budget,
-    /// seed 0, and the sequential engine.
-    pub fn new(graph: &'g Graph, model: Model) -> Self {
-        Self::with_seed(graph, model, 0)
+    /// A simulator over `topology` in `model` with the default word
+    /// budget, seed 0, and the sequential engine.
+    ///
+    /// `topology` is a settled `&Graph`, or a `&GrowableGraph` to deliver
+    /// over a growing topology: each round `r`, a node's neighbor list is
+    /// the edges with activation epoch `<= r` (epochs are rounds), so no
+    /// program ever sees a future edge. The base CSR sizes the engines'
+    /// buffers, the shard split and the RNG streams, none of which affect
+    /// outputs. Compose with [`Simulator::with_faults`] for arrivals and
+    /// deaths: edge *activation* lives in the view, vertex dormancy and
+    /// cuts stay with the fault plan.
+    pub fn new(topology: impl Into<TopologyView<'g>>, model: Model) -> Self {
+        Self::with_seed(topology, model, 0)
     }
 
     /// A simulator with an explicit base seed for the nodes' private coins.
-    pub fn with_seed(graph: &'g Graph, model: Model, seed: u64) -> Self {
-        let rngs = (0..graph.n())
+    pub fn with_seed(topology: impl Into<TopologyView<'g>>, model: Model, seed: u64) -> Self {
+        let topology = topology.into();
+        let rngs = (0..topology.n())
             .map(|v| StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15) ^ (v as u64)))
             .collect();
         Simulator {
-            graph,
-            growth: None,
+            topology,
             model,
             word_budget: DEFAULT_WORD_BUDGET,
             engine: EngineKind::Sequential,
-            faults: None,
+            faults: FaultPlan::none(),
             rngs,
             cumulative: RunStats::default(),
         }
@@ -610,44 +620,11 @@ impl<'g> Simulator<'g> {
     /// silence dead nodes for the rest of the run (their RNG streams stop
     /// advancing), and decide quiescence over surviving programs only.
     /// The plan applies to every subsequent [`Simulator::run`], each run
-    /// restarting the schedule from round 0.
+    /// restarting the schedule from round 0. Without one, a simulator
+    /// runs the empty plan, which never fires.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
-    }
-
-    /// The installed failure schedule, if any.
-    pub fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// Delivers over a growing topology view instead of the settled
-    /// `graph`: each round `r`, a node's neighbor list is the edges of
-    /// `gg` with activation epoch `<= r` (epochs are rounds). The
-    /// simulator's `graph` must be `gg.base()` — the engines keep using
-    /// it for sizing, the shard split, and RNG streams, none of which
-    /// affect outputs.
-    ///
-    /// Compose with [`Simulator::with_faults`] for arrivals/deaths:
-    /// edge *activation* lives in the view, vertex dormancy and cuts
-    /// stay with the fault plan.
-    ///
-    /// # Panics
-    /// Panics if `gg.base()` is not the simulator's graph (by vertex
-    /// count; full identity is the caller's contract).
-    pub fn with_growth(mut self, gg: &'g GrowableGraph) -> Self {
-        assert_eq!(
-            gg.n(),
-            self.graph.n(),
-            "growth view must be built over the simulator's graph"
-        );
-        self.growth = Some(gg);
-        self
-    }
-
-    /// The installed growing topology view, if any.
-    pub fn growth(&self) -> Option<&GrowableGraph> {
-        self.growth
     }
 
     /// Selects the round-execution backend. Engine choice never changes
@@ -680,9 +657,10 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// The underlying network graph.
+    /// The underlying network graph: the settled graph, or a growing
+    /// topology's epoch-0 base.
     pub fn graph(&self) -> &Graph {
-        self.graph
+        self.topology.base()
     }
 
     /// The model being simulated.
@@ -729,14 +707,13 @@ impl<'g> Simulator<'g> {
         mut programs: Vec<P>,
         max_rounds: usize,
     ) -> Result<(Vec<P>, RunStats), SimError> {
-        let n = self.graph.n();
+        let n = self.topology.n();
         assert_eq!(programs.len(), n, "need one program per node");
         let net = NetSpec {
-            graph: self.graph,
-            growth: self.growth,
+            topology: self.topology,
             model: self.model,
             word_budget: self.word_budget,
-            faults: self.faults.as_ref(),
+            faults: &self.faults,
         };
         let outcome = match self.engine {
             EngineKind::Sequential => {
@@ -759,7 +736,7 @@ impl<'g> Simulator<'g> {
         &mut self,
         programs: Vec<P>,
     ) -> Result<(Vec<P>, RunStats), SimError> {
-        let limit = 64 * self.graph.n() + 4096;
+        let limit = 64 * self.topology.n() + 4096;
         self.run(programs, limit)
     }
 }
@@ -767,7 +744,7 @@ impl<'g> Simulator<'g> {
 impl fmt::Debug for Simulator<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulator")
-            .field("n", &self.graph.n())
+            .field("n", &self.topology.n())
             .field("model", &self.model)
             .field("engine", &self.engine)
             .field("stats", &self.cumulative)
@@ -1335,12 +1312,9 @@ mod tests {
         // every output and statistic must be byte-identical to the
         // plain Static path.
         let g = generators::harary(4, 16);
-        let gg = GrowableGraph::from_base(g.clone());
-        let run = |growth: bool| {
-            let mut sim = Simulator::with_seed(&g, Model::VCongest, 7);
-            if growth {
-                sim = sim.with_growth(&gg);
-            }
+        let gg = decomp_graph::GrowableGraph::from_base(g.clone());
+        let run = |view: TopologyView<'_>| {
+            let mut sim = Simulator::with_seed(view, Model::VCongest, 7);
             let programs = (0..g.n())
                 .map(|_| Counter {
                     heard: 0,
@@ -1355,7 +1329,7 @@ mod tests {
                 stats,
             )
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run((&g).into()), run((&gg).into()));
     }
 
     #[test]
@@ -1393,9 +1367,8 @@ mod tests {
         let gg = plan.growth_topology(&base);
         assert_eq!(gg.overlay_len(), 3, "all three edges are new to the base");
         let run = |engine| {
-            let mut sim = Simulator::with_seed(&base, Model::VCongest, 11)
+            let mut sim = Simulator::with_seed(&gg, Model::VCongest, 11)
                 .with_engine(engine)
-                .with_growth(&gg)
                 .with_faults(plan.clone());
             let programs = (0..6)
                 .map(|_| Counter {

@@ -330,9 +330,8 @@ fn gossip_on_a_growing_topology_bit_identical() {
         "newcomer edges must live in the overlay"
     );
     assert_equivalent("growing gossip", |engine| {
-        let mut sim = Simulator::with_seed(gg.base(), Model::VCongest, 5)
+        let mut sim = Simulator::with_seed(&gg, Model::VCongest, 5)
             .with_engine(engine)
-            .with_growth(&gg)
             .with_faults(plan.clone());
         let programs = (0..gfull.n())
             .map(|v| GossipMix {
