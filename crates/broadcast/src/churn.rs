@@ -127,9 +127,13 @@ pub fn gossip_under_churn<'g>(
     };
 
     // Round-0 view: not-yet-arrived vertices and edges leave the class
-    // state (they re-enter through the waves' `insert_*` calls).
-    let g0 = plan.surviving_graph(g, 0);
-    for v in plan.dormant_vertices_after(0) {
+    // state (they re-enter through the waves' `insert_*` calls). It reads
+    // a second tracker: the schedule's own `ft` must fire the round-0
+    // events itself, as its first wave.
+    let mut ft0 = FaultState::new(plan, n);
+    ft0.advance_to(0);
+    let g0 = ft0.surviving_graph(g);
+    for v in (0..n).filter(|&v| ft0.is_dormant(v)) {
         for c in hook.state.delete_vertex(&g0, v) {
             hook.leave(&mut member, c as usize, v);
         }
@@ -215,13 +219,8 @@ impl ChurnRepair<'_> {
 impl RepairHook for ChurnRepair<'_> {
     const READMIT_FLOOD: bool = true;
 
-    fn carriers(
-        &mut self,
-        round: usize,
-        ft: &FaultState<'_>,
-        member: &mut BitRows,
-    ) -> (Vec<bool>, usize) {
-        let g_live = self.plan.surviving_graph(self.g, round);
+    fn carriers(&mut self, ft: &FaultState<'_>, member: &mut BitRows) -> (Vec<bool>, usize) {
+        let g_live = ft.surviving_graph(self.g);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for e in &self.plan.events()[self.applied..ft.fired()] {
             match e.fault {

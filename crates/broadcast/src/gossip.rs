@@ -418,12 +418,7 @@ struct StaticRepair<'a> {
 impl RepairHook for StaticRepair<'_> {
     const READMIT_FLOOD: bool = false;
 
-    fn carriers(
-        &mut self,
-        _round: usize,
-        ft: &FaultState<'_>,
-        member: &mut BitRows,
-    ) -> (Vec<bool>, usize) {
+    fn carriers(&mut self, ft: &FaultState<'_>, member: &mut BitRows) -> (Vec<bool>, usize) {
         let (g, member) = (self.g, &*member);
         let ok = |(t, tree)| tree_ok(g, ft, t, tree, member);
         (self.packing.trees.iter().enumerate().map(ok).collect(), 0)

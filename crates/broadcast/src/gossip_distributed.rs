@@ -520,7 +520,7 @@ pub fn gossip_protocol_churn<'g>(
         // packing predates — is admitted incrementally on a growing
         // topology (tree service for the newcomer) and counted against
         // the flood fallback otherwise.
-        let g_surv = plan.surviving_graph(g, usize::MAX);
+        let g_surv = ft.surviving_graph(g);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for e in plan.events() {
             let entered = match e.fault {

@@ -350,16 +350,11 @@ pub(crate) trait RepairHook {
     /// still covers (churn), rather than only once the flood stops
     /// covering (a static packing).
     const READMIT_FLOOD: bool;
-    /// The wave at `round` fired (`ft` already advanced): updates the
+    /// A wave fired (`ft` already advanced to its round): updates the
     /// carriers' membership rows in `member` if they changed, and
     /// returns which carrier ids are intact and how many carriers the
     /// wave re-extracted.
-    fn carriers(
-        &mut self,
-        round: usize,
-        ft: &FaultState<'_>,
-        member: &mut BitRows,
-    ) -> (Vec<bool>, usize);
+    fn carriers(&mut self, ft: &FaultState<'_>, member: &mut BitRows) -> (Vec<bool>, usize);
 }
 
 /// Whether every live present vertex outside carrier `t` is adjacent,
@@ -574,7 +569,7 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                     }
                 }
             }
-            let (alive, reextracted) = hook.carriers(rounds, ft, &mut member);
+            let (alive, reextracted) = hook.carriers(ft, &mut member);
             // Repair pass: any incomplete message whose assignment
             // no longer covers its needy vertices is moved to the
             // lowest-id intact carrier holding it — or floods if

@@ -1,74 +1,71 @@
-//! The two round-execution backends behind [`crate::Simulator`].
+//! The round loop behind [`crate::Simulator`].
 //!
 //! The [`crate::Simulator`] facade owns the network (topology view,
 //! model, word budget, fault plan, per-node RNG streams) and hands the
-//! round loop to one of two plain functions, picked by [`EngineKind`]:
+//! round loop to `sharded::run` with the shard count [`EngineKind`]
+//! picks. The loop splits the nodes into balanced contiguous id ranges
+//! (shards), steps shard 0 on the calling thread and each other shard
+//! on its own scoped worker thread, delivers same-shard traffic
+//! directly into the next round's inbox arena (bypassing the mailbox
+//! plane entirely), and exchanges only cross-shard traffic through
+//! per-shard mailboxes under a round barrier.
+//! [`EngineKind::Sequential`] is the one-shard run: every node on the
+//! calling thread, no thread spawned, every delivery local.
 //!
-//! * `sequential::run` — the classic single-threaded lockstep loop;
-//! * `sharded::run` — a deterministic multi-core backend that splits
-//!   the nodes into balanced contiguous id ranges (shards), steps each
-//!   shard's programs on its own scoped worker thread, delivers
-//!   same-shard traffic directly into the next round's inbox arena
-//!   (bypassing the mailbox plane entirely), and exchanges only
-//!   cross-shard traffic through per-shard mailboxes under a round
-//!   barrier.
+//! The loop steps `programs` (one per node, indexed by node id) in
+//! lockstep rounds until global quiescence (all programs done and no
+//! messages in flight) or until `max_rounds` is exhausted: messages
+//! sent in round `r` are delivered (sorted by sender id) at the start
+//! of round `r + 1`, and a node is stepped iff it is active (round 0,
+//! non-empty inbox, or not done).
 //!
-//! Both step `programs` (one per node, indexed by node id) in lockstep
-//! rounds until global quiescence (all programs done and no messages in
-//! flight) or until `max_rounds` is exhausted: messages sent in round
-//! `r` are delivered (sorted by sender id) at the start of round
-//! `r + 1`, and a node is stepped iff it is active (round 0, non-empty
-//! inbox, or not done).
-//!
-//! Both backends keep per-node *activity* state as struct-of-arrays
+//! Each shard keeps its per-node *activity* state as struct-of-arrays
 //! bitset slabs (see `ActivitySlab`): done/dead/mail live in packed
-//! per-shard words, so the per-round active scan streams 64 nodes per
-//! load instead of chasing one program struct per node.
+//! words, so the per-round active scan streams 64 nodes per load
+//! instead of chasing one program struct per node.
 //!
 //! ## Determinism contract
 //!
-//! Both backends produce **bit-identical** results for the same
+//! Every shard count produces **bit-identical** results for the same
 //! network, programs, and seed — outputs, per-node RNG streams, *and*
-//! [`RunStats`] — for every shard count. Three properties of the round
-//! semantics make this cheap to guarantee:
+//! [`RunStats`]. Three properties of the round semantics make this
+//! cheap to guarantee:
 //!
 //! 1. each node's RNG is an independent seeded stream, advanced only by
 //!    that node's own [`NodeProgram::round`] calls, so execution order
 //!    across nodes never leaks into the random choices;
 //! 2. a node receives at most one message per neighbor per round (in both
 //!    models), and inboxes are sorted by sender id before delivery, so the
-//!    order in which the backends *enqueue* messages is unobservable;
-//! 3. message/word counters are commutative sums; the sharded backend
-//!    reduces them shard-locally and merges in shard order, which yields
-//!    exactly the sequential totals — and the peak-memory counters are
-//!    counted on the *sender* side (payload words once per send,
-//!    messages once per receiver) and summed into identical global
-//!    per-round totals on every worker, so they are engine-independent
-//!    too.
+//!    order in which the shards *enqueue* messages is unobservable;
+//! 3. message/word counters are commutative sums; each shard reduces
+//!    them locally and the run merges them in shard order, which yields
+//!    the one-shard totals — and the peak-memory counters are counted on
+//!    the *sender* side (payload words once per send, messages once per
+//!    receiver) and summed into identical global per-round totals on
+//!    every shard, so they do not depend on the shard count either.
 //!
-//! Both backends deliver through flat per-shard `InboxArena`s — one
-//! contiguous payload-word buffer plus `(sender, offset, length)`
-//! entries per node, reset (never reallocated) at the round boundary —
-//! and route sends through a reusable span-based `Outbox`, so the
-//! steady-state round loop performs no heap allocation and a broadcast
-//! payload is stored once per shard instead of cloned per receiver
-//! (the message-plane invariants of `docs/DETERMINISM.md`).
+//! Every shard delivers through flat `InboxArena`s — one contiguous
+//! payload-word buffer plus `(sender, offset, length)` entries per
+//! node, reset (never reallocated) at the round boundary — and routes
+//! sends through a reusable span-based `Outbox`, so the steady-state
+//! round loop performs no heap allocation and a broadcast payload is
+//! stored once per shard instead of cloned per receiver (the
+//! message-plane invariants of `docs/DETERMINISM.md`).
 //!
 //! The one deliberate exception: the [`RunStats`] locality split
 //! (`local_words` / `cross_shard_words`) describes the shard split, not
-//! the protocol — the sequential backend reports everything local, and
-//! each shard count reports its own cut. Cross-engine comparisons
-//! normalize it away with [`RunStats::locality_blind`]; every other
-//! counter (including `words == local_words + cross_shard_words`) is
+//! the protocol — the one-shard run reports everything local, and each
+//! shard count reports its own cut. Cross-engine comparisons normalize
+//! it away with [`RunStats::locality_blind`]; every other counter
+//! (including `words == local_words + cross_shard_words`) is
 //! engine-independent.
 //!
 //! The equivalence is enforced by `tests/engine_equivalence.rs` (every
-//! testkit fixture family, sequential vs. 2- and 4-shard runs) and by
+//! testkit fixture family, one shard vs. 2- and 4-shard runs) and by
 //! the CI jobs that rerun the simulator-driven suites — golden registry
 //! included — under `DECOMP_ENGINE=sharded:4`.
 
 mod partition;
-pub(crate) mod sequential;
 pub(crate) mod sharded;
 
 use crate::fault::{FaultPlan, FaultState};
@@ -81,16 +78,18 @@ use std::str::FromStr;
 /// Default shard count used by `EngineKind::parse("sharded")`.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Selects the round-execution backend of a [`crate::Simulator`].
+/// Selects the shard count of a [`crate::Simulator`]'s round loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Single-threaded lockstep loop (the default).
+    /// The one-shard run (the default): every node stepped on the
+    /// calling thread, no thread spawned — the same run as
+    /// `sharded(1)`.
     Sequential,
-    /// Scoped-thread worker pool over `shards` balanced contiguous node
-    /// id ranges.
+    /// `shards` balanced contiguous node id ranges: shard 0 on the
+    /// calling thread, each other shard on a scoped worker thread.
     Sharded {
-        /// Number of shards (worker threads). Clamped to `n` at run time;
-        /// `1` degenerates to the sequential loop.
+        /// Number of shards. Clamped to `n` at run time; `1` is the
+        /// `Sequential` run.
         shards: usize,
     },
 }
@@ -155,9 +154,8 @@ pub(crate) struct NetSpec<'g> {
     /// Per-message payload budget in words.
     pub word_budget: usize,
     /// Deterministic failure schedule (see [`crate::fault`]); a
-    /// fault-free run carries the empty plan. Engines derive identical
-    /// per-run `FaultState`s from it — the sharded backend builds one
-    /// per worker, advanced in lockstep.
+    /// fault-free run carries the empty plan. Each shard derives its own
+    /// `FaultState` from it, advanced in lockstep.
     pub faults: &'g FaultPlan,
 }
 
@@ -391,24 +389,6 @@ impl ActivitySlab {
     }
 }
 
-/// The round-limit error context, counted at one shared point so both
-/// engines agree bit-for-bit even when the cap hits with messages in
-/// flight mid-round: `undelivered` is the arena's post-purge in-flight
-/// count, `unfinished` the surviving (non-faulted) programs still
-/// reporting `!is_done()`. The sharded engine calls this per shard with
-/// its `(global id, program)` pairs and sums.
-pub(crate) fn cutoff_context<'a, P: NodeProgram + 'a>(
-    arena: &InboxArena,
-    programs: impl Iterator<Item = (NodeId, &'a P)>,
-    faults: &FaultState<'_>,
-) -> (usize, usize) {
-    let undelivered = arena.total_msgs();
-    let unfinished = programs
-        .filter(|&(v, p)| !faults.is_dead(v) && !p.is_done())
-        .count();
-    (undelivered, unfinished)
-}
-
 /// Executes one node's round: runs the program against the engine's
 /// reusable outbox, then accounts and routes every outgoing
 /// `(receivers, payload)` group through `sink` — receivers sharing one
@@ -419,16 +399,13 @@ pub(crate) fn cutoff_context<'a, P: NodeProgram + 'a>(
 /// are dead, dormant, or behind a cut or inactive edge are filtered
 /// *here*, before any accounting: the surviving receivers arrive as
 /// maximal contiguous runs, and stats count only what is actually
-/// delivered. Both engines get identical runs because the split happens
-/// in this shared helper.
+/// delivered.
 ///
 /// Returns `true` iff the node attempted a send (even one whose targets
 /// all died — the attempt still holds the run open one round, matching
-/// the degree-0 broadcast semantics). Both engines funnel through this
-/// helper, so per-node behavior (RNG consumption, model enforcement,
-/// stats accounting) is identical by construction. The caller sorts the
-/// inbox (see [`InboxArena::sort`]) before building the view.
-#[allow(clippy::too_many_arguments)] // the full per-node execution state, threaded once per engine
+/// the degree-0 broadcast semantics). The caller sorts the inbox (see
+/// [`InboxArena::sort`]) before building the view.
+#[allow(clippy::too_many_arguments)] // the full per-node execution state
 pub(crate) fn step_node<P: NodeProgram>(
     net: &NetSpec<'_>,
     v: NodeId,

@@ -1,28 +1,30 @@
-//! The deterministic sharded multi-core engine.
+//! The engine round loop: deterministic, over `s` shards.
 //!
 //! Nodes are split into `s` balanced contiguous id ranges (shards).
 //! Each shard's programs, RNG streams, and inbox arenas are owned
-//! exclusively by one scoped worker thread for the whole run (no
-//! per-round thread spawns): the worker holds `&mut` sub-slices of the
-//! caller's program and RNG slices. A round has two phases separated by
-//! barriers:
+//! exclusively by one thread for the whole run (no per-round thread
+//! spawns): shard 0 by the calling thread, every other shard by a
+//! scoped worker, each holding `&mut` sub-slices of the caller's
+//! program and RNG slices. One shard is the whole run on the calling
+//! thread, and all of its traffic takes the local bypass. A round has
+//! two phases separated by barriers:
 //!
-//! 1. **compute** — every worker streams its shard's
+//! 1. **compute** — every shard streams its
 //!    `ActivitySlab` pending bitset and steps the
 //!    active nodes (in ascending node id order). **Same-shard receivers
 //!    bypass the mailbox plane entirely**: their deliveries are written
 //!    straight into the shard's *next-round* inbox arena (the arenas are
-//!    double-buffered, exactly like the sequential engine's). Only
+//!    double-buffered and reset, never reallocated). Only
 //!    cross-shard receivers go through per-destination-shard outgoing
 //!    batches (one word buffer + one `(to, from, off, len)` entry list
 //!    each). Targets ascend and shards are contiguous, so a send's
 //!    receivers in one destination shard form a single run and its
 //!    payload is stored once per destination shard. The shard's
 //!    send/done flags and queued-traffic totals are published;
-//! 2. **deliver** — after the barrier, every worker drains its mailbox
+//! 2. **deliver** — after the barrier, every shard drains its mailbox
 //!    column (in sender-shard order) into its next-round arena (one
 //!    `memcpy` of the words plus offset-rebased entries per batch),
-//!    swaps the arena buffers, and all workers take the same
+//!    swaps the arena buffers, and all shards take the same
 //!    continue/stop decision from the published flags.
 //!
 //! The mailbox plane carries only the cut fraction of the traffic; the
@@ -40,24 +42,25 @@
 //! Determinism (see the [module docs](super)): node order within a shard
 //! is ascending, inbox entries are re-sorted by sender at consumption,
 //! RNG streams are per-node, and [`RunStats`] counters are shard-local
-//! sums merged in shard order — so a run is bit-identical to the
-//! sequential engine for *any* shard count, the locality split excepted.
+//! sums merged in shard order — so *every* shard count reproduces the
+//! one-shard run bit for bit, the locality split excepted.
 //! The peak-memory counters are counted on the *sender* side (payload
 //! words once per send, messages once per receiver) and summed across
 //! shards through the published per-round totals, so they too are
-//! engine-independent.
+//! independent of the shard count.
 //!
 //! A panic inside program code (model violations are panics by contract)
-//! is caught on the worker, propagated through a shared flag so every
-//! other worker unblocks at the next barrier, and re-raised on the
+//! is caught on the shard's thread, propagated through a shared flag so
+//! every other shard unblocks at the next barrier, and re-raised on the
 //! calling thread.
 
 use super::partition::Partition;
-use super::{cutoff_context, step_node, ActivitySlab, EngineRun, InboxArena, NetSpec};
+use super::{step_node, ActivitySlab, EngineRun, InboxArena, NetSpec};
 use crate::fault::FaultState;
 use crate::sim::{NodeProgram, Outbox, RunStats, SimError};
 use decomp_graph::NodeId;
 use rand::rngs::StdRng;
+use std::any::Any;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -102,9 +105,23 @@ struct ShardFlags {
     queued_words: AtomicUsize,
 }
 
-/// Runs `programs` on `shards` worker threads over balanced contiguous id
-/// ranges (the semantics of the [engine docs](super)). One shard — or a
-/// graph of at most one node — runs the sequential loop.
+/// The state every shard of one run shares: the split, the mailbox
+/// plane, the published flags, the round barrier, and the panic relay.
+struct Plane {
+    part: Partition,
+    /// Cross-shard mailboxes: cell `[src][dst]` is written by `src` in
+    /// the compute phase and drained by `dst` in the deliver phase.
+    mailboxes: Vec<Vec<Mutex<OutBatch>>>,
+    flags: Vec<ShardFlags>,
+    barrier: Barrier,
+    panicked: AtomicBool,
+    panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// Runs `programs` over `shards` balanced contiguous id ranges (the
+/// semantics of the [engine docs](super)): the calling thread steps
+/// shard 0 and `shards - 1` scoped workers step the rest, so one shard
+/// — or a graph of at most one node — spawns no thread.
 ///
 /// # Panics
 /// Panics if `shards == 0`.
@@ -118,70 +135,57 @@ pub(crate) fn run<P: NodeProgram + Send>(
     assert!(shards >= 1, "need at least one shard");
     let n = net.topology.n();
     let s = shards.min(n.max(1));
-    if s <= 1 {
-        return super::sequential::run(net, programs, rngs, max_rounds);
-    }
-    let part = Partition::contiguous(n, s);
-
-    // Cross-shard mailboxes: cell [src][dst] is written by src in the
-    // compute phase and drained by dst in the deliver phase.
-    let mailboxes: Vec<Vec<Mutex<OutBatch>>> = (0..s)
-        .map(|_| (0..s).map(|_| Mutex::new(OutBatch::default())).collect())
-        .collect();
-    let flags: Vec<ShardFlags> = (0..s)
-        .map(|_| ShardFlags {
-            sent: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            queued_msgs: AtomicUsize::new(0),
-            queued_words: AtomicUsize::new(0),
-        })
-        .collect();
-    let barrier = Barrier::new(s);
-    let panicked = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let plane = Plane {
+        part: Partition::contiguous(n, s),
+        mailboxes: (0..s)
+            .map(|_| (0..s).map(|_| Mutex::new(OutBatch::default())).collect())
+            .collect(),
+        flags: (0..s)
+            .map(|_| ShardFlags {
+                sent: AtomicBool::new(false),
+                done: AtomicBool::new(false),
+                queued_msgs: AtomicUsize::new(0),
+                queued_words: AtomicUsize::new(0),
+            })
+            .collect(),
+        barrier: Barrier::new(s),
+        panicked: AtomicBool::new(false),
+        panic_payload: Mutex::new(None),
+    };
 
     let results: Vec<(RunStats, Option<(usize, usize)>)> = thread::scope(|scope| {
-        // Hand each worker exclusive ownership of its shard's programs
-        // and RNG streams: shards are contiguous, so each takes the next
+        let plane = &plane;
+        // Hand each shard exclusive ownership of its programs and RNG
+        // streams: shards are contiguous, so each takes the next
         // sub-slice of both.
         let (mut progs_left, mut rngs_left) = (programs, rngs);
-        let handles: Vec<_> = (0..s)
+        let mut take = |me: usize| {
+            let len = plane.part.range(me).len();
+            let (progs, rest) = std::mem::take(&mut progs_left).split_at_mut(len);
+            progs_left = rest;
+            let (my_rngs, rest) = std::mem::take(&mut rngs_left).split_at_mut(len);
+            rngs_left = rest;
+            (progs, my_rngs)
+        };
+        let (own_progs, own_rngs) = take(0);
+        let workers: Vec<_> = (1..s)
             .map(|me| {
-                let len = part.range(me).len();
-                let (progs, rest) = std::mem::take(&mut progs_left).split_at_mut(len);
-                progs_left = rest;
-                let (my_rngs, rest) = std::mem::take(&mut rngs_left).split_at_mut(len);
-                rngs_left = rest;
-                let part = &part;
-                let mailboxes = &mailboxes;
-                let flags = &flags;
-                let barrier = &barrier;
-                let panicked = &panicked;
-                let panic_payload = &panic_payload;
-                scope.spawn(move || {
-                    shard_worker(
-                        net,
-                        part,
-                        me,
-                        progs,
-                        my_rngs,
-                        max_rounds,
-                        mailboxes,
-                        flags,
-                        barrier,
-                        panicked,
-                        panic_payload,
-                    )
-                })
+                let (progs, my_rngs) = take(me);
+                scope.spawn(move || shard_worker(net, plane, me, progs, my_rngs, max_rounds))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker thread died"))
+        let own = shard_worker(net, plane, 0, own_progs, own_rngs, max_rounds);
+        std::iter::once(own)
+            .chain(
+                workers
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker thread died")),
+            )
             .collect()
     });
 
-    if let Some(payload) = panic_payload.into_inner().unwrap() {
+    let relay = plane.panic_payload.into_inner();
+    if let Some(payload) = relay.expect("no shard panics while holding the relay") {
         panic::resume_unwind(payload);
     }
 
@@ -222,23 +226,25 @@ pub(crate) fn run<P: NodeProgram + Send>(
     }
 }
 
-/// The per-shard worker loop. Returns this shard's local stats and, when
-/// the round limit was hit, its `(undelivered, unfinished)` contribution
-/// to the error context.
-#[allow(clippy::too_many_arguments)] // the shared-state plumbing of one worker
+/// One shard's round loop, on the thread that owns the shard. Returns
+/// this shard's local stats and, when the round limit was hit, its
+/// `(undelivered, unfinished)` contribution to the error context.
 fn shard_worker<P: NodeProgram + Send>(
     net: &NetSpec<'_>,
-    part: &Partition,
+    plane: &Plane,
     me: usize,
     progs: &mut [P],
     rngs: &mut [StdRng],
     max_rounds: usize,
-    mailboxes: &[Vec<Mutex<OutBatch>>],
-    flags: &[ShardFlags],
-    barrier: &Barrier,
-    panicked: &AtomicBool,
-    panic_payload: &Mutex<Option<Box<dyn std::any::Any + Send>>>,
 ) -> (RunStats, Option<(usize, usize)>) {
+    let Plane {
+        part,
+        mailboxes,
+        flags,
+        barrier,
+        panicked,
+        panic_payload,
+    } = plane;
     let s = part.num_shards();
     let nodes = part.range(me);
     let (lo, local_n) = (nodes.start, nodes.len());
@@ -253,7 +259,7 @@ fn shard_worker<P: NodeProgram + Send>(
     let mut next = InboxArena::new(local_n);
     let mut slab = ActivitySlab::new(local_n);
     let mut outbox = Outbox::new(net.model);
-    // Per-worker active-neighbor scratch for growable runs (untouched
+    // Per-shard active-neighbor scratch for growable runs (untouched
     // on the settled fast path).
     let mut nbr_scratch: Vec<NodeId> = Vec::new();
     let mut out_bufs: Vec<OutBatch> = (0..s).map(|_| OutBatch::default()).collect();
@@ -263,7 +269,7 @@ fn shard_worker<P: NodeProgram + Send>(
     // `step_node`).
     let mut local_words_total = 0usize;
     let mut cross_words_total = 0usize;
-    // Every worker derives its own fault view from the shared plan and
+    // Every shard derives its own fault view from the shared plan and
     // advances it in lockstep — a pure function of (plan, round), so all
     // shards agree on the global dead set without communication.
     let mut faults = FaultState::new(net.faults, net.topology.n());
@@ -291,13 +297,20 @@ fn shard_worker<P: NodeProgram + Send>(
                 }
             }
         }
-        // All workers share the same lockstep round counter, so they all
+        // All shards share the same lockstep round counter, so they all
         // take this exit in the same round (no barrier crossing needed).
+        // The error context is counted after the purge: `undelivered` is
+        // the shard's in-flight count, `unfinished` its surviving
+        // programs still reporting `!is_done()`; `run` sums both.
         if round >= max_rounds {
             stats.local_words = local_words_total;
             stats.cross_shard_words = cross_words_total;
-            let ctx = cutoff_context(&cur, nodes.clone().zip(progs.iter()), &faults);
-            return (stats, Some(ctx));
+            let unfinished = nodes
+                .clone()
+                .zip(progs.iter())
+                .filter(|&(v, p)| !faults.is_dead(v) && !p.is_done())
+                .count();
+            return (stats, Some((cur.total_msgs(), unfinished)));
         }
 
         // --- Compute phase -------------------------------------------
@@ -306,8 +319,8 @@ fn shard_worker<P: NodeProgram + Send>(
         let mut queued_words = 0usize;
         // `round()` and `is_done()` run inside the same catch_unwind: a
         // panicking program (or a panic leaving state that makes
-        // `is_done` panic) must never kill the worker before the barrier
-        // or the other shards would deadlock there.
+        // `is_done` panic) must never kill the shard's thread before the
+        // barrier, or the other shards would deadlock there.
         let step = panic::catch_unwind(AssertUnwindSafe(|| {
             for w in 0..slab.num_words() {
                 let mut pend = slab.pending_word(w, cur.mail_bits()[w], round);
@@ -393,7 +406,7 @@ fn shard_worker<P: NodeProgram + Send>(
             Err(payload) => {
                 panicked.store(true, Ordering::SeqCst);
                 panic_payload.lock().unwrap().get_or_insert(payload);
-                // Value is irrelevant: every worker exits right after the
+                // Value is irrelevant: every shard exits right after the
                 // barrier once the panic flag is up.
                 true
             }
@@ -422,7 +435,7 @@ fn shard_worker<P: NodeProgram + Send>(
         let all_done = flags.iter().all(|f| f.done.load(Ordering::SeqCst));
         let any_sent_global = flags.iter().any(|f| f.sent.load(Ordering::SeqCst));
         // Global queued-traffic totals for the coming round: identical
-        // sums on every worker, hence engine-independent peaks.
+        // sums on every shard, hence shard-count-independent peaks.
         let round_msgs: usize = flags
             .iter()
             .map(|f| f.queued_msgs.load(Ordering::SeqCst))

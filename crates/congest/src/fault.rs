@@ -34,6 +34,7 @@
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// One injected failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -189,95 +190,6 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// Vertices dead once every fault scheduled at a round `≤ round` has
-    /// fired, ascending. Kills only — dormancy is reported by
-    /// [`FaultPlan::dormant_vertices_after`].
-    pub fn dead_vertices_after(&self, round: usize) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .events
-            .iter()
-            .take_while(|e| e.round <= round)
-            .filter_map(|e| match e.fault {
-                Fault::Vertex(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Vertices still dormant once every event scheduled at a round
-    /// `≤ round` has fired, ascending: [`Fault::AddVertex`] targets whose
-    /// (earliest) arrival round is `> round`.
-    pub fn dormant_vertices_after(&self, round: usize) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .events
-            .iter()
-            .filter_map(|e| match e.fault {
-                Fault::AddVertex(v) if e.round > round => Some(v),
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        // A duplicate arrival (flagged by `validate`) wakes at its
-        // earliest round: drop targets with any event already fired.
-        let awake = self.arrived_vertices_after(round);
-        out.retain(|v| awake.binary_search(v).is_err());
-        out
-    }
-
-    fn arrived_vertices_after(&self, round: usize) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .events
-            .iter()
-            .take_while(|e| e.round <= round)
-            .filter_map(|e| match e.fault {
-                Fault::AddVertex(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The live topology after every event scheduled at a round
-    /// `≤ round`: same vertex set (dead and still-dormant vertices become
-    /// isolated), minus cut edges, still-inactive edges, and every edge
-    /// incident to a dead or dormant vertex.
-    pub fn surviving_graph(&self, g: &Graph, round: usize) -> Graph {
-        let mut gone = self.dead_vertices_after(round);
-        gone.extend(self.dormant_vertices_after(round));
-        gone.sort_unstable();
-        gone.dedup();
-        let cut: Vec<(NodeId, NodeId)> = self
-            .events
-            .iter()
-            .take_while(|e| e.round <= round)
-            .filter_map(|e| match e.fault {
-                Fault::Edge(u, v) => Some((u, v)),
-                _ => None,
-            })
-            .collect();
-        let inactive: Vec<(NodeId, NodeId)> = self
-            .events
-            .iter()
-            .filter_map(|e| match e.fault {
-                Fault::AddEdge(u, v) if e.round > round => Some((u, v)),
-                _ => None,
-            })
-            .collect();
-        g.edge_subgraph(|u, v| {
-            let key = (u.min(v), u.max(v));
-            gone.binary_search(&u).is_err()
-                && gone.binary_search(&v).is_err()
-                && !cut.contains(&key)
-                && !inactive.contains(&key)
-        })
-    }
-
     /// Checks the plan against the (final) topology `g` and returns the
     /// first authoring error found, in schedule order. Opt-in: the
     /// engines deliberately tolerate sloppy plans (out-of-range ids are
@@ -288,6 +200,7 @@ impl FaultPlan {
         let n = g.n();
         let mut killed_at: Vec<Option<usize>> = vec![None; n];
         let mut arrived = vec![false; n];
+        let mut activated: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         // Earliest arrival round per vertex, pre-scanned: an edge event
         // may be scheduled before its endpoint's `AddVertex` appears in
         // round order, and growth plans must reject that shape.
@@ -353,6 +266,13 @@ impl FaultPlan {
                                 });
                             }
                         }
+                    }
+                    if matches!(e.fault, Fault::AddEdge(..)) && !activated.insert((u, v)) {
+                        return Err(FaultPlanError::DoubleActivation {
+                            u,
+                            v,
+                            round: e.round,
+                        });
                     }
                 }
             }
@@ -445,6 +365,15 @@ pub enum FaultPlanError {
         /// The endpoint's (earliest) arrival round.
         arrival: usize,
     },
+    /// The same edge is activated twice ([`Fault::AddEdge`]).
+    DoubleActivation {
+        /// Edge endpoint `u` (normalized, `u < v`).
+        u: NodeId,
+        /// Edge endpoint `v`.
+        v: NodeId,
+        /// The round of the second activation.
+        round: usize,
+    },
 }
 
 impl std::fmt::Display for FaultPlanError {
@@ -480,6 +409,12 @@ impl std::fmt::Display for FaultPlanError {
                 "edge event {{{u}, {v}}} at round {round} references endpoint {endpoint}, \
                  which only arrives at round {arrival}"
             ),
+            FaultPlanError::DoubleActivation { u, v, round } => {
+                write!(
+                    f,
+                    "edge {{{u}, {v}}} activated a second time at round {round}"
+                )
+            }
         }
     }
 }
@@ -492,11 +427,12 @@ fn draw_round(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
 }
 
 /// The live view of a plan: which faults have fired so far. The one
-/// fault tracker of the workspace — both round engines and the gossip
-/// schedules (tree and coded) advance it. Each sharded worker derives
-/// its own copy from the shared plan and advances it in lockstep — the
-/// state is a pure function of `(plan, round)`, so all workers agree
-/// without communication.
+/// fault tracker of the workspace — the engine's shards and the gossip
+/// schedules (tree and coded) advance it, and the churn paths read
+/// their survivor graphs from it ([`FaultState::surviving_graph`]).
+/// Each shard derives its own copy from the shared plan and advances it
+/// in lockstep — the state is a pure function of `(plan, round)`, so
+/// all shards agree without communication.
 pub struct FaultState<'p> {
     plan: &'p FaultPlan,
     /// Index of the first unfired event.
@@ -633,6 +569,14 @@ impl<'p> FaultState<'p> {
             && self.inactive_edges.binary_search(&key).is_err()
     }
 
+    /// The live topology of `g` (the plan's final graph) in the current
+    /// state: the same vertex set, keeping exactly the edges
+    /// [`FaultState::deliverable`] passes — so dead and dormant vertices
+    /// are isolated, and cut and not-yet-activated edges are gone.
+    pub fn surviving_graph(&self, g: &Graph) -> Graph {
+        g.edge_subgraph(|u, v| self.deliverable(u, v))
+    }
+
     /// Vertices currently alive and present (dormant ones excluded until
     /// they arrive).
     pub fn live(&self) -> usize {
@@ -735,13 +679,17 @@ mod tests {
                 fault: Fault::Edge(2, 3),
             },
         ]);
-        let after1 = plan.surviving_graph(&g, 1);
+        let mut ft = FaultState::new(&plan, g.n());
+        ft.advance_to(1);
+        let after1 = ft.surviving_graph(&g);
         assert_eq!(after1.n(), 5);
         assert_eq!(after1.degree(0), 0);
         assert_eq!(after1.m(), g.m() - 2);
-        let after3 = plan.surviving_graph(&g, 3);
+        ft.advance_to(3);
+        let after3 = ft.surviving_graph(&g);
         assert_eq!(after3.m(), g.m() - 3);
-        assert_eq!(plan.dead_vertices_after(3), vec![0]);
+        let dead: Vec<NodeId> = (0..g.n()).filter(|&v| ft.is_dead(v)).collect();
+        assert_eq!(dead, vec![0]);
     }
 
     #[test]
@@ -858,6 +806,29 @@ mod tests {
     }
 
     #[test]
+    fn validate_flags_double_activation() {
+        let g = generators::cycle(6);
+        let plan = FaultPlan::new([
+            ScheduledFault {
+                round: 3,
+                fault: Fault::AddEdge(0, 1),
+            },
+            ScheduledFault {
+                round: 9,
+                fault: Fault::AddEdge(1, 0),
+            },
+        ]);
+        assert_eq!(
+            plan.validate(&g),
+            Err(FaultPlanError::DoubleActivation {
+                u: 0,
+                v: 1,
+                round: 9
+            })
+        );
+    }
+
+    #[test]
     fn arrival_plans_are_seed_deterministic() {
         let g = generators::harary(4, 24);
         let a = FaultPlan::random_arrivals(&g, 5, (1, 9), 7);
@@ -884,17 +855,25 @@ mod tests {
                 fault: Fault::AddEdge(0, 1),
             },
         ]);
-        assert_eq!(plan.dormant_vertices_after(0), vec![2]);
-        assert_eq!(plan.dormant_vertices_after(2), vec![2]);
-        assert!(plan.dormant_vertices_after(3).is_empty());
-        let before = plan.surviving_graph(&g, 0);
+        let mut ft = FaultState::new(&plan, g.n());
+        let dormant = |ft: &FaultState<'_>| -> Vec<NodeId> {
+            (0..g.n()).filter(|&v| ft.is_dormant(v)).collect()
+        };
+        ft.advance_to(0);
+        assert_eq!(dormant(&ft), vec![2]);
+        let before = ft.surviving_graph(&g);
         // Vertex 2 isolated (drops edges {1,2}, {2,3}) and edge {0,1}
         // inactive.
         assert_eq!(before.degree(2), 0);
         assert_eq!(before.m(), g.m() - 3);
-        let mid = plan.surviving_graph(&g, 3);
+        ft.advance_to(2);
+        assert_eq!(dormant(&ft), vec![2]);
+        ft.advance_to(3);
+        assert!(dormant(&ft).is_empty());
+        let mid = ft.surviving_graph(&g);
         assert_eq!(mid.m(), g.m() - 1, "vertex 2 arrived, {{0,1}} still off");
-        let after = plan.surviving_graph(&g, 5);
+        ft.advance_to(5);
+        let after = ft.surviving_graph(&g);
         assert_eq!(after.m(), g.m());
     }
 

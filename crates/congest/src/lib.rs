@@ -19,15 +19,17 @@
 //!
 //! ## Engines
 //!
-//! [`Simulator`] runs its rounds on one of two backends ([`engine`]),
-//! picked by [`EngineKind`]: the default single-threaded sequential
-//! loop, or a scoped-thread sharded loop that splits nodes into
-//! contiguous id ranges and exchanges cross-shard traffic through
-//! per-shard mailboxes under a round barrier. The backends are
-//! **bit-for-bit equivalent** — identical outputs, RNG streams, and
-//! [`RunStats`] (locality split aside) for any shard count — so every
-//! downstream algorithm scales across cores without changing its
-//! [`NodeProgram`]. Select one with [`Simulator::with_engine`].
+//! [`Simulator`] runs its rounds on one round loop ([`engine`]) that
+//! splits nodes into contiguous id ranges (shards), steps shard 0 on the
+//! calling thread and every other shard on a scoped worker, and
+//! exchanges cross-shard traffic through per-shard mailboxes under a
+//! round barrier. [`EngineKind`] picks the shard count: the default
+//! `Sequential` is the one-shard run (no thread spawned), `Sharded`
+//! takes any count. Every shard count is **bit-for-bit equivalent** —
+//! identical outputs, RNG streams, and [`RunStats`] (locality split
+//! aside) — so every downstream algorithm scales across cores without
+//! changing its [`NodeProgram`]. Select one with
+//! [`Simulator::with_engine`].
 //!
 //! ## Primitives
 //!

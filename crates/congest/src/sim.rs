@@ -5,10 +5,10 @@
 //! at their epochs — as the communication network and runs
 //! [`NodeProgram`]s in lockstep rounds, enforcing the bandwidth constraints
 //! of the selected [`Model`] and accounting rounds / messages / words.
-//! The facade hands the round loop to the backend chosen via
-//! [`Simulator::with_engine`] (sequential by default, or the
-//! deterministic sharded multi-core backend — see [`crate::engine`] for
-//! the bit-for-bit determinism contract between backends).
+//! The facade hands the round loop to the engine, split into the shard
+//! count chosen via [`Simulator::with_engine`] (one shard on the calling
+//! thread by default — see [`crate::engine`] for the bit-for-bit
+//! determinism contract across shard counts).
 //!
 //! Messages sent in round `r` are delivered at the start of round `r + 1`.
 //! A run terminates when every program reports [`NodeProgram::is_done`] and
@@ -63,12 +63,12 @@ pub struct RunStats {
     /// Peak payload words materialized for any single round's delivery —
     /// the inbox-arena footprint. A V-CONGEST broadcast's payload counts
     /// **once**, not per receiver (deliveries reference one copy; the
-    /// sharded engine holds at most one extra copy per destination shard,
+    /// engine holds at most one extra copy per destination shard,
     /// uncounted so the metric stays engine-independent).
     pub peak_arena_words: usize,
     /// Payload words delivered between a same-shard sender/receiver pair
-    /// — traffic that never touched the mailbox plane. The sequential
-    /// engine (one thread owns every node) reports everything here.
+    /// — traffic that never touched the mailbox plane. The one-shard
+    /// run ([`EngineKind::Sequential`]) reports everything here.
     /// `local_words + cross_shard_words == words`, always.
     ///
     /// **The one engine-dependent field pair**: the split describes the
@@ -76,8 +76,8 @@ pub struct RunStats {
     /// [`RunStats::locality_blind`] before cross-engine comparisons.
     pub local_words: usize,
     /// Payload words delivered across a shard boundary (through the
-    /// sharded engine's mailbox plane) — the shard split's realized cut
-    /// traffic. Zero under the sequential engine.
+    /// engine's mailbox plane) — the shard split's realized cut
+    /// traffic. Zero in the one-shard run.
     pub cross_shard_words: usize,
     /// Deliveries the receiving *protocol* judged redundant — e.g. a
     /// non-innovative coded packet under the RLNC gossip regime. The
@@ -700,8 +700,8 @@ impl<'g> Simulator<'g> {
     ///
     /// # Panics
     /// Panics if `programs.len() != graph.n()`, or on model violations
-    /// inside program code (see [`NodeCtx`]); the sharded engine re-raises
-    /// worker panics on the calling thread.
+    /// inside program code (see [`NodeCtx`]); a panic on a worker
+    /// shard's thread is re-raised on the calling thread.
     pub fn run<P: NodeProgram + Send>(
         &mut self,
         mut programs: Vec<P>,
@@ -715,14 +715,11 @@ impl<'g> Simulator<'g> {
             word_budget: self.word_budget,
             faults: &self.faults,
         };
-        let outcome = match self.engine {
-            EngineKind::Sequential => {
-                engine::sequential::run(&net, &mut programs, &mut self.rngs, max_rounds)
-            }
-            EngineKind::Sharded { shards } => {
-                engine::sharded::run(shards, &net, &mut programs, &mut self.rngs, max_rounds)
-            }
+        let shards = match self.engine {
+            EngineKind::Sequential => 1,
+            EngineKind::Sharded { shards } => shards,
         };
+        let outcome = engine::sharded::run(shards, &net, &mut programs, &mut self.rngs, max_rounds);
         self.cumulative.absorb(outcome.stats);
         match outcome.error {
             Some(err) => Err(err),
@@ -928,6 +925,39 @@ mod tests {
         let g = generators::path(4);
         let mut sim = Simulator::new(&g, Model::VCongest).with_engine(EngineKind::sharded(2));
         let _ = sim.run(vec![Bad, Bad, Bad, Bad], 3);
+    }
+
+    #[test]
+    fn shard_zero_steps_on_the_calling_thread() {
+        // Records the thread that stepped the node.
+        struct WhereStepped(Option<std::thread::ThreadId>);
+        impl NodeProgram for WhereStepped {
+            fn round(&mut self, _ctx: &mut NodeCtx<'_>, _inbox: &Inbox<'_>) {
+                self.0 = Some(std::thread::current().id());
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+        let g = generators::cycle(8);
+        let caller = std::thread::current().id();
+        let on_caller = |engine| -> Vec<NodeId> {
+            let mut sim = Simulator::new(&g, Model::VCongest).with_engine(engine);
+            let programs = (0..g.n()).map(|_| WhereStepped(None)).collect();
+            let (out, _) = sim.run_to_quiescence(programs).unwrap();
+            assert!(
+                out.iter().all(|p| p.0.is_some()),
+                "{engine}: round 0 steps all"
+            );
+            (0..g.n()).filter(|&v| out[v].0 == Some(caller)).collect()
+        };
+        // One shard spawns no thread; with four, shard 0 (nodes 0 and 1)
+        // stays on the calling thread and the rest run on workers.
+        assert_eq!(
+            on_caller(EngineKind::Sequential),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert_eq!(on_caller(EngineKind::sharded(4)), vec![0, 1]);
     }
 
     #[test]

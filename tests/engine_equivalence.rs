@@ -1,9 +1,11 @@
-//! Engine equivalence: the sequential and sharded backends must produce
-//! **bit-identical** results — program outputs, per-node RNG streams, and
-//! `RunStats` — on every testkit fixture family (the determinism contract
-//! of `decomp_congest::engine`). The one normalization: the `RunStats`
-//! locality split describes the engine's shard split, not the protocol, so
-//! comparisons go through `RunStats::locality_blind`.
+//! Engine equivalence: the one engine loop must produce **bit-identical**
+//! results — program outputs, per-node RNG streams, and `RunStats` — for
+//! every shard count on every testkit fixture family (the determinism
+//! contract of `decomp_congest::engine`): the one-shard run
+//! (`EngineKind::Sequential`) against 2 and 4 shards. The one
+//! normalization: the `RunStats` locality split describes the engine's
+//! shard split, not the protocol, so comparisons go through
+//! `RunStats::locality_blind`.
 //!
 //! Coverage: raw primitives (BFS, multi-key flooding in both models), the
 //! full Appendix B distributed CDS pipeline, the Appendix E distributed
@@ -146,11 +148,11 @@ fn round_limit_error_context_identical() {
 
 #[test]
 fn round_limit_error_context_identical_under_faults() {
-    use connectivity_decomposition::congest::fault::FaultPlan;
+    use connectivity_decomposition::congest::fault::{Fault, FaultPlan};
     // The cap hits with messages in flight mid-run *and* part of the
-    // network dead: both engines must report the same post-purge
-    // `undelivered` count and the same live-only `unfinished` count —
-    // the unified counting point in `engine::cutoff_context`.
+    // network dead: every shard count must report the same post-purge
+    // `undelivered` count and the same live-only `unfinished` count,
+    // summed over the shards.
     #[derive(Debug)]
     struct Chatter;
     impl NodeProgram for Chatter {
@@ -181,8 +183,21 @@ fn round_limit_error_context_identical_under_faults() {
                     // Only live programs are unfinished, and only
                     // live-to-live traffic is still in flight.
                     assert_eq!(unfinished, f.graph.n() - dead);
-                    let surviving = plan.surviving_graph(&f.graph, 7);
-                    assert_eq!(undelivered, 2 * surviving.m(), "dead lanes purged");
+                    let killed: Vec<usize> = plan
+                        .events()
+                        .iter()
+                        .filter_map(|e| match e.fault {
+                            Fault::Vertex(v) => Some(v),
+                            _ => None,
+                        })
+                        .collect();
+                    let live_edges = f
+                        .graph
+                        .edges()
+                        .iter()
+                        .filter(|(u, v)| !killed.contains(u) && !killed.contains(v))
+                        .count();
+                    assert_eq!(undelivered, 2 * live_edges, "dead lanes purged");
                     (undelivered, unfinished, sim.stats().locality_blind())
                 }
             }

@@ -45,7 +45,8 @@ fn vertex_faults_below_kappa_still_complete_on_every_family() {
         let faults = f.kappa.saturating_sub(1);
         for seed in SEEDS {
             let plan = FaultPlan::random_vertices(&f.graph, faults, (2, 6), seed);
-            let dead = plan.dead_vertices_after(usize::MAX).len();
+            // `random_vertices` kills distinct vertices.
+            let dead = plan.len();
             for config in [GossipConfig::default(), GossipConfig::weighted()] {
                 let r = gossip_via_trees_faulty(&f.graph, &packing, &origins, seed, config, &plan)
                     .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", f.name));
@@ -282,8 +283,17 @@ fn incremental_repack_is_bit_identical_to_scratch() {
             st.join(g, layout.vid(v, 0, VType::ALL[c]), c);
         }
         let plan = FaultPlan::worst_case_vertices(g, n / 4, 1);
+        let mut kills: Vec<usize> = plan
+            .events()
+            .iter()
+            .filter_map(|e| match e.fault {
+                Fault::Vertex(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        kills.sort_unstable();
         let mut deleted: Vec<usize> = Vec::new();
-        for dead in plan.dead_vertices_after(usize::MAX) {
+        for dead in kills {
             let touched = st.delete_vertex(g, dead);
             deleted.push(dead);
             assert!(touched.len() <= t, "{}", f.name);
