@@ -45,14 +45,19 @@ struct GossipProgram {
     trees: Vec<u32>,
     /// Tokens to relay, FIFO: (msg id, tree id).
     queue: VecDeque<(u64, u64)>,
-    /// Message ids already queued/relayed here (keyed on the message
-    /// alone — a message rides exactly one tree, chosen at its origin,
-    /// so one relay per node covers it). Origins enter at injection
-    /// time: an origin inside its own tree must not re-queue its
-    /// message when the broadcast echoes back via a neighbor.
-    seen: std::collections::HashSet<u64>,
-    /// All message ids received.
-    received: std::collections::HashSet<u64>,
+    /// Message ids already queued/relayed here, one bit per id in a
+    /// one-row [`BitRows`] of `⌈nmsg/64⌉` words (ids are dense,
+    /// `0..nmsg`). Keyed on the message alone — a message rides exactly
+    /// one tree, chosen at its origin, so one relay per node covers it.
+    /// Origins enter at injection time: an origin inside its own tree
+    /// must not re-queue its message when the broadcast echoes back via
+    /// a neighbor.
+    seen: BitRows,
+    /// All message ids received, one bit per id like `seen`.
+    received: BitRows,
+    /// Set bits of `received`: the run is complete at this node when it
+    /// reaches `nmsg`.
+    received_count: usize,
     /// Initial injections for messages originating here.
     inject: VecDeque<(u64, u64)>,
     /// Deliveries of messages this node already held
@@ -61,11 +66,27 @@ struct GossipProgram {
 }
 
 impl GossipProgram {
+    /// Whether message `m` has reached this node.
+    fn has(&self, m: usize) -> bool {
+        self.received.get(0, m)
+    }
+
+    /// Marks `msg` received; false if it already was.
+    fn receive(&mut self, msg: u64) -> bool {
+        let fresh = !self.has(msg as usize);
+        if fresh {
+            self.received.set(0, msg as usize);
+            self.received_count += 1;
+        }
+        fresh
+    }
+
     fn accept(&mut self, msg: u64, tree: u64) {
-        if !self.received.insert(msg) {
+        if !self.receive(msg) {
             self.wasted += 1;
         }
-        if self.trees.binary_search(&(tree as u32)).is_ok() && self.seen.insert(msg) {
+        if self.trees.binary_search(&(tree as u32)).is_ok() && !self.seen.get(0, msg as usize) {
+            self.seen.set(0, msg as usize);
             self.queue.push_back((msg, tree));
         }
     }
@@ -77,7 +98,7 @@ impl NodeProgram for GossipProgram {
             self.accept(m.word(0), m.word(1));
         }
         if let Some((msg, tree)) = self.inject.pop_front() {
-            self.received.insert(msg);
+            self.receive(msg);
             ctx.broadcast(Message::from_words([msg, tree]));
             return;
         }
@@ -280,13 +301,14 @@ pub fn gossip_protocol_on(
     let programs = gossip_programs(
         tree_membership(packing, n),
         injections(&tree_of, origins, n),
+        origins.len(),
     );
     let (programs, mut stats) = sim
         .run(programs, 64 * (n + origins.len()) + 4096)
         .map_err(GossipError::Sim)?;
     stats.wasted_bandwidth = programs.iter().map(|p| p.wasted).sum();
     Ok(DistGossipReport {
-        complete: programs.iter().all(|p| p.received.len() == origins.len()),
+        complete: programs.iter().all(|p| p.received_count == origins.len()),
         lost_messages: 0,
         per_tree_load: tree_load(&tree_of, packing.num_trees()),
         reextractions: 0,
@@ -316,25 +338,34 @@ fn tree_membership(packing: &DomTreePacking, n: usize) -> Vec<Vec<u32>> {
     membership
 }
 
-/// One [`GossipProgram`] per node: it relays tokens of the carriers in
-/// `membership[v]` and starts by injecting `injections[v]`.
+/// One [`GossipProgram`] per node over message ids `0..nmsg`: it relays
+/// tokens of the carriers in `membership[v]` and starts by injecting
+/// `injections[v]`.
 fn gossip_programs(
     membership: Vec<Vec<u32>>,
     injections: Vec<VecDeque<(u64, u64)>>,
+    nmsg: usize,
 ) -> Vec<GossipProgram> {
     membership
         .into_iter()
         .zip(injections)
-        .map(|(trees, inject)| GossipProgram {
-            trees,
-            queue: VecDeque::new(),
+        .map(|(trees, inject)| {
             // Injected messages are seen at injection: the origin
             // broadcasts each exactly once, so a tree-member origin must
             // not re-queue its own message when the echo arrives.
-            seen: inject.iter().map(|&(m, _)| m).collect(),
-            received: Default::default(),
-            inject,
-            wasted: 0,
+            let mut seen = BitRows::new(1, nmsg);
+            for &(m, _) in &inject {
+                seen.set(0, m as usize);
+            }
+            GossipProgram {
+                trees,
+                queue: VecDeque::new(),
+                seen,
+                received: BitRows::new(1, nmsg),
+                received_count: 0,
+                inject,
+                wasted: 0,
+            }
         })
         .collect()
 }
@@ -628,6 +659,7 @@ fn run_two_phase(
     let programs = gossip_programs(
         tree_membership(packing, n),
         injections(&tree_of, origins, n),
+        nmsg,
     );
     let (phase1, mut stats) = sim.run(programs, cap).map_err(GossipError::Sim)?;
     stats.wasted_bandwidth = phase1.iter().map(|p| p.wasted).sum();
@@ -645,7 +677,7 @@ fn run_two_phase(
     let mut reinjected = 0usize;
     let mut any_flood = false;
     for (m, &origin) in origins.iter().enumerate() {
-        let has = |v: usize| phase1[v].received.contains(&(m as u64));
+        let has = |v: usize| phase1[v].has(m);
         if (0..n).all(|v| ft.is_dead(v) || has(v)) {
             continue;
         }
@@ -694,7 +726,7 @@ fn run_two_phase(
             .with_engine(engine)
             .with_faults(plan0);
         let (phase2, stats2) = sim2
-            .run(gossip_programs(membership, reinjections), cap)
+            .run(gossip_programs(membership, reinjections, nmsg), cap)
             .map_err(GossipError::Sim)?;
         // Every phase-2 round may carry flood tokens, so the flood
         // column charges the whole repair run when any message fell
@@ -704,13 +736,9 @@ fn run_two_phase(
         }
         stats.absorb(stats2);
         stats.wasted_bandwidth += phase2.iter().map(|p| p.wasted).sum::<usize>();
-        complete = (0..n).filter(|&v| !ft.is_dead(v)).all(|v| {
-            (0..nmsg).all(|m| {
-                lost[m]
-                    || phase1[v].received.contains(&(m as u64))
-                    || phase2[v].received.contains(&(m as u64))
-            })
-        });
+        complete = (0..n)
+            .filter(|&v| !ft.is_dead(v))
+            .all(|v| (0..nmsg).all(|m| lost[m] || phase1[v].has(m) || phase2[v].has(m)));
     }
     Ok(DistGossipReport {
         complete,
@@ -780,6 +808,41 @@ mod tests {
             protocol.stats.rounds,
             schedule.rounds
         );
+    }
+
+    #[test]
+    fn protocol_accounts_every_delivery() {
+        // Every node but a message's origin takes each message in once,
+        // and every other delivery is wasted: with message counts on
+        // both sides of the 64-bit word boundaries of the per-node
+        // bitsets, deliveries = nmsg · (n − 1) + wasted on every engine.
+        let cases = [
+            (generators::harary(8, 40), 8),
+            (generators::random_regular(64, 6, 3), 6),
+            (generators::thick_path(4, 6), 4),
+        ];
+        for (g, k) in &cases {
+            let packing = packing_for(g, *k, 1);
+            let n = g.n();
+            for nmsg in [1, 63, 64, 65, 130] {
+                let origins: Vec<usize> = (0..nmsg).map(|i| 7 * i % n).collect();
+                for config in [GossipConfig::default(), GossipConfig::weighted()] {
+                    for engine in decomp_testkit::engines() {
+                        let mut sim =
+                            Simulator::with_seed(g, Model::VCongest, 9).with_engine(engine);
+                        let r =
+                            gossip_protocol_on(&mut sim, &packing, &origins, 9, config).unwrap();
+                        let case = format!("n = {n}, nmsg = {nmsg}, {config:?}, {engine}");
+                        assert!(r.complete, "{case}");
+                        assert_eq!(
+                            r.stats.messages,
+                            nmsg * (n - 1) + r.stats.wasted_bandwidth,
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

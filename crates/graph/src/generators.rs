@@ -190,8 +190,26 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!((2..n).contains(&d), "degree must satisfy 2 <= d < n");
     let mut rng = StdRng::seed_from_u64(seed);
     let start = harary(d, n);
+    assert!(
+        start.vertices().all(|v| start.degree(v) == d),
+        "the Harary start graph must be {d}-regular"
+    );
     let mut edges: Vec<(NodeId, NodeId)> = start.edges().to_vec();
-    let mut present: std::collections::HashSet<(NodeId, NodeId)> = edges.iter().copied().collect();
+    // A swap keeps every degree, so `d` neighbour slots per vertex hold
+    // the graph throughout: `slots[u * d..][..d]` are `u`'s neighbours.
+    let mut slots: Vec<NodeId> = start
+        .vertices()
+        .flat_map(|v| start.neighbors(v).iter().copied())
+        .collect();
+    let has = |slots: &[NodeId], u: NodeId, v: NodeId| slots[u * d..][..d].contains(&v);
+    let rewire = |slots: &mut [NodeId], u: NodeId, old: NodeId, new: NodeId| {
+        let row = &mut slots[u * d..][..d];
+        let i = row
+            .iter()
+            .position(|&w| w == old)
+            .expect("an endpoint holds the edge its swap removes");
+        row[i] = new;
+    };
     let key = |u: NodeId, v: NodeId| (u.min(v), u.max(v));
     let swaps = 16 * n * d;
     let mut performed = 0usize;
@@ -215,13 +233,15 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
         }
         let e1 = key(a, c);
         let e2 = key(b2, dd);
-        if present.contains(&e1) || present.contains(&e2) || e1 == e2 {
+        if has(&slots, a, c) || has(&slots, b2, dd) || e1 == e2 {
             continue;
         }
-        present.remove(&key(edges[i].0, edges[i].1));
-        present.remove(&key(edges[j].0, edges[j].1));
-        present.insert(e1);
-        present.insert(e2);
+        // (a, b2), (c, dd) -> (a, c), (b2, dd): four distinct endpoints,
+        // one slot each.
+        rewire(&mut slots, a, b2, c);
+        rewire(&mut slots, b2, a, dd);
+        rewire(&mut slots, c, dd, a);
+        rewire(&mut slots, dd, c, b2);
         edges[i] = e1;
         edges[j] = e2;
         performed += 1;
@@ -493,6 +513,82 @@ mod tests {
         for &(n, d) in &[(10, 3), (12, 4), (8, 5)] {
             let g = random_regular(n, d, 42);
             assert!(g.vertices().all(|v| g.degree(v) == d), "({n},{d})");
+        }
+    }
+
+    /// The `HashSet` swap loop `random_regular` ran before its neighbour
+    /// slots, kept verbatim as the reference they must reproduce.
+    fn hash_set_random_regular(n: usize, d: usize, seed: u64) -> Graph {
+        assert!((n * d).is_multiple_of(2), "n*d must be even");
+        assert!((2..n).contains(&d), "degree must satisfy 2 <= d < n");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start = harary(d, n);
+        let mut edges: Vec<(NodeId, NodeId)> = start.edges().to_vec();
+        let mut present: std::collections::HashSet<(NodeId, NodeId)> =
+            edges.iter().copied().collect();
+        let key = |u: NodeId, v: NodeId| (u.min(v), u.max(v));
+        let swaps = 16 * n * d;
+        let mut performed = 0usize;
+        let mut attempts = 0usize;
+        while performed < swaps && attempts < 64 * swaps {
+            attempts += 1;
+            let i = rng.gen_range(0..edges.len());
+            let j = rng.gen_range(0..edges.len());
+            if i == j {
+                continue;
+            }
+            let (mut a, mut b2) = edges[i];
+            let (c, dd) = edges[j];
+            // Randomize orientation of the first edge for both swap variants.
+            if rng.gen_bool(0.5) {
+                std::mem::swap(&mut a, &mut b2);
+            }
+            // Proposed replacement: (a,c) and (b2,dd).
+            if a == c || a == dd || b2 == c || b2 == dd {
+                continue;
+            }
+            let e1 = key(a, c);
+            let e2 = key(b2, dd);
+            if present.contains(&e1) || present.contains(&e2) || e1 == e2 {
+                continue;
+            }
+            present.remove(&key(edges[i].0, edges[i].1));
+            present.remove(&key(edges[j].0, edges[j].1));
+            present.insert(e1);
+            present.insert(e2);
+            edges[i] = e1;
+            edges[j] = e2;
+            performed += 1;
+        }
+        Graph::from_edges(n, edges)
+    }
+
+    #[test]
+    fn random_regular_matches_hash_set_reference() {
+        // Complete graphs (d = n - 1) reject every swap; odd d exercises
+        // Harary's diameter edges.
+        let cases = [
+            (3, 2),
+            (4, 3),
+            (5, 4),
+            (8, 7),
+            (9, 2),
+            (10, 3),
+            (12, 4),
+            (8, 5),
+            (64, 7),
+            (200, 8),
+            (1000, 16),
+            (2000, 3),
+        ];
+        for (n, d) in cases {
+            for seed in 0..8 {
+                assert_eq!(
+                    random_regular(n, d, seed).edges(),
+                    hash_set_random_regular(n, d, seed).edges(),
+                    "rr({n}, {d}) seed {seed}"
+                );
+            }
         }
     }
 
