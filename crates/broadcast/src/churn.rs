@@ -280,10 +280,17 @@ impl RepairHook for ChurnRepair<'_> {
             self.trees[c] = certify_class(self.g, ft, self.state, member, &self.members[c], c);
             reextracted += self.trees[c].is_some() as usize;
         }
-        (
-            self.trees.iter().map(Option::is_some).collect(),
-            reextracted,
-        )
+        // An untouched class keeps its members and member–member edges,
+        // so only its domination can break (a cut from a member to a
+        // non-member, or a non-member's arrival): it counts as intact
+        // only while it still dominates.
+        let alive = (0..self.trees.len())
+            .map(|c| {
+                self.trees[c].is_some()
+                    && (touched.contains(&c) || dominates(self.g, ft, member, c))
+            })
+            .collect();
+        (alive, reextracted)
     }
 }
 
@@ -292,6 +299,7 @@ mod tests {
     use super::*;
     use decomp_congest::ScheduledFault;
     use decomp_core::cds::centralized::{cds_packing_with_state, CdsPackingConfig};
+    use decomp_core::virtual_graph::{VType, VirtualLayout};
     use decomp_graph::{generators, GrowableGraph};
 
     fn setup(g: &Graph, t: usize, seed: u64) -> (CdsPacking, ClassState) {
@@ -496,6 +504,45 @@ mod tests {
             settled.flood_served, 1,
             "the class-free arrival is counted against the fallback"
         );
+    }
+
+    #[test]
+    fn untouched_class_that_stops_dominating_is_not_intact() {
+        // cycle(6) with class 0 = {0, 1, 2, 3} and class 1 = every vertex.
+        // Cutting {3, 4} touches only class 1 (the one holding both
+        // endpoints), yet leaves vertex 4 without a class-0 neighbour:
+        // class 0 must stop counting as intact, or its messages are
+        // reassigned to it forever and the schedule stalls.
+        let g = generators::cycle(6);
+        let layout = VirtualLayout::new(6, 2);
+        let classes: Vec<Vec<usize>> = vec![(0..4).collect(), (0..6).collect()];
+        let mut state = ClassState::new(layout, 2);
+        let mut class_of = vec![None; layout.total()];
+        for (c, ms) in classes.iter().enumerate() {
+            for &v in ms {
+                let vid = layout.vid(v, 0, VType::ALL[c]);
+                state.join(&g, vid, c);
+                class_of[vid] = Some(c as u32);
+            }
+        }
+        let cds = CdsPacking {
+            layout,
+            num_classes: 2,
+            class_of,
+            classes,
+            trace: Vec::new(),
+        };
+        let plan = FaultPlan::new([ScheduledFault {
+            round: 2,
+            fault: Fault::Edge(3, 4),
+        }]);
+        for seed in 0..8 {
+            let mut st = state.clone();
+            let r = gossip_under_churn(&g, &cds, &mut st, &[1, 1, 1, 1], seed, &plan).unwrap();
+            assert!(r.complete, "seed {seed}");
+            assert_eq!(r.waves.len(), 1);
+            assert_eq!(r.waves[0].surviving_trees, 1, "only class 1 dominates");
+        }
     }
 
     #[test]
