@@ -354,6 +354,11 @@ pub(crate) trait RepairHook {
     /// carriers' membership rows in `member` if they changed, and
     /// returns which carrier ids are intact and how many carriers the
     /// wave re-extracted.
+    ///
+    /// The contract the repair pass relies on: an intact carrier's live
+    /// present members are connected through deliverable member–member
+    /// edges, and dominate every live present vertex (see
+    /// [`certificate_covers`]).
     fn carriers(&mut self, ft: &FaultState<'_>, member: &mut BitRows) -> (Vec<bool>, usize);
 }
 
@@ -390,7 +395,10 @@ pub(crate) fn tree_ok(
 }
 
 /// Whether a message's in-flight assignment can still reach every
-/// present vertex that lacks it — the repair pass's skip test.
+/// present vertex that lacks it — the repair pass's exact skip test. It
+/// decides every message [`certificate_covers`] does not vouch for and
+/// every flood rider, and in debug builds it checks each certificate
+/// decision.
 ///
 /// "Some eligible holder has not relayed yet" is NOT enough: after an
 /// arrival (or a cut behind an already-fired relay), the only members
@@ -443,6 +451,72 @@ fn assignment_still_covers(
         }
     }
     (0..n).all(|v| ft.is_dead(v) || ft.is_dormant(v) || received(v) || covered[v])
+}
+
+/// Whether a message on an intact carrier provably still covers, decided
+/// from the candidates' neighbourhoods alone: the repair pass's cheap
+/// test, tried before [`assignment_still_covers`]. A `true` is exact (the
+/// BFS would return `true` as well); a `false` only means "run the BFS".
+///
+/// Terms, for the carrier's members and the message's `origin`: an
+/// *eligible* vertex is a member or the origin; a *seed* is a live
+/// eligible holder that has not relayed, a *spent holder* an eligible
+/// holder that has. `candidates` lists every vertex that has arrived and
+/// both ends of every activated edge so far. The test passes when the
+/// origin is not dead and every live present candidate lacking the
+/// message has no deliverable spent-holder neighbour, or a deliverable
+/// seed neighbour, or a deliverable member neighbour that lacks the
+/// message and has a deliverable seed neighbour itself.
+///
+/// Why a pass means coverage:
+/// 1. A relay hands the message to every deliverable neighbour at once,
+///    receptions are never undone, and a reseed only clears relay bits.
+///    So a spent holder has a live neighbour lacking the message only
+///    across a pair that became deliverable after its relay: through an
+///    arrival or an edge activation, whose needy end is a candidate.
+/// 2. The carrier is intact: its live present members are connected
+///    through deliverable member–member edges and dominate every live
+///    present vertex ([`RepairHook::carriers`]).
+/// 3. A component of members lacking the message borders an eligible
+///    holder: a member holding it, or else the origin (live; dominated
+///    by a member). A seed there reaches the component; a spent one
+///    makes the bordering member a candidate (1), and its test shows a
+///    seed reaches it, directly or through one needy member. Either way
+///    the BFS closure takes the whole component, since members relay
+///    onward. A needy non-member has a member neighbour (2), which
+///    relays once reached, is a seed, or is spent; then the non-member
+///    is a candidate, and its test shows it reached the same way. A
+///    dormant origin needs no case: the BFS returns `true` outright.
+fn certificate_covers(
+    g: &Graph,
+    ft: &FaultState<'_>,
+    candidates: &[usize],
+    origin: usize,
+    is_member: impl Fn(usize) -> bool,
+    received: impl Fn(usize) -> bool,
+    relayed: impl Fn(usize) -> bool,
+) -> bool {
+    if ft.is_dead(origin) {
+        return false;
+    }
+    // Asked only of deliverable neighbours, which are live and present;
+    // a dead or dormant candidate has none, so it passes.
+    let holder =
+        |v: usize, spent: bool| received(v) && relayed(v) == spent && (is_member(v) || v == origin);
+    let nbrs = |v: usize| {
+        g.neighbors(v)
+            .iter()
+            .copied()
+            .filter(move |&u| ft.deliverable(v, u))
+    };
+    candidates.iter().all(|&a| {
+        received(a)
+            || !nbrs(a).any(|u| holder(u, true))
+            || nbrs(a).any(|u| {
+                holder(u, false)
+                    || (is_member(u) && !received(u) && nbrs(u).any(|s| holder(s, false)))
+            })
+    })
 }
 
 /// The round to resume from when a round relayed nothing with messages
@@ -530,6 +604,11 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
     policy.note_peak();
 
     let mut waves: Vec<WaveSample> = Vec::new();
+    // Vertices killed so far, and the repair pass's candidate list:
+    // every vertex that has arrived and both ends of every activated
+    // edge (dead ones pruned; see `certificate_covers`).
+    let mut killed = 0usize;
+    let mut candidates: Vec<usize> = Vec::new();
     let mut lost_messages = 0usize;
     let mut wasted_bandwidth = 0usize;
     let mut repair_events = 0usize;
@@ -569,6 +648,12 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                     }
                 }
             }
+            killed += ft.newly_dead().len();
+            candidates.extend_from_slice(ft.woke());
+            candidates.extend(ft.activated().iter().flat_map(|&(u, v)| [u, v]));
+            candidates.retain(|&v| !ft.is_dead(v));
+            candidates.sort_unstable();
+            candidates.dedup();
             let (alive, reextracted) = hook.carriers(ft, &mut member);
             // Repair pass: any incomplete message whose assignment
             // no longer covers its needy vertices is moved to the
@@ -585,26 +670,18 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                 if remaining[m] == 0 {
                     continue;
                 }
-                // Dormant holders count (a dormant origin's message
-                // is not lost — it arrives with the vertex); their
+                // `remaining[m]` counts the non-dead vertices lacking
+                // `m`, so the rest of the non-dead ones hold it.
+                // Dormant holders count (a dormant origin's message is
+                // not lost — it arrives with the vertex); their
                 // reseeded entries wait in the queue until arrival.
-                let holders: Vec<usize> = (0..n)
-                    .filter(|&v| !ft.is_dead(v) && received.get(m, v))
-                    .collect();
-                if holders.is_empty() {
+                if n - killed == remaining[m] {
                     remaining[m] = 0;
                     incomplete -= 1;
                     policy.dropped(tree_of[m]);
                     lost += 1;
                     continue;
                 }
-                let eligible =
-                    |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
-                let target = || {
-                    (0..alive.len())
-                        .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
-                        .unwrap_or(FLOOD)
-                };
                 let covers = |t: usize| {
                     assignment_still_covers(
                         g,
@@ -617,15 +694,39 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
                     )
                 };
                 let cur = tree_of[m];
-                let next = if cur == FLOOD && H::READMIT_FLOOD {
-                    match target() {
-                        FLOOD if covers(FLOOD) => continue,
-                        t => t,
-                    }
-                } else if (cur == FLOOD || alive[cur]) && covers(cur) {
+                // The certificate settles almost every message on an
+                // intact carrier; the BFS decides the rest, and checks
+                // each certificate decision in debug builds.
+                if cur != FLOOD
+                    && alive[cur]
+                    && certificate_covers(
+                        g,
+                        ft,
+                        &candidates,
+                        origins[m],
+                        |v| member.get(cur, v),
+                        |v| received.get(m, v),
+                        |v| relayed.get(m, v),
+                    )
+                {
+                    debug_assert!(covers(cur), "certificate vouched for message {m}");
                     continue;
-                } else {
-                    target()
+                }
+                let readmit = cur == FLOOD && H::READMIT_FLOOD;
+                if !readmit && (cur == FLOOD || alive[cur]) && covers(cur) {
+                    continue;
+                }
+                let holders: Vec<usize> = (0..n)
+                    .filter(|&v| !ft.is_dead(v) && received.get(m, v))
+                    .collect();
+                let eligible =
+                    |t: usize, v: usize| t == FLOOD || member.get(t, v) || v == origins[m];
+                let target = (0..alive.len())
+                    .find(|&t| alive[t] && holders.iter().any(|&v| eligible(t, v)))
+                    .unwrap_or(FLOOD);
+                let next = match target {
+                    FLOOD if readmit && covers(FLOOD) => continue,
+                    t => t,
                 };
                 policy.dropped(cur);
                 policy.carried(next);

@@ -447,9 +447,11 @@ pub struct FaultState<'p> {
     /// and sorted; entries are removed as activations fire.
     inactive_edges: Vec<(u32, u32)>,
     live: usize,
-    /// Vertices killed / woken by the latest [`FaultState::advance_to`].
+    /// Vertices killed / woken and edges activated by the latest
+    /// [`FaultState::advance_to`].
     newly_dead: Vec<NodeId>,
     woke: Vec<NodeId>,
+    activated: Vec<(NodeId, NodeId)>,
 }
 
 impl<'p> FaultState<'p> {
@@ -482,21 +484,24 @@ impl<'p> FaultState<'p> {
             live,
             newly_dead: Vec::new(),
             woke: Vec::new(),
+            activated: Vec::new(),
         }
     }
 
     /// Fires every event scheduled at a round `≤ round`; returns whether
     /// any event fired in this call (the purge + wake + repair trigger).
     /// The vertices this call killed (a vertex killed while still
-    /// dormant included — it will never receive) and woke are listed by
-    /// [`FaultState::newly_dead`] and [`FaultState::woke`] until the
-    /// next call. Death wins over arrival: a vertex killed while dormant
+    /// dormant included — it will never receive) and woke, and the edges
+    /// it activated, are listed by [`FaultState::newly_dead`],
+    /// [`FaultState::woke`] and [`FaultState::activated`] until the next
+    /// call. Death wins over arrival: a vertex killed while dormant
     /// stays dead.
     pub fn advance_to(&mut self, round: usize) -> bool {
         let events = self.plan.events();
         let start = self.next;
         self.newly_dead.clear();
         self.woke.clear();
+        self.activated.clear();
         while self.next < events.len() && events[self.next].round <= round {
             match events[self.next].fault {
                 Fault::Vertex(v) => {
@@ -527,6 +532,7 @@ impl<'p> FaultState<'p> {
                     let key = (u as u32, v as u32);
                     if let Ok(pos) = self.inactive_edges.binary_search(&key) {
                         self.inactive_edges.remove(pos);
+                        self.activated.push((u, v));
                     }
                 }
             }
@@ -592,6 +598,13 @@ impl<'p> FaultState<'p> {
     /// [`FaultState::advance_to`] call.
     pub fn woke(&self) -> &[NodeId] {
         &self.woke
+    }
+
+    /// Edges (normalized, `u < v`) whose activation fired in the latest
+    /// [`FaultState::advance_to`] call. An endpoint may still be dormant
+    /// or dead: [`FaultState::deliverable`] has the final say.
+    pub fn activated(&self) -> &[(NodeId, NodeId)] {
+        &self.activated
     }
 
     /// Cumulative events fired so far — also the index of the first

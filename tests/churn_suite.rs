@@ -6,7 +6,9 @@
 //! bounded), a golden-pinned churn schedule digest, engine equivalence
 //! of the distributed two-phase churn protocol, and the ≤-1-tree-per-
 //! death degradation guarantee of vertex-disjoint (integral) packings,
-//! plus a differential pin of the wave loop against the greedy schedule.
+//! a differential pin of the wave loop against the greedy schedule, and
+//! a cross-check of the repair pass's coverage certificate on generated
+//! plans.
 //!
 //! CI sweeps this suite under `DECOMP_ENGINE=sequential` and
 //! `sharded:4`.
@@ -16,7 +18,7 @@ use connectivity_decomposition::broadcast::gossip::{
     gossip_via_trees_faulty, gossip_via_trees_with, GossipConfig,
 };
 use connectivity_decomposition::broadcast::gossip_distributed::gossip_protocol_churn;
-use connectivity_decomposition::congest::{Fault, FaultPlan, ScheduledFault};
+use connectivity_decomposition::congest::{Fault, FaultPlan, FaultState, ScheduledFault};
 use connectivity_decomposition::core::cds::centralized::{
     cds_packing_with_state, CdsPacking, CdsPackingConfig,
 };
@@ -25,8 +27,15 @@ use connectivity_decomposition::core::cds::integral::{
     check_vertex_disjoint, integral_cds_packing,
 };
 use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing_with_state;
+use connectivity_decomposition::core::packing::DomTreePacking;
 use connectivity_decomposition::core::virtual_graph::{VType, VirtualLayout};
+use connectivity_decomposition::graph::traversal::is_connected;
 use connectivity_decomposition::graph::{generators, Graph};
+use decomp_testkit::fixtures::{self, Family};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// A complete-bipartite fixture with `left` hand-built classes: class
 /// `i` is `{left_i, right_{2i}, right_{2i+1}}` — a connected triple that
@@ -532,6 +541,162 @@ fn churn_loop_on_an_empty_plan_is_the_greedy_schedule() {
                 "{} seed {seed}",
                 f.name
             );
+        }
+    }
+}
+
+/// The certificate cross-check's graphs with their exact `κ`: the
+/// roster's Harary and random-regular fixtures plus a thick path.
+fn certificate_roster() -> &'static [(Graph, usize)] {
+    static ROSTER: OnceLock<Vec<(Graph, usize)>> = OnceLock::new();
+    ROSTER.get_or_init(|| {
+        let mut out: Vec<(Graph, usize)> = fixtures::standard()
+            .into_iter()
+            .filter(|f| matches!(f.family, Family::Harary | Family::RandomRegular))
+            .map(|f| (f.graph, f.kappa))
+            .collect();
+        out.push((generators::thick_path(4, 6), 4));
+        out
+    })
+}
+
+/// Whether the live present vertices stay connected through deliverable
+/// edges before the first event and after every event round of `plan`.
+fn survivors_stay_connected(g: &Graph, plan: &FaultPlan) -> bool {
+    let mut ft = FaultState::new(plan, g.n());
+    let mut rounds = std::iter::once(0).chain(plan.events().iter().map(|e| e.round));
+    rounds.all(|r| {
+        ft.advance_to(r);
+        let present: Vec<usize> = g
+            .vertices()
+            .filter(|&v| !ft.is_dead(v) && !ft.is_dormant(v))
+            .collect();
+        let (live, _) = ft.surviving_graph(g).induced_subgraph(&present);
+        present.is_empty() || is_connected(&live)
+    })
+}
+
+/// Tree edges of `packings` whose removal disconnects their tree's
+/// vertex set: activating one late leaves the tree's members split until
+/// it fires, so a holder that relayed may border needy members only
+/// across the activated edge.
+fn splitting_tree_edges(g: &Graph, packings: &[&DomTreePacking]) -> Vec<(usize, usize)> {
+    let trees = packings.iter().flat_map(|p| &p.trees);
+    trees
+        .flat_map(|t| {
+            let members = t.vertices(g.n());
+            let edges = t.edges.iter().map(|&(u, v)| (u.min(v), u.max(v)));
+            edges.filter(move |&e| {
+                let without = g.edge_subgraph(|x, y| (x.min(y), x.max(y)) != e);
+                !is_connected(&without.induced_subgraph(&members).0)
+            })
+        })
+        .collect()
+}
+
+/// A seeded plan of `kills` kills (never an origin) and `arrivals`
+/// vertex arrivals at rounds 1–9, and `cuts` cuts at rounds 1–9 and
+/// `activations` activations at rounds 3–5 (after the first relays) of
+/// edges between vertices present from round 0; activations come from
+/// `pool` when it is not empty. An event that would disconnect the
+/// survivors at some round is left out.
+fn certificate_plan(
+    g: &Graph,
+    origins: &[usize],
+    [kills, arrivals, cuts, activations]: [usize; 4],
+    pool: &[(usize, usize)],
+    seed: u64,
+) -> FaultPlan {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut used = vec![false; g.n()];
+    let mut events: Vec<ScheduledFault> = Vec::new();
+    for arrive in (0..arrivals).map(|_| true).chain((0..kills).map(|_| false)) {
+        let v = rng.gen_range(0..g.n());
+        if used[v] || (!arrive && origins.contains(&v)) {
+            continue;
+        }
+        used[v] = true;
+        let fault = if arrive {
+            Fault::AddVertex(v)
+        } else {
+            Fault::Vertex(v)
+        };
+        let round = rng.gen_range(1..10);
+        events.push(ScheduledFault { round, fault });
+    }
+    let mut edges_used: Vec<(usize, usize)> = Vec::new();
+    for activate in (0..cuts)
+        .map(|_| false)
+        .chain((0..activations).map(|_| true))
+    {
+        let (u, v) = if activate && !pool.is_empty() {
+            pool[rng.gen_range(0..pool.len())]
+        } else {
+            g.edges()[rng.gen_range(0..g.m())]
+        };
+        if used[u] || used[v] || edges_used.contains(&(u, v)) {
+            continue;
+        }
+        edges_used.push((u, v));
+        let (fault, round) = if activate {
+            (Fault::AddEdge(u, v), rng.gen_range(3..6))
+        } else {
+            (Fault::Edge(u, v), rng.gen_range(1..10))
+        };
+        events.push(ScheduledFault { round, fault });
+    }
+    events.sort_by_key(|e| e.round);
+    let mut kept: Vec<ScheduledFault> = Vec::new();
+    for e in events {
+        kept.push(e);
+        if !survivors_stay_connected(g, &FaultPlan::new(kept.clone())) {
+            kept.pop();
+        }
+    }
+    FaultPlan::new(kept)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The repair pass's coverage certificate against its BFS oracle on
+    /// generated plans: kills, cuts, arrivals, and edge activations
+    /// between vertices present from round 0 (the shape that needs
+    /// `FaultState::activated`), under the churn hook and the static
+    /// hook with both relay policies, over the CDS packing and a sparse
+    /// vertex-disjoint one. Each case runs an activations-only plan and
+    /// a mixed one. Every run completes; in debug builds the schedule's
+    /// `debug_assert!` re-runs the BFS on every message the certificate
+    /// vouches for.
+    fn coverage_certificate_holds_on_generated_plans(
+        seed in any::<u64>(),
+        pick in 0usize..6,
+        nmsg in 1usize..24,
+        kills in 0usize..3,
+        arrivals in 0usize..3,
+        cuts in 0usize..4,
+        activations in 0usize..4,
+    ) {
+        let roster = certificate_roster();
+        let (g, kappa) = &roster[pick % roster.len()];
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc0fe_7a6e);
+        let origins: Vec<usize> = (0..nmsg).map(|_| rng.gen_range(0..g.n())).collect();
+        let cfg = CdsPackingConfig::with_known_k((*kappa).max(2), seed);
+        let (cds, state) = cds_packing_with_state(g, &cfg);
+        let packing = to_dom_tree_packing_with_state(g, &cds, &state).packing;
+        let sparse = integral_cds_packing(g, 2 + (seed % 2) as usize, seed).packing;
+        let pool = splitting_tree_edges(g, &[&packing, &sparse]);
+        for counts in [[0, 0, 0, activations.max(1)], [kills, arrivals, cuts, activations]] {
+            let plan = certificate_plan(g, &origins, counts, &pool, seed);
+            let mut st = state.clone();
+            let churn = gossip_under_churn(g, &cds, &mut st, &origins, seed, &plan).unwrap();
+            prop_assert!(churn.complete, "churn hook, plan {:?}", plan.events());
+            for p in [&packing, &sparse].into_iter().filter(|p| p.num_trees() > 0) {
+                for config in [GossipConfig::default(), GossipConfig::weighted()] {
+                    let r = gossip_via_trees_faulty(g, p, &origins, seed, config, &plan).unwrap();
+                    prop_assert!(r.complete, "static hook, plan {:?}", plan.events());
+                }
+            }
         }
     }
 }
