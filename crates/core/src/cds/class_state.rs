@@ -24,9 +24,9 @@
 //! The state is also *deletion-aware*: when a vertex fails (the fault &
 //! churn suite), [`delete_vertex`](ClassState::delete_vertex) repairs
 //! exactly the classes the dead node belonged to — each touched class's
-//! union-find stride is dissolved and re-unioned over an order-1 sparse
-//! certificate ([`decomp_graph::sparsecert`]) of the surviving members'
-//! induced subgraph — instead of rerunning the full layer loop.
+//! union-find stride is dissolved and re-unioned over the member–member
+//! edges of the surviving graph — instead of rerunning the full layer
+//! loop.
 //!
 //! The centralized layer loop ([`crate::cds::centralized`]) drives the
 //! state and reads components through [`comp_root`](ClassState::comp_root)
@@ -41,7 +41,6 @@
 //! `ClassState` in the integration suites.
 
 use crate::virtual_graph::{VirtualId, VirtualLayout};
-use decomp_graph::sparsecert::sparse_certificate;
 use decomp_graph::unionfind::UnionFind;
 use decomp_graph::{Graph, NodeId};
 use std::collections::HashMap;
@@ -267,12 +266,12 @@ impl ClassState {
     /// *after* any accompanying edge deletions.
     ///
     /// Union-find cannot split, so each touched class's stride is
-    /// dissolved ([`UnionFind::reset_block`]) and re-unioned over an
-    /// order-1 sparse certificate of the surviving member-induced
-    /// subgraph: at most `|members| − 1` union operations per class, with
-    /// the scan bounded by the members' degrees — no full layer-loop
-    /// rerun. Bit-identical to a from-scratch rebuild (the property suite
-    /// cross-checks counts, excess, and `comp_of` labels).
+    /// dissolved ([`UnionFind::reset_block`]) and re-unioned directly over
+    /// the member–member edges of `g`: one pass over the stride and the
+    /// members' adjacency, no full layer-loop rerun. The partition is
+    /// that of a from-scratch rebuild — the same counts, excess and
+    /// densified `comp_of` labels (the property suite cross-checks all
+    /// three); raw [`CompId`]s may differ, as they are opaque.
     pub fn delete_vertex(&mut self, g: &Graph, dead: NodeId) -> Vec<u32> {
         let touched = std::mem::take(&mut self.classes_at[dead]);
         for &class in &touched {
@@ -445,34 +444,23 @@ impl ClassState {
     }
 
     /// Dissolves one class's union-find stride and re-unions its surviving
-    /// members over a spanning forest of their induced subgraph, fixing
-    /// `comp_count` and the running excess.
+    /// members over every member–member edge of `g` (each once, from its
+    /// higher end), fixing `comp_count` and the running excess.
     fn rebuild_class(&mut self, g: &Graph, class: usize) {
         let n = self.layout.n();
         let stride: Vec<usize> = (class * n..(class + 1) * n).collect();
         self.uf.reset_block(&stride);
         self.excess -= self.comp_count[class].saturating_sub(1);
-
-        // Surviving members, densely renumbered for the certificate.
-        let members: Vec<NodeId> = (0..n).filter(|&v| self.occupied[class * n + v]).collect();
-        let index_of: HashMap<NodeId, usize> =
-            members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut edges = Vec::new();
-        for (i, &v) in members.iter().enumerate() {
-            for &u in g.neighbors(v) {
-                if let Some(&j) = index_of.get(&u) {
-                    if j < i {
-                        edges.push((j, i));
-                    }
-                }
+        let mut count = 0;
+        for v in 0..n {
+            let slot = class * n + v;
+            if !self.occupied[slot] {
+                continue;
             }
-        }
-        let mut count = members.len();
-        if !members.is_empty() {
-            let induced = Graph::from_edges(members.len(), edges);
-            for &(a, b) in sparse_certificate(&induced, 1).edges() {
-                let (sa, sb) = (class * n + members[a], class * n + members[b]);
-                if self.uf.union(sa, sb) {
+            count += 1;
+            // `u < v < n`: neighbours beyond the layout have no bundle.
+            for &u in g.neighbors(v) {
+                if u < v && self.occupied[class * n + u] && self.uf.union(slot, class * n + u) {
                     count -= 1;
                 }
             }

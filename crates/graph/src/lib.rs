@@ -17,8 +17,7 @@
 //! * classical algorithms: [`traversal`] (BFS/components/diameter),
 //!   [`mst`] (Kruskal), [`flow`] (Dinic), exact edge/vertex
 //!   [`connectivity`] (the ground-truth `λ` and `k`), [`domination`]
-//!   checks, [`sparsecert`] sparse certificates, and Karger edge
-//!   [`sample`] splitting,
+//!   checks, and Karger edge [`sample`] splitting,
 //! * a [`unionfind`] disjoint-set forest.
 //!
 //! # Example
@@ -41,7 +40,6 @@ pub mod graph;
 pub mod growable;
 pub mod mst;
 pub mod sample;
-pub mod sparsecert;
 pub mod traversal;
 pub mod unionfind;
 
