@@ -90,14 +90,18 @@ pub struct GossipReport {
     /// start; all zeros under [`GossipConfig::Rlnc`], whose packets ride
     /// no tree.
     pub per_tree_load: Vec<usize>,
-    /// Largest diameter among the trees carrying messages at the start
-    /// (the `O~(n/k)` term).
+    /// Largest diameter among the carriers the run starts with (the
+    /// `O~(n/k)` term), whether or not a message rides them: every tree
+    /// of the packing ([`gossip_via_trees_faulty`]), or every class whose
+    /// tree certifies at round 0 under churn ([`crate::churn`]).
     pub max_tree_diameter: usize,
-    /// Peak resident words of the schedule state: the packed
-    /// received/membership bitsets plus the peak total size of the
-    /// per-vertex relay heaps (the memory-footprint number `gossip_scale`
-    /// tracks; the pre-bitset implementation held `2 · nmsg · n` bytes
-    /// in `Vec<Vec<bool>>` tables instead).
+    /// Peak words of the schedule state (the memory-footprint number
+    /// `gossip_scale` tracks): the packed received/membership bitsets
+    /// plus the relay queues' peak ([`GossipConfig::Rlnc`] counts its
+    /// decoder state instead). The queue term is an accounting model,
+    /// not the queues' size in bytes: pending entries at two per word,
+    /// plus 5 words per live lane under [`GossipConfig::Weighted`]. It
+    /// stays as it is so recorded values hold.
     pub peak_state_words: usize,
     /// Order-independent fingerprint of the relay schedule: a
     /// commutative fold of `(round, vertex, message)` over every relay.

@@ -177,15 +177,27 @@ impl RelayPolicy for Greedy {
 /// `FLOOD` as a lane key (sorts after every real tree id).
 const FLOOD_LANE: u32 = u32::MAX;
 
-/// One (vertex, tree) lane of the weighted credit scheduler: the trees
-/// through a vertex each hold their own min-heap of pending messages and
-/// a credit accumulator. Lanes are kept sorted by tree id so credit
-/// accrual and the arg-max walk visit trees in ascending-id order — the
-/// float-op order the reference oracle reproduces exactly.
-struct TreeLane {
+/// One (vertex, tree) lane of the weighted credit scheduler: its tree id
+/// (or [`FLOOD_LANE`]), how many pending messages it holds, and its credit
+/// accumulator.
+#[derive(Clone, Copy)]
+struct Lane {
     tree: u32,
+    len: u32,
     credit: f64,
-    heap: BinaryHeap<Reverse<u32>>,
+}
+
+/// One vertex's lanes, sorted by tree id so credit accrual and the
+/// arg-max walk visit trees in ascending-id order — the float-op order
+/// the reference oracle reproduces exactly. `pend` holds the lanes'
+/// pending messages: one ascending run per lane, the runs one after
+/// another in lane order. A run is a multiset (a reseed may queue a
+/// message that is already pending), and its first entry is the lane's
+/// next relay.
+#[derive(Default)]
+struct VertexLanes {
+    lanes: Vec<Lane>,
+    pend: Vec<u32>,
 }
 
 /// The weighted time-sharing reading of the fractional regime
@@ -194,13 +206,13 @@ struct TreeLane {
 /// earns `x_τ` credit; the highest-credit tree (ties to the lowest tree
 /// id) relays its lowest-indexed pending message and is charged the
 /// round's total accrual across the vertex's active trees. A lane whose
-/// heap has drained *and* whose tree has no incomplete message left
+/// run has drained *and* whose tree has no incomplete message left
 /// anywhere retires — nothing can ever refill it, so keeping it would
 /// only let a finished tree's credit shadow live ones (and inflate the
-/// state peak).
+/// state peak). A lane created again starts at credit 0.
 pub(crate) struct Weighted {
     weight: Vec<f64>,
-    lanes: Vec<Vec<TreeLane>>,
+    verts: Vec<VertexLanes>,
     /// Incomplete messages per tree, the flood fallback last.
     tree_incomplete: Vec<usize>,
     live_lanes: usize,
@@ -213,7 +225,7 @@ impl Weighted {
     pub(crate) fn new(n: usize, packing: &DomTreePacking) -> Self {
         Weighted {
             weight: packing.trees.iter().map(|t| t.weight).collect(),
-            lanes: (0..n).map(|_| Vec::new()).collect(),
+            verts: (0..n).map(|_| VertexLanes::default()).collect(),
             tree_incomplete: vec![0; packing.num_trees() + 1],
             live_lanes: 0,
             peak_lanes: 0,
@@ -224,100 +236,115 @@ impl Weighted {
 }
 
 impl RelayPolicy for Weighted {
-    /// Creates the lane on first use (lanes stay sorted by tree id; the
-    /// flood lane's key sorts last).
+    /// Creates the lane at credit 0 on first use (the flood lane's key
+    /// sorts last), and inserts `m` into its run in order.
     fn push(&mut self, v: usize, tree: usize, m: u32) {
         let key = if tree == FLOOD {
             FLOOD_LANE
         } else {
             tree as u32
         };
-        let vl = &mut self.lanes[v];
-        let i = match vl.binary_search_by_key(&key, |l| l.tree) {
-            Ok(i) => i,
-            Err(i) => {
-                vl.insert(
-                    i,
-                    TreeLane {
-                        tree: key,
-                        credit: 0.0,
-                        heap: BinaryHeap::new(),
-                    },
-                );
-                self.live_lanes += 1;
-                i
-            }
-        };
-        vl[i].heap.push(Reverse(m));
+        let VertexLanes { lanes, pend } = &mut self.verts[v];
+        let mut i = 0;
+        let mut start = 0;
+        while i < lanes.len() && lanes[i].tree < key {
+            start += lanes[i].len as usize;
+            i += 1;
+        }
+        if lanes.get(i).is_none_or(|l| l.tree != key) {
+            let lane = Lane {
+                tree: key,
+                len: 0,
+                credit: 0.0,
+            };
+            lanes.insert(i, lane);
+            self.live_lanes += 1;
+        }
+        let run = &pend[start..start + lanes[i].len as usize];
+        pend.insert(start + run.partition_point(|&x| x < m), m);
+        lanes[i].len += 1;
         self.entries += 1;
     }
 
     fn has_pending(&self, v: usize) -> bool {
-        self.lanes[v].iter().any(|l| !l.heap.is_empty())
+        !self.verts[v].pend.is_empty()
     }
 
     fn clear(&mut self, v: usize) {
-        for l in &self.lanes[v] {
-            self.entries -= l.heap.len();
-        }
-        self.live_lanes -= self.lanes[v].len();
-        self.lanes[v].clear();
+        let VertexLanes { lanes, pend } = &mut self.verts[v];
+        self.entries -= pend.len();
+        self.live_lanes -= lanes.len();
+        lanes.clear();
+        pend.clear();
     }
 
-    /// Every active tree at `v` (one with an eligible pending message,
-    /// after lazily discarding stale entries) earns its weight in
-    /// credit, in ascending tree-id order; the highest-credit active tree
-    /// wins the relay slot and is charged the round's total accrual.
-    /// Drained lanes of finished trees retire here.
+    /// One compacting pass drops each lane's stale head entries (a stale
+    /// entry behind a live head stays, as in a lazily discarded heap) and
+    /// retires drained lanes of finished trees. Then every active tree at
+    /// `v` (one with a pending message left) earns its weight in credit,
+    /// in ascending tree-id order; the highest-credit active tree wins
+    /// the relay slot, is charged the round's total accrual, and relays
+    /// its run's first entry.
     fn pick(&mut self, v: usize, stale: impl Fn(u32) -> bool) -> Option<u32> {
         let Weighted {
             weight,
-            lanes,
+            verts,
             tree_incomplete,
             live_lanes,
             entries,
             ..
         } = self;
-        let vl = &mut lanes[v];
-        vl.retain_mut(|l| {
-            while let Some(&Reverse(m)) = l.heap.peek() {
-                if !stale(m) {
-                    break;
-                }
-                l.heap.pop();
+        let VertexLanes { lanes, pend } = &mut verts[v];
+        let (mut kept, mut read, mut write) = (0, 0, 0);
+        for i in 0..lanes.len() {
+            let mut lane = lanes[i];
+            let end = read + lane.len as usize;
+            while read < end && stale(pend[read]) {
+                read += 1;
                 *entries -= 1;
             }
-            let t = (l.tree as usize).min(weight.len());
-            if l.heap.is_empty() && tree_incomplete[t] == 0 {
+            let t = (lane.tree as usize).min(weight.len());
+            if read == end && tree_incomplete[t] == 0 {
                 *live_lanes -= 1;
-                false
-            } else {
-                true
-            }
-        });
-        let mut accrued = 0.0f64;
-        let mut best: Option<usize> = None;
-        for i in 0..vl.len() {
-            if vl[i].heap.is_empty() {
                 continue;
             }
-            let w = if vl[i].tree == FLOOD_LANE {
+            if read != write {
+                pend.copy_within(read..end, write);
+            }
+            lane.len = (end - read) as u32;
+            write += end - read;
+            read = end;
+            lanes[kept] = lane;
+            kept += 1;
+        }
+        lanes.truncate(kept);
+        pend.truncate(write);
+        let mut accrued = 0.0f64;
+        let mut best: Option<(usize, usize)> = None;
+        let mut start = 0;
+        for i in 0..lanes.len() {
+            let len = lanes[i].len as usize;
+            if len == 0 {
+                continue;
+            }
+            let w = if lanes[i].tree == FLOOD_LANE {
                 1.0
             } else {
-                weight[vl[i].tree as usize]
+                weight[lanes[i].tree as usize]
             };
-            vl[i].credit += w;
+            lanes[i].credit += w;
             accrued += w;
             best = match best {
-                Some(b) if vl[i].credit <= vl[b].credit => Some(b),
-                _ => Some(i),
+                Some((b, _)) if lanes[i].credit <= lanes[b].credit => best,
+                _ => Some((i, start)),
             };
+            start += len;
         }
-        let b = best?;
-        vl[b].credit -= accrued;
-        let Reverse(m) = vl[b].heap.pop().expect("active lane has a message");
+        let (b, head) = best?;
+        lanes[b].credit -= accrued;
+        lanes[b].len -= 1;
         *entries -= 1;
-        Some(m)
+        Some(pend.remove(head))
     }
 
     fn carried(&mut self, tree: usize) {
@@ -333,10 +360,12 @@ impl RelayPolicy for Weighted {
         self.peak_lanes = self.peak_lanes.max(self.live_lanes);
     }
 
-    /// Heap entries are u32s (2 per word); a lane adds a tree id, a
-    /// credit, and a heap header (~5 words). Lanes retire as their trees
-    /// finish, so the lane term is the concurrent peak, not the total
-    /// ever created.
+    /// An accounting model, not the lanes' size in bytes: pending entries
+    /// count as u32s (2 per word) and each live lane as 5 words (a tree
+    /// id, a credit, and the heap header of the heap-per-lane layout this
+    /// replaced), so `peak_state_words` keeps its recorded values. Lanes
+    /// retire as their trees finish, so the lane term is the concurrent
+    /// peak, not the total ever created.
     fn peak_words(&self) -> usize {
         self.peak.div_ceil(2) + 5 * self.peak_lanes
     }
@@ -846,5 +875,224 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
         repair_events,
         flood_rounds,
         ..Default::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use decomp_core::packing::WeightedDomTree;
+    use proptest::prelude::*;
+
+    /// One (vertex, tree) lane of the heap-per-lane reference.
+    struct TreeLane {
+        tree: u32,
+        credit: f64,
+        heap: BinaryHeap<Reverse<u32>>,
+    }
+
+    /// The heap-per-lane layout [`Weighted`] replaced, kept verbatim as
+    /// the reference its flat lanes must match pick for pick.
+    struct HeapLanes {
+        weight: Vec<f64>,
+        lanes: Vec<Vec<TreeLane>>,
+        tree_incomplete: Vec<usize>,
+        live_lanes: usize,
+        peak_lanes: usize,
+        entries: usize,
+        peak: usize,
+    }
+
+    impl HeapLanes {
+        fn new(n: usize, packing: &DomTreePacking) -> Self {
+            HeapLanes {
+                weight: packing.trees.iter().map(|t| t.weight).collect(),
+                lanes: (0..n).map(|_| Vec::new()).collect(),
+                tree_incomplete: vec![0; packing.num_trees() + 1],
+                live_lanes: 0,
+                peak_lanes: 0,
+                entries: 0,
+                peak: 0,
+            }
+        }
+    }
+
+    impl RelayPolicy for HeapLanes {
+        fn push(&mut self, v: usize, tree: usize, m: u32) {
+            let key = if tree == FLOOD {
+                FLOOD_LANE
+            } else {
+                tree as u32
+            };
+            let vl = &mut self.lanes[v];
+            let i = match vl.binary_search_by_key(&key, |l| l.tree) {
+                Ok(i) => i,
+                Err(i) => {
+                    vl.insert(
+                        i,
+                        TreeLane {
+                            tree: key,
+                            credit: 0.0,
+                            heap: BinaryHeap::new(),
+                        },
+                    );
+                    self.live_lanes += 1;
+                    i
+                }
+            };
+            vl[i].heap.push(Reverse(m));
+            self.entries += 1;
+        }
+
+        fn has_pending(&self, v: usize) -> bool {
+            self.lanes[v].iter().any(|l| !l.heap.is_empty())
+        }
+
+        fn clear(&mut self, v: usize) {
+            for l in &self.lanes[v] {
+                self.entries -= l.heap.len();
+            }
+            self.live_lanes -= self.lanes[v].len();
+            self.lanes[v].clear();
+        }
+
+        fn pick(&mut self, v: usize, stale: impl Fn(u32) -> bool) -> Option<u32> {
+            let HeapLanes {
+                weight,
+                lanes,
+                tree_incomplete,
+                live_lanes,
+                entries,
+                ..
+            } = self;
+            let vl = &mut lanes[v];
+            vl.retain_mut(|l| {
+                while let Some(&Reverse(m)) = l.heap.peek() {
+                    if !stale(m) {
+                        break;
+                    }
+                    l.heap.pop();
+                    *entries -= 1;
+                }
+                let t = (l.tree as usize).min(weight.len());
+                if l.heap.is_empty() && tree_incomplete[t] == 0 {
+                    *live_lanes -= 1;
+                    false
+                } else {
+                    true
+                }
+            });
+            let mut accrued = 0.0f64;
+            let mut best: Option<usize> = None;
+            for i in 0..vl.len() {
+                if vl[i].heap.is_empty() {
+                    continue;
+                }
+                let w = if vl[i].tree == FLOOD_LANE {
+                    1.0
+                } else {
+                    weight[vl[i].tree as usize]
+                };
+                vl[i].credit += w;
+                accrued += w;
+                best = match best {
+                    Some(b) if vl[i].credit <= vl[b].credit => Some(b),
+                    _ => Some(i),
+                };
+            }
+            let b = best?;
+            vl[b].credit -= accrued;
+            let Reverse(m) = vl[b].heap.pop().expect("active lane has a message");
+            *entries -= 1;
+            Some(m)
+        }
+
+        fn carried(&mut self, tree: usize) {
+            self.tree_incomplete[tree.min(self.weight.len())] += 1;
+        }
+
+        fn dropped(&mut self, tree: usize) {
+            self.tree_incomplete[tree.min(self.weight.len())] -= 1;
+        }
+
+        fn note_peak(&mut self) {
+            self.peak = self.peak.max(self.entries);
+            self.peak_lanes = self.peak_lanes.max(self.live_lanes);
+        }
+
+        fn peak_words(&self) -> usize {
+            self.peak.div_ceil(2) + 5 * self.peak_lanes
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The flat lanes take the heap-per-lane reference's choices on
+        /// random call sequences, including shapes no fault-free schedule
+        /// reaches: the same `(v, tree, m)` pending twice (a reseed's
+        /// duplicate), stale entries behind a live head, and lanes that
+        /// retire as their tree finishes and are created again at
+        /// credit 0. Weights repeat, so credit ties occur.
+        fn weighted_lanes_match_the_heap_per_lane_reference(
+            weights in collection::vec(0usize..4, 1..5),
+            ops in collection::vec((0u8..9, 0usize..3, 0usize..60, 0u32..6, any::<u32>()), 1..400),
+        ) {
+            const N: usize = 3;
+            let packing = DomTreePacking {
+                trees: weights
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &w)| WeightedDomTree {
+                        id,
+                        weight: [0.25, 0.5, 1.0 / 3.0, 1.0][w],
+                        edges: Vec::new(),
+                        singleton: Some(0),
+                    })
+                    .collect(),
+            };
+            let trees = packing.num_trees();
+            let mut flat = Weighted::new(N, &packing);
+            let mut heap = HeapLanes::new(N, &packing);
+            // Incomplete messages per tree (the flood last), so `dropped`
+            // never goes below zero.
+            let mut incomplete = vec![0usize; trees + 1];
+            for (step, &(op, v, t, m, mask)) in ops.iter().enumerate() {
+                let slot = t % (trees + 1);
+                let tree = if slot == trees { FLOOD } else { slot };
+                match op {
+                    0..=2 => {
+                        flat.push(v, tree, m);
+                        heap.push(v, tree, m);
+                    }
+                    3 | 4 => {
+                        let stale = |m: u32| mask >> m & 1 != 0;
+                        prop_assert_eq!(flat.pick(v, stale), heap.pick(v, stale), "pick, step {}", step);
+                    }
+                    5 => {
+                        incomplete[slot] += 1;
+                        flat.carried(tree);
+                        heap.carried(tree);
+                    }
+                    6 if incomplete[slot] > 0 => {
+                        incomplete[slot] -= 1;
+                        flat.dropped(tree);
+                        heap.dropped(tree);
+                    }
+                    7 => {
+                        flat.clear(v);
+                        heap.clear(v);
+                    }
+                    _ => {
+                        flat.note_peak();
+                        heap.note_peak();
+                    }
+                }
+                for u in 0..N {
+                    prop_assert_eq!(flat.has_pending(u), heap.has_pending(u), "vertex {}, step {}", u, step);
+                }
+                prop_assert_eq!(flat.peak_words(), heap.peak_words(), "step {}", step);
+            }
+        }
     }
 }

@@ -57,14 +57,9 @@ pub fn integral_cds_packing(g: &Graph, t: usize, seed: u64) -> IntegralCds {
             failed += 1;
             continue;
         }
-        // Spanning tree of the group's induced subgraph.
-        let (sub, map) = g.induced_subgraph(members);
-        let bfs = traversal::bfs(&sub, 0);
-        let edges: Vec<(NodeId, NodeId)> = bfs
-            .tree_edges()
-            .into_iter()
-            .map(|(p, c)| (map[p], map[c]))
-            .collect();
+        // Spanning tree of the group's induced subgraph, rooted at its
+        // lowest member.
+        let edges = traversal::bfs_within(g, members[0], |_, v| mask[v]).tree_edges();
         let singleton = if edges.is_empty() {
             Some(members[0])
         } else {

@@ -14,7 +14,7 @@
 use crate::cds::centralized::CdsPacking;
 use crate::cds::class_state::ClassState;
 use crate::packing::{DomTreePacking, WeightedDomTree};
-use decomp_graph::domination::{is_cds, is_dominating_set};
+use decomp_graph::domination::is_dominating_set;
 use decomp_graph::{traversal, Graph, NodeId};
 
 /// Outcome of the tree extraction.
@@ -32,20 +32,20 @@ pub struct ExtractedTrees {
 /// Extracts one dominating tree per valid class of `packing` and weights
 /// them into a feasible fractional packing.
 ///
-/// Re-derives each class's connectivity by a fresh traversal; when the
-/// construction's [`ClassState`] is at hand
-/// ([`crate::cds::centralized::cds_packing_with_state`]), prefer
-/// [`to_dom_tree_packing_with_state`], which reads the maintained
-/// component counts instead.
+/// A class is valid when it dominates and its tree spans it; the tree's
+/// BFS is the connectivity check. When the construction's [`ClassState`]
+/// is at hand ([`crate::cds::centralized::cds_packing_with_state`]),
+/// [`to_dom_tree_packing_with_state`] also rejects a class whose
+/// maintained component count says it is split before traversing it.
 pub fn to_dom_tree_packing(g: &Graph, packing: &CdsPacking) -> ExtractedTrees {
-    extract(g, packing, |_, mask| is_cds(g, mask))
+    extract(g, packing, |_, mask| is_dominating_set(g, mask))
 }
 
 /// [`to_dom_tree_packing`] consuming the incrementally-maintained
 /// [`ClassState`]: a class is a CDS iff it dominates and its running
-/// component count `N_i` is exactly 1 — the connectivity side needs no
-/// traversal, because the state's disjoint sets *are* the components of
-/// the projected class subgraphs.
+/// component count `N_i` is exactly 1 — the state's disjoint sets *are*
+/// the components of the projected class subgraphs, so a split class is
+/// rejected without a traversal.
 pub fn to_dom_tree_packing_with_state(
     g: &Graph,
     packing: &CdsPacking,
@@ -60,62 +60,42 @@ pub fn to_dom_tree_packing_with_state(
 fn extract(
     g: &Graph,
     packing: &CdsPacking,
-    mut class_is_cds: impl FnMut(usize, &[bool]) -> bool,
+    mut class_dominates: impl FnMut(usize, &[bool]) -> bool,
 ) -> ExtractedTrees {
-    let n = g.n();
     let mut trees = Vec::new();
     let mut invalid = Vec::new();
     for (class, members) in packing.classes.iter().enumerate() {
-        if members.is_empty() {
-            invalid.push(class);
-            continue;
-        }
         let mask = packing.class_mask(class);
-        if !class_is_cds(class, &mask) {
-            invalid.push(class);
-            continue;
-        }
-        let edges = class_spanning_tree(g, members);
-        let singleton = if edges.is_empty() {
-            Some(members[0])
-        } else {
+        let tree = if members.is_empty() || !class_dominates(class, &mask) {
             None
+        } else {
+            class_tree(g, class, members, |_, v| mask[v])
         };
-        trees.push(WeightedDomTree {
-            id: class,
-            weight: 1.0, // rescaled below
-            edges,
-            singleton,
-        });
-    }
-    // Feasibility: scale by the maximum number of *valid* trees through a
-    // single vertex.
-    let mut count = vec![0usize; n];
-    for t in &trees {
-        for v in t.vertices(n) {
-            count[v] += 1;
+        match tree {
+            Some(tree) => trees.push(tree),
+            None => invalid.push(class),
         }
     }
-    let cmax = count.into_iter().max().unwrap_or(1).max(1);
-    let w = 1.0 / cmax as f64;
-    for t in &mut trees {
-        t.weight = w;
-    }
+    // Feasibility: scale by the maximum number of valid trees through a
+    // single vertex.
+    let mut packing = DomTreePacking { trees };
+    let tree_weight = packing.assign_uniform_feasible_weights(g.n());
     ExtractedTrees {
-        packing: DomTreePacking { trees },
+        packing,
         invalid_classes: invalid,
-        tree_weight: w,
+        tree_weight,
     }
 }
 
 /// Re-extracts one dominating tree for a single repaired class over the
-/// survivors of a churn wave: a BFS spanning tree of `members` (the
-/// class's live, present vertices) through edges that pass `edge_ok`.
-/// BFS order follows the graph's fixed adjacency lists, so the result
-/// is deterministic for a given survivor set — the churn loop's
-/// re-extraction is replayable. Returns `None` when the members do not
-/// span a connected subgraph under `edge_ok` (the class is still
-/// broken; its messages keep the flood fallback for another wave).
+/// survivors of a churn wave: the BFS spanning tree of `members` (the
+/// class's live, present vertices, sorted) through edges that pass
+/// `edge_ok`, built exactly as extraction builds it. BFS order follows
+/// the graph's fixed adjacency lists, so the result is deterministic for
+/// a given survivor set — the churn loop's re-extraction is replayable.
+/// Returns `None` when the members do not span a connected subgraph
+/// under `edge_ok` (the class is still broken; its messages keep the
+/// flood fallback for another wave).
 ///
 /// Certification (connectivity via [`ClassState::component_count`],
 /// domination over the survivors) is the caller's job: this helper only
@@ -126,50 +106,35 @@ pub fn reextract_class_tree(
     members: &[NodeId],
     mut edge_ok: impl FnMut(NodeId, NodeId) -> bool,
 ) -> Option<WeightedDomTree> {
-    if members.is_empty() {
-        return None;
-    }
     let mut in_class = vec![false; g.n()];
     for &v in members {
         in_class[v] = true;
     }
-    let root = members[0];
-    let mut seen = vec![false; g.n()];
-    seen[root] = true;
-    let mut queue = std::collections::VecDeque::from([root]);
-    let mut edges = Vec::new();
-    let mut reached = 1usize;
-    while let Some(v) = queue.pop_front() {
-        for &u in g.neighbors(v) {
-            if in_class[u] && !seen[u] && edge_ok(v, u) {
-                seen[u] = true;
-                reached += 1;
-                edges.push((v, u));
-                queue.push_back(u);
-            }
-        }
-    }
-    if reached != members.len() {
+    class_tree(g, class, members, |u, v| in_class[v] && edge_ok(u, v))
+}
+
+/// The BFS tree of class `class` from its first member (the lowest, as
+/// members are sorted) through the edges `keep` passes, with weight 1
+/// and `(parent, child)` edges in child-id order
+/// ([`traversal::BfsTree::tree_edges`]); `None` when `members` is empty
+/// or the BFS misses one of them.
+fn class_tree(
+    g: &Graph,
+    class: usize,
+    members: &[NodeId],
+    keep: impl FnMut(NodeId, NodeId) -> bool,
+) -> Option<WeightedDomTree> {
+    let &root = members.first()?;
+    let edges = traversal::bfs_within(g, root, keep).tree_edges();
+    if edges.len() + 1 != members.len() {
         return None;
     }
-    let singleton = if edges.is_empty() { Some(root) } else { None };
     Some(WeightedDomTree {
         id: class,
         weight: 1.0,
+        singleton: edges.is_empty().then_some(root),
         edges,
-        singleton,
     })
-}
-
-/// A spanning tree (edge list over original ids) of `G[members]`, which
-/// must be connected.
-fn class_spanning_tree(g: &Graph, members: &[NodeId]) -> Vec<(NodeId, NodeId)> {
-    let (sub, map) = g.induced_subgraph(members);
-    let bfs = traversal::bfs(&sub, 0);
-    bfs.tree_edges()
-        .into_iter()
-        .map(|(p, c)| (map[p], map[c]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -282,6 +247,65 @@ mod tests {
         assert!(t.edges.is_empty());
         assert_eq!(t.singleton, Some(6));
         assert!(reextract_class_tree(&g, 0, &[], |_, _| true).is_none());
+    }
+
+    /// The induced-subgraph route extraction took before its masked BFS,
+    /// kept as the reference: a BFS tree of `G[members]` from its lowest
+    /// member, mapped back to original ids.
+    fn induced_route(g: &Graph, members: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+        let (sub, map) = g.induced_subgraph(members);
+        traversal::bfs(&sub, 0)
+            .tree_edges()
+            .into_iter()
+            .map(|(p, c)| (map[p], map[c]))
+            .collect()
+    }
+
+    #[test]
+    fn extraction_matches_the_induced_subgraph_route() {
+        use crate::cds::centralized::cds_packing_with_state;
+        use decomp_graph::domination::is_cds;
+        // One instance per fixture family of the test roster (Harary,
+        // random regular, hypercube, clustered), a fragmented Harary
+        // graph (t ≫ k: every class spans almost every vertex), and a
+        // barbell cut into classes that cannot all be CDSs.
+        let (known_k, classes) = (
+            CdsPackingConfig::with_known_k,
+            CdsPackingConfig::with_classes,
+        );
+        let mut invalid_seen = 0;
+        for (g, config) in [
+            (generators::harary(8, 40), known_k(8, 1)),
+            (generators::random_regular(36, 6, 11), known_k(6, 2)),
+            (generators::hypercube(5), known_k(5, 3)),
+            (generators::barbell(8, 3), classes(2, 4)),
+            (generators::harary(6, 600), classes(24, 1)),
+            (generators::barbell(6, 4), classes(12, 1)),
+        ] {
+            let (p, st) = cds_packing_with_state(&g, &config);
+            let invalid: Vec<usize> = (0..p.num_classes())
+                .filter(|&c| p.classes[c].is_empty() || !is_cds(&g, &p.class_mask(c)))
+                .collect();
+            invalid_seen += invalid.len();
+            for ex in [
+                to_dom_tree_packing(&g, &p),
+                to_dom_tree_packing_with_state(&g, &p, &st),
+            ] {
+                assert_eq!(ex.invalid_classes, invalid);
+                for tree in &ex.packing.trees {
+                    let members = &p.classes[tree.id];
+                    let edges = induced_route(&g, members);
+                    assert_eq!(tree.singleton, edges.is_empty().then_some(members[0]));
+                    assert_eq!(tree.edges, edges, "class {}", tree.id);
+                    // Re-extraction over the full class, every edge
+                    // usable, rebuilds the same tree.
+                    let again = reextract_class_tree(&g, tree.id, members, |_, _| true)
+                        .expect("a valid class spans its members");
+                    assert_eq!(again.edges, tree.edges, "class {}", tree.id);
+                }
+            }
+        }
+        assert!(invalid_seen > 0, "premise: some class is invalid");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! reference behaviour).
 
 use crate::graph::{Graph, NodeId};
-use crate::traversal::connected_components;
+use crate::traversal::bfs_within;
 
 /// Whether `set` (given as a membership mask) dominates `g`: every vertex
 /// is in the set or adjacent to a member.
@@ -22,12 +22,11 @@ pub fn is_dominating_set(g: &Graph, member: &[bool]) -> bool {
 /// for the empty set, true for singletons).
 pub fn is_connected_subset(g: &Graph, member: &[bool]) -> bool {
     assert_eq!(member.len(), g.n(), "mask length mismatch");
-    let verts: Vec<NodeId> = g.vertices().filter(|&v| member[v]).collect();
-    if verts.is_empty() {
+    let Some(source) = g.vertices().find(|&v| member[v]) else {
         return false;
-    }
-    let (sub, _) = g.induced_subgraph(&verts);
-    connected_components(&sub).1 == 1
+    };
+    let bfs = bfs_within(g, source, |_, v| member[v]);
+    g.vertices().all(|v| !member[v] || bfs.reached(v))
 }
 
 /// Whether `member` is a connected dominating set of `g`.

@@ -90,44 +90,25 @@ impl RootedTree {
     /// Builds a rooted tree from an undirected edge set by BFS from `root`.
     ///
     /// Returns `None` if the edge set is not connected when restricted to
-    /// the vertices it touches, or contains a cycle.
+    /// the vertices it touches, or contains a cycle (a duplicated edge is
+    /// a cycle).
     pub fn from_edges(n: usize, root: NodeId, edges: &[(NodeId, NodeId)]) -> Option<RootedTree> {
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut members = vec![false; n];
-        members[root] = true;
+        let mut in_tree = vec![false; n];
+        in_tree[root] = true;
         for &(u, v) in edges {
-            adj[u].push(v);
-            adj[v].push(u);
-            members[u] = true;
-            members[v] = true;
+            in_tree[u] = true;
+            in_tree[v] = true;
         }
-        let member_count = members.iter().filter(|&&b| b).count();
+        let member_count = in_tree.iter().filter(|&&b| b).count();
         if edges.len() + 1 != member_count {
             return None; // cycle or disconnected
         }
         let mut parent = vec![usize::MAX; n];
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[root] = true;
-        queue.push_back(root);
-        let mut reached = 1;
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = u;
-                    reached += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if reached != member_count {
-            return None;
-        }
-        Some(RootedTree {
+        let order = TreeAdjacency::new(n, edges).bfs(root, &mut vec![usize::MAX; n], &mut parent);
+        (order.len() == member_count).then_some(RootedTree {
             root,
             parent,
-            in_tree: members,
+            in_tree,
         })
     }
 
@@ -167,38 +148,73 @@ impl RootedTree {
 
     /// Diameter of the tree (longest path, in edges).
     ///
-    /// Two-sweep BFS: the standard exact method on trees.
+    /// Two-sweep BFS, the standard exact method on trees: a vertex
+    /// farthest from the root ends a longest path, and its eccentricity
+    /// is the diameter.
     pub fn diameter(&self) -> usize {
-        let verts = self.vertices();
-        if verts.len() <= 1 {
+        let edges = self.edges();
+        if edges.is_empty() {
             return 0;
         }
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); self.parent.len()];
-        for (p, c) in self.edges() {
-            adj[p].push(c);
-            adj[c].push(p);
+        let n = self.parent.len();
+        let adj = TreeAdjacency::new(n, &edges);
+        let (mut dist, mut parent) = (vec![usize::MAX; n], vec![usize::MAX; n]);
+        let order = adj.bfs(self.root, &mut dist, &mut parent);
+        let far = *order.last().expect("the BFS visits its source");
+        for &v in &order {
+            dist[v] = usize::MAX;
         }
-        let far = |s: NodeId| -> (NodeId, usize) {
-            let mut dist = vec![usize::MAX; adj.len()];
-            let mut q = std::collections::VecDeque::new();
-            dist[s] = 0;
-            q.push_back(s);
-            let mut best = (s, 0);
-            while let Some(u) = q.pop_front() {
-                if dist[u] > best.1 {
-                    best = (u, dist[u]);
-                }
-                for &v in &adj[u] {
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        q.push_back(v);
-                    }
+        let order = adj.bfs(far, &mut dist, &mut parent);
+        dist[*order.last().expect("the BFS visits its source")]
+    }
+}
+
+/// A tree's adjacency in CSR form: `nbrs[offsets[v]..offsets[v + 1]]`
+/// are `v`'s neighbours, in edge-list order.
+struct TreeAdjacency {
+    offsets: Vec<usize>,
+    nbrs: Vec<NodeId>,
+}
+
+impl TreeAdjacency {
+    fn new(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
+        let mut offsets = vec![0; n + 1];
+        for &(u, v) in edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets.clone();
+        let mut nbrs = vec![0; 2 * edges.len()];
+        for &(u, v) in edges {
+            nbrs[next[u]] = v;
+            next[u] += 1;
+            nbrs[next[v]] = u;
+            next[v] += 1;
+        }
+        TreeAdjacency { offsets, nbrs }
+    }
+
+    /// BFS from `s` through the vertices whose `dist` is still
+    /// `usize::MAX`: sets their `dist` and `parent`, and returns them in
+    /// visit order (so the last one is a farthest from `s`).
+    fn bfs(&self, s: NodeId, dist: &mut [usize], parent: &mut [NodeId]) -> Vec<NodeId> {
+        dist[s] = 0;
+        let mut order = vec![s];
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &v in &self.nbrs[self.offsets[u]..self.offsets[u + 1]] {
+                if dist[v] == usize::MAX {
+                    dist[v] = dist[u] + 1;
+                    parent[v] = u;
+                    order.push(v);
                 }
             }
-            best
-        };
-        let (a, _) = far(self.root);
-        far(a).1
+        }
+        order
     }
 }
 
@@ -255,11 +271,16 @@ mod tests {
     #[test]
     fn rooted_tree_rejects_cycle() {
         assert!(RootedTree::from_edges(3, 0, &[(0, 1), (1, 2), (2, 0)]).is_none());
+        // A duplicated edge is a 2-cycle.
+        assert!(RootedTree::from_edges(3, 0, &[(0, 1), (1, 2), (1, 0)]).is_none());
     }
 
     #[test]
     fn rooted_tree_rejects_disconnected() {
         assert!(RootedTree::from_edges(5, 0, &[(0, 1), (3, 4)]).is_none());
+        // As many edges as a tree on the touched vertices, but the root
+        // sits apart from a triangle.
+        assert!(RootedTree::from_edges(4, 0, &[(1, 2), (2, 3), (3, 1)]).is_none());
     }
 
     #[test]
@@ -278,6 +299,31 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The two-sweep diameter equals the largest BFS eccentricity over
+        /// the tree's vertices, on random trees over a random subset of
+        /// the ids, with the edges in random order and a random root.
+        fn rooted_tree_diameter_is_the_largest_eccentricity(seed in 0u64..1000) {
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..40);
+            let mut ids: Vec<NodeId> = (0..n).collect();
+            ids.shuffle(&mut rng);
+            let size = rng.gen_range(1..=n);
+            let mut edges: Vec<(NodeId, NodeId)> = (1..size)
+                .map(|i| (ids[rng.gen_range(0..i)], ids[i]))
+                .collect();
+            edges.shuffle(&mut rng);
+            let root = ids[rng.gen_range(0..size)];
+            let t = RootedTree::from_edges(n, root, &edges).expect("a tree");
+            let g = Graph::from_edges(n, edges.iter().copied());
+            let eccentricity = ids[..size]
+                .iter()
+                .map(|&s| crate::traversal::bfs(&g, s).eccentricity())
+                .max();
+            prop_assert_eq!(Some(t.diameter()), eccentricity);
+        }
 
         /// The MST weight is minimal: no single-edge swap improves it
         /// (cut/cycle property check on random weights).

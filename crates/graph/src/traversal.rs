@@ -50,6 +50,23 @@ impl BfsTree {
 /// # Panics
 /// Panics if `source >= g.n()`.
 pub fn bfs(g: &Graph, source: NodeId) -> BfsTree {
+    bfs_within(g, source, |_, _| true)
+}
+
+/// BFS from `source` that crosses an edge from a reached vertex `u` to
+/// its neighbour `v` only when `keep(u, v)` holds: a traversal of a
+/// vertex-masked or edge-filtered view of `g` without building the
+/// subgraph. Neighbours are visited in `g`'s sorted order, so on a vertex
+/// mask the parents equal those of [`bfs`] over the induced subgraph
+/// (whose relabelling keeps that order).
+///
+/// # Panics
+/// Panics if `source >= g.n()`.
+pub fn bfs_within(
+    g: &Graph,
+    source: NodeId,
+    mut keep: impl FnMut(NodeId, NodeId) -> bool,
+) -> BfsTree {
     assert!(source < g.n(), "BFS source out of range");
     let mut dist = vec![usize::MAX; g.n()];
     let mut parent = vec![usize::MAX; g.n()];
@@ -58,7 +75,7 @@ pub fn bfs(g: &Graph, source: NodeId) -> BfsTree {
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         for &v in g.neighbors(u) {
-            if dist[v] == usize::MAX {
+            if dist[v] == usize::MAX && keep(u, v) {
                 dist[v] = dist[u] + 1;
                 parent[v] = u;
                 queue.push_back(v);
