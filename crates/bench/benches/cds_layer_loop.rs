@@ -3,8 +3,9 @@
 //! This is the measurement harness for the ROADMAP's "perf sweep of
 //! `cds::centralized`" item: `cds_packing` swept over Harary and
 //! random-regular instances at n ∈ {10³, 10⁴, 10⁵}. The layer loop
-//! dominates the runtime (jump start and projection are linear scans),
-//! so the whole-construction wall clock tracks the loop itself.
+//! dominates the runtime (the jump start is one draw per virtual node
+//! and one union sweep per class stride; the projection is a linear
+//! scan), so the whole-construction wall clock tracks the loop itself.
 //!
 //! Track results in `BENCH_CDS.md` at the workspace root; the incremental
 //! `ClassState` rewrite is validated bit-identical elsewhere (golden

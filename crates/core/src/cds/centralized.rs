@@ -16,15 +16,20 @@
 //! 4. project classes to real nodes: each class is a CDS w.h.p., and each
 //!    real node lies in at most `3L = O(log n)` classes.
 //!
-//! Per-class components are never recomputed: [`ClassState`] maintains
-//! them *incrementally* (one disjoint-set forest updated at join time,
-//! with running `N_i` / `M_ℓ` aggregates, exactly as Appendix C
-//! prescribes), and the layer loop's bridging-graph bookkeeping — the
-//! potential-matches table, the deactivation flags, and the matched-
-//! component flags — lives in flat epoch-stamped arrays reused across
-//! layers, so a layer costs `O(m t)` array work with no hashing and no
-//! per-layer allocation. Per-layer instrumentation (`M_ℓ`, matches,
-//! deactivations) feeds the Fast-Merger experiment (Lemma 4.4 / E11).
+//! Nothing reads a component during the jump start, so its draws only
+//! mark `(real, class)` bundles occupied, and
+//! [`ClassState::from_bundles`] builds the component forest once, in one
+//! union sweep per class stride. From layer `L/2` on, [`ClassState`]
+//! maintains the components *incrementally* (one disjoint-set forest
+//! updated at join time, with running `N_i` / `M_ℓ` aggregates, exactly
+//! as Appendix C prescribes), and the layer loop's bridging-graph
+//! bookkeeping — the potential-matches table, the deactivation flags, and
+//! the matched-component flags — lives in flat epoch-stamped arrays
+//! reused across layers, so a layer costs `O(m t)` array work with no
+//! hashing. The matching scan probes only the classes with a live
+//! potential-matches entry at each node, at most `deg + 1` of them.
+//! Per-layer instrumentation (`M_ℓ`, matches, deactivations) feeds the
+//! Fast-Merger experiment (Lemma 4.4 / E11).
 //!
 //! The per-class half of each layer body (steps 2a–2b) is independent
 //! across classes: the component forest is frozen until the layer
@@ -439,6 +444,59 @@ impl ClassBuckets {
     }
 }
 
+/// Step 3 of a layer body, the maximal matching: scans the type-2 new
+/// nodes in `order` and matches each node `x` to the first eligible
+/// `(candidate, class)` pair, candidates being `x` and then its
+/// neighbours in adjacency order, classes ascending. A pair is eligible
+/// if its bundle is occupied, its component is neither deactivated nor
+/// matched, and `x`'s potential-matches entry for the class allows it
+/// (bridging condition (c)). A matched component joins the skip table.
+/// Writes the matched class into `c2[x]` (unmatched nodes keep
+/// `usize::MAX`) and returns the number matched.
+///
+/// Only a class whose entry at `x` was stamped this layer can match at
+/// `x`, and every such stamp comes from a type-3 reporter `z` in `N[x]`
+/// of class `c3[z]` (only fragmented classes report). So the walk visits
+/// just those classes, collected from the `deg(x) + 1` picks and sorted.
+fn match_type2(
+    g: &Graph,
+    st: &ClassState,
+    scratch: &mut LayerScratch,
+    c3: &[usize],
+    order: &[NodeId],
+    c2: &mut [usize],
+) -> usize {
+    let (n, epoch) = (g.n(), scratch.epoch);
+    let mut live: Vec<(usize, PotentialMatches)> = Vec::new();
+    let mut matched = 0;
+    for &x in order {
+        let closed = || std::iter::once(x).chain(g.neighbors(x).iter().copied());
+        live.clear();
+        for z in closed() {
+            let slot = c3[z] * n + x;
+            if scratch.pm_epoch[slot] == epoch {
+                live.push((c3[z], scratch.pm[slot]));
+            }
+        }
+        live.sort_unstable_by_key(|&(i, _)| i);
+        live.dedup_by_key(|&mut (i, _)| i);
+        'search: for y in closed() {
+            for &(i, pm) in &live {
+                let Some(root) = scratch.comp_root(st, y, i) else {
+                    continue;
+                };
+                if scratch.skip_epoch[root] != epoch && pm.allows(root) {
+                    scratch.skip_epoch[root] = epoch;
+                    matched += 1;
+                    c2[x] = i;
+                    break 'search;
+                }
+            }
+        }
+    }
+    matched
+}
+
 /// Runs the CDS-packing construction of Section 3.1 / Appendix C.
 ///
 /// Returns `t = config.num_classes` classes of virtual nodes projected to
@@ -475,39 +533,42 @@ pub fn cds_packing(g: &Graph, config: &CdsPackingConfig) -> CdsPacking {
 ///
 /// # Panics
 /// Panics if the graph is empty.
-#[allow(clippy::needless_range_loop)] // lockstep loops index several per-node arrays at once
 pub fn cds_packing_with_state(g: &Graph, config: &CdsPackingConfig) -> (CdsPacking, ClassState) {
+    pack(g, config, match_type2)
+}
+
+/// Step 3 of a layer body, as [`pack`] calls it: `(g, st, scratch, c3,
+/// order, c2) -> matched`.
+type MatchScan =
+    fn(&Graph, &ClassState, &mut LayerScratch, &[usize], &[NodeId], &mut [usize]) -> usize;
+
+/// The layer loop of [`cds_packing_with_state`], with step 3 passed in
+/// so the unit tests can run it against the full walk it replaced.
+#[allow(clippy::needless_range_loop)] // lockstep loops index several per-node arrays at once
+fn pack(g: &Graph, config: &CdsPackingConfig, step3: MatchScan) -> (CdsPacking, ClassState) {
     assert!(g.n() > 0, "CDS packing needs a non-empty graph");
     let layers = default_layers(g.n(), config.layers_factor);
     let layout = VirtualLayout::new(g.n(), layers);
     let t = config.num_classes;
-    let mut st = ClassState::new(layout, t);
     let mut class_of: Vec<Option<u32>> = vec![None; layout.total()];
     let mut rng = StdRng::seed_from_u64(config.seed);
     let half = layout.jump_start();
 
     // --- Jump start: layers 0..L/2 join random classes. -----------------
-    // One RNG fill per layer: all 3n class picks are drawn into a flat
-    // buffer in a tight loop (draw order — real × vtype — unchanged, so
-    // the stream and the packing stay bit-identical; `cds_digest` is the
-    // oracle), then the cache-heavy join sweep runs without touching the
-    // RNG. The buffer is reused across layers.
-    let mut picks: Vec<u32> = vec![0; 3 * g.n()];
+    // Nothing reads a component before layer L/2, so the draws (in the
+    // order layer × real × vtype) only mark their bundles occupied, and
+    // the state is built once from the marks.
+    let mut occupied = vec![false; g.n() * t];
     for layer in 0..half {
-        for p in picks.iter_mut() {
-            *p = rng.gen_range(0..t) as u32;
-        }
-        let mut at = 0usize;
         for real in 0..g.n() {
             for vtype in VType::ALL {
-                let vid = layout.vid(real, layer, vtype);
-                let c = picks[at] as usize;
-                at += 1;
-                class_of[vid] = Some(c as u32);
-                st.join(g, vid, c);
+                let c = rng.gen_range(0..t);
+                class_of[layout.vid(real, layer, vtype)] = Some(c as u32);
+                occupied[c * g.n() + real] = true;
             }
         }
     }
+    let mut st = ClassState::from_bundles(g, layout, t, occupied);
 
     // --- Recursive class assignment: layers L/2..L. ---------------------
     let mut scratch = LayerScratch::new(g.n(), t);
@@ -594,56 +655,23 @@ pub fn cds_packing_with_state(g: &Graph, config: &CdsPackingConfig) -> (CdsPacki
         };
 
         // (3) Maximal matching: scan type-2 new nodes in random order,
-        //     greedily matching to the first eligible component. Matched
-        //     components join the deactivated ones in the skip table.
+        //     greedily matching to the first eligible component; every
+        //     unmatched node then draws one random class, in scan order.
+        //     The matching reads no RNG, so these draws come in the order
+        //     they would if each node drew during the scan. With every
+        //     class connected (`excess_before == 0`) no component is
+        //     matchable and the scan is skipped wholesale.
         let mut order: Vec<NodeId> = (0..g.n()).collect();
         order.shuffle(&mut rng);
-        let mut matched = 0usize;
         let mut c2 = vec![usize::MAX; g.n()];
+        let matched = if excess_before > 0 {
+            step3(g, &st, &mut scratch, &c3, &order, &mut c2)
+        } else {
+            0
+        };
         for &x in &order {
-            let mut assigned = None;
-            // Enumerate (old-neighbor bundle, class) pairs around x. With
-            // every class connected (`excess_before == 0`) no component is
-            // matchable and the scan is skipped wholesale — the RNG
-            // consumption below is unaffected (every node stays unmatched
-            // and draws its one random class either way).
-            'search: for cand in 0..=g.degree(x) {
-                if excess_before == 0 {
-                    break 'search;
-                }
-                let y = if cand == 0 {
-                    x
-                } else {
-                    g.neighbors(x)[cand - 1]
-                };
-                for ci in 0..st.classes_at(y).len() {
-                    let i = st.classes_at(y)[ci] as usize;
-                    if !fragmented(&st, i) {
-                        continue;
-                    }
-                    let root = match scratch.comp_root(&st, y, i) {
-                        Some(r) => r,
-                        None => continue,
-                    };
-                    if scratch.skip_epoch[root] == epoch {
-                        continue;
-                    }
-                    let slot = i * g.n() + x;
-                    if scratch.pm_epoch[slot] == epoch && scratch.pm[slot].allows(root) {
-                        assigned = Some((i, root));
-                        break 'search;
-                    }
-                }
-            }
-            match assigned {
-                Some((i, root)) => {
-                    scratch.skip_epoch[root] = epoch;
-                    matched += 1;
-                    c2[x] = i;
-                }
-                None => {
-                    c2[x] = rng.gen_range(0..t);
-                }
+            if c2[x] == usize::MAX {
+                c2[x] = rng.gen_range(0..t);
             }
             class_of[layout.vid(x, layer, VType::T2)] = Some(c2[x] as u32);
         }
@@ -766,6 +794,86 @@ mod tests {
                 assert_eq!(one.classes, w.classes, "workers={workers} seed={seed}");
                 assert_eq!(one.trace, w.trace, "workers={workers} seed={seed}");
             }
+        }
+    }
+
+    /// The step-3 walk [`match_type2`] replaced, kept as its reference:
+    /// every fragmented class present on every candidate, probed against
+    /// `x`'s potential-matches table.
+    fn full_walk(
+        g: &Graph,
+        st: &ClassState,
+        scratch: &mut LayerScratch,
+        _c3: &[usize],
+        order: &[NodeId],
+        c2: &mut [usize],
+    ) -> usize {
+        let epoch = scratch.epoch;
+        let mut matched = 0;
+        for &x in order {
+            'search: for cand in 0..=g.degree(x) {
+                let y = if cand == 0 {
+                    x
+                } else {
+                    g.neighbors(x)[cand - 1]
+                };
+                for &i in st.classes_at(y) {
+                    let i = i as usize;
+                    if st.component_count(i) < 2 {
+                        continue;
+                    }
+                    let Some(root) = scratch.comp_root(st, y, i) else {
+                        continue;
+                    };
+                    if scratch.skip_epoch[root] == epoch {
+                        continue;
+                    }
+                    let slot = i * g.n() + x;
+                    if scratch.pm_epoch[slot] == epoch && scratch.pm[slot].allows(root) {
+                        scratch.skip_epoch[root] = epoch;
+                        matched += 1;
+                        c2[x] = i;
+                        break 'search;
+                    }
+                }
+            }
+        }
+        matched
+    }
+
+    #[test]
+    fn step3_matches_the_full_walk() {
+        // Fragmented instances (t ≫ k/4), so several layers scan.
+        let harary = generators::harary(6, 400);
+        let gnm = generators::gnm(2000, 6000, 7);
+        for (g, t, seed) in [
+            (&harary, 24, 1u64),
+            (&harary, 24, 9),
+            (&harary, 24, 42),
+            (&gnm, 16, 1),
+            (&gnm, 16, 5),
+            (&gnm, 16, 42),
+        ] {
+            let config = CdsPackingConfig::with_classes(t, seed);
+            let (got, _) = pack(g, &config, match_type2);
+            let (want, _) = pack(g, &config, full_walk);
+            let ctx = format!("n={} t={t} seed={seed}", g.n());
+            let matched = |p: &CdsPacking| p.trace.iter().map(|l| l.matched).collect::<Vec<_>>();
+            assert!(
+                matched(&want).iter().any(|&m| m > 0),
+                "{ctx}: no layer matches"
+            );
+            assert_eq!(matched(&got), matched(&want), "{ctx}");
+            let layout = got.layout;
+            for layer in layout.jump_start()..layout.layers() {
+                let type2 = |p: &CdsPacking| -> Vec<Option<u32>> {
+                    (0..g.n())
+                        .map(|x| p.class_of[layout.vid(x, layer, VType::T2)])
+                        .collect()
+                };
+                assert!(type2(&got) == type2(&want), "{ctx}: layer {layer}");
+            }
+            assert_eq!(got.trace, want.trace, "{ctx}");
         }
     }
 

@@ -28,10 +28,12 @@
 //! edges of the surviving graph — instead of rerunning the full layer
 //! loop.
 //!
-//! The centralized layer loop ([`crate::cds::centralized`]) drives the
-//! state and reads components through [`comp_root`](ClassState::comp_root)
-//! (behind a per-layer memo of its own, since roots are stable between
-//! joins); the tree
+//! The centralized layer loop ([`crate::cds::centralized`]) builds the
+//! jump start's state in bulk ([`from_bundles`](ClassState::from_bundles),
+//! one union sweep per class stride), joins each recursive layer's nodes,
+//! and reads components through
+//! [`comp_root_frozen`](ClassState::comp_root_frozen) (behind a per-layer
+//! memo of its own, since roots are stable between joins); the tree
 //! extraction ([`crate::cds::tree_extract`]) uses `N_i` as its
 //! connectivity certificate; the connector analysis
 //! ([`crate::cds::connector`]) builds its
@@ -119,6 +121,34 @@ impl ClassState {
             comp_count: vec![0; t],
             excess: 0,
         }
+    }
+
+    /// State of a membership given in bulk: `occupied[class * n + real]`
+    /// marks each `(real, class)` bundle with at least one member
+    /// (class-major, like the forest). One ascending sweep per class
+    /// stride unions every occupied bundle with its occupied lower-id
+    /// neighbours, and one real-major pass fills the sorted per-node
+    /// class lists. The result has the partition, counts, excess,
+    /// `classes_at` and densified [`comp_of`](Self::comp_of) labels of a
+    /// [`join`](Self::join) per member in any order; raw [`CompId`]s may
+    /// differ, as they are opaque. The CDS layer loop's jump start builds
+    /// its state this way, since nothing reads a component before the
+    /// recursive layers.
+    ///
+    /// # Panics
+    /// Panics if `t == 0` or `occupied.len() != layout.n() * t`.
+    pub fn from_bundles(g: &Graph, layout: VirtualLayout, t: usize, occupied: Vec<bool>) -> Self {
+        let n = layout.n();
+        assert_eq!(occupied.len(), n * t, "one occupancy flag per bundle");
+        let mut st = ClassState::new(layout, t);
+        st.occupied = occupied;
+        for class in 0..t {
+            st.sweep_class(g, class);
+        }
+        for (real, at) in st.classes_at.iter_mut().enumerate() {
+            at.extend((0..t as u32).filter(|&c| st.occupied[c as usize * n + real]));
+        }
+        st
     }
 
     /// The layout this state indexes into.
@@ -444,12 +474,20 @@ impl ClassState {
     }
 
     /// Dissolves one class's union-find stride and re-unions its surviving
-    /// members over every member–member edge of `g` (each once, from its
-    /// higher end), fixing `comp_count` and the running excess.
+    /// members ([`sweep_class`](Self::sweep_class)).
     fn rebuild_class(&mut self, g: &Graph, class: usize) {
         let n = self.layout.n();
         let stride: Vec<usize> = (class * n..(class + 1) * n).collect();
         self.uf.reset_block(&stride);
+        self.sweep_class(g, class);
+    }
+
+    /// Unions the occupied bundles of one class's all-singleton stride
+    /// over every member–member edge of `g` (each once, from its higher
+    /// end) in one ascending sweep, fixing `comp_count` and the running
+    /// excess.
+    fn sweep_class(&mut self, g: &Graph, class: usize) {
+        let n = self.layout.n();
         self.excess -= self.comp_count[class].saturating_sub(1);
         let mut count = 0;
         for v in 0..n {

@@ -203,16 +203,23 @@ mod tests {
     #[test]
     fn state_backed_extraction_matches_recomputed() {
         use crate::cds::centralized::cds_packing_with_state;
-        // barbell + many classes forces invalid (disconnected) classes, so
-        // both the accept and reject paths of the certificate are hit.
+        // A barbell cut into 12 classes has invalid (disconnected)
+        // classes at seed 1, so both the accept and reject paths of the
+        // certificate are hit.
         for (g, t, seed) in [
-            (generators::barbell(6, 4), 6, 2u64),
+            (generators::barbell(6, 4), 12, 1u64),
             (generators::harary(12, 72), 3, 3),
             (generators::random_connected(40, 12, 1), 8, 5),
         ] {
             let (p, st) = cds_packing_with_state(&g, &CdsPackingConfig::with_classes(t, seed));
             let slow = to_dom_tree_packing(&g, &p);
             let fast = to_dom_tree_packing_with_state(&g, &p, &st);
+            if t == 12 {
+                assert!(
+                    !fast.invalid_classes.is_empty(),
+                    "premise: a class is invalid"
+                );
+            }
             assert_eq!(slow.invalid_classes, fast.invalid_classes);
             assert_eq!(slow.tree_weight, fast.tree_weight);
             assert_eq!(slow.packing.num_trees(), fast.packing.num_trees());
@@ -310,12 +317,16 @@ mod tests {
 
     #[test]
     fn invalid_classes_are_skipped_not_packed() {
-        // Force failure: a barbell with k=1 but many classes cannot give
-        // every class a CDS; extraction must drop invalid ones and still
-        // produce a feasible packing.
+        // Force failure: a barbell with k=1 cut into 12 classes cannot
+        // give every class a CDS; extraction must drop invalid ones and
+        // still produce a feasible packing.
         let g = generators::barbell(6, 4);
-        let p = cds_packing(&g, &CdsPackingConfig::with_classes(6, 2));
+        let p = cds_packing(&g, &CdsPackingConfig::with_classes(12, 1));
         let ex = to_dom_tree_packing(&g, &p);
+        assert!(
+            !ex.invalid_classes.is_empty(),
+            "premise: a class is invalid"
+        );
         ex.packing.validate(&g, 1e-9).unwrap();
         assert_eq!(
             ex.packing.num_trees() + ex.invalid_classes.len(),

@@ -9,7 +9,7 @@ use connectivity_decomposition::core::cds::centralized::{cds_packing, CdsPacking
 use connectivity_decomposition::core::cds::class_state::ClassState;
 use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing;
 use connectivity_decomposition::core::cds::verify::{verify_centralized, VerifyOutcome};
-use connectivity_decomposition::core::virtual_graph::{VType, VirtualLayout};
+use connectivity_decomposition::core::virtual_graph::{default_layers, VType, VirtualLayout};
 use connectivity_decomposition::graph::generators;
 use decomp_testkit::{asserts, fixtures, golden, SEEDS, TOL};
 use proptest::prelude::*;
@@ -186,6 +186,52 @@ proptest! {
             for u in 0..n {
                 prop_assert_eq!(st.classes_at(u), fresh.classes_at(u), "membership at {}", u);
             }
+        }
+    }
+
+    /// The jump start's bulk build ([`ClassState::from_bundles`]) leaves
+    /// the state a join per virtual node leaves in jump-start order
+    /// (layer × real × vtype): the same component count per class,
+    /// excess, per-node class lists and densified `comp_of` labels. Over
+    /// Harary, random-regular and sparse `gnm` graphs (at least a third
+    /// of whose vertices are isolated), with 1, 3 and 24 classes.
+    fn bulk_build_matches_a_join_replay(
+        seed in any::<u64>(),
+        family in 0usize..3,
+        n in 10usize..80,
+        t_pick in 0usize..3,
+    ) {
+        let t = [1usize, 3, 24][t_pick];
+        let g = match family {
+            0 => generators::harary(2 + (seed % 5) as usize, n),
+            1 => generators::random_regular(n, 2 * (2 + (seed % 3) as usize), seed),
+            _ => {
+                let g = generators::gnm(n, n / 3, seed);
+                prop_assert!(g.vertices().any(|v| g.degree(v) == 0), "gnm has isolated vertices");
+                g
+            }
+        };
+        let layout = VirtualLayout::new(n, default_layers(n, 3.0));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x6a5d_b01c);
+        let mut joined = ClassState::new(layout, t);
+        let mut occupied = vec![false; n * t];
+        for layer in 0..layout.jump_start() {
+            for real in 0..n {
+                for vtype in VType::ALL {
+                    let c = rng.gen_range(0..t);
+                    joined.join(&g, layout.vid(real, layer, vtype), c);
+                    occupied[c * n + real] = true;
+                }
+            }
+        }
+        let mut bulk = ClassState::from_bundles(&g, layout, t, occupied);
+        prop_assert_eq!(bulk.excess(), joined.excess());
+        for c in 0..t {
+            prop_assert_eq!(bulk.component_count(c), joined.component_count(c), "class {}", c);
+            prop_assert_eq!(bulk.comp_of(c), joined.comp_of(c), "labels, class {}", c);
+        }
+        for v in 0..n {
+            prop_assert_eq!(bulk.classes_at(v), joined.classes_at(v), "classes at {}", v);
         }
     }
 }
