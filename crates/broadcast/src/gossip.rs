@@ -59,8 +59,9 @@
 //!
 //! [`gossip_via_trees_faulty`] runs either schedule under a seeded
 //! [`FaultPlan`]: at the start of each scheduled round the victims die
-//! (or edges are cut), dead vertices' relay heaps and credit lanes are
-//! dropped, and every incomplete message is re-checked for progress — a
+//! (or edges are cut), dead vertices' pending relays are dropped (and,
+//! under the weighted policy, their credit lanes closed), and every
+//! incomplete message is re-checked for progress — a
 //! message whose tree lost a member, a tree edge, or its domination of
 //! the survivors (or whose only eligible relayers are gone) is
 //! reassigned to the lowest-id surviving tree that holds it, or, when
@@ -100,8 +101,10 @@ pub struct GossipReport {
     /// plus the relay queues' peak ([`GossipConfig::Rlnc`] counts its
     /// decoder state instead). The queue term is an accounting model,
     /// not the queues' size in bytes: pending entries at two per word,
-    /// plus 5 words per live lane under [`GossipConfig::Weighted`]. It
-    /// stays as it is so recorded values hold.
+    /// plus 5 words per open lane under [`GossipConfig::Weighted`] (the
+    /// cost of a lane in its first, heap-per-lane layout; the flat
+    /// credit table it now lives in is not counted). It stays as it is
+    /// so recorded values hold.
     pub peak_state_words: usize,
     /// Order-independent fingerprint of the relay schedule: a
     /// commutative fold of `(round, vertex, message)` over every relay.
@@ -414,9 +417,9 @@ pub(crate) fn assign_trees(
 /// The static packing's repair hook: a tree broken by a fault stays
 /// broken ([`tree_ok`]), so its messages move to the lowest-id intact
 /// tree holding them, and a flood that still covers keeps flooding.
-struct StaticRepair<'a> {
-    g: &'a Graph,
-    packing: &'a DomTreePacking,
+pub(crate) struct StaticRepair<'a> {
+    pub(crate) g: &'a Graph,
+    pub(crate) packing: &'a DomTreePacking,
 }
 
 impl RepairHook for StaticRepair<'_> {
@@ -917,12 +920,17 @@ mod tests {
 
     #[test]
     fn weighted_lane_retirement_keeps_schedule_pinned_as_trees_finish_early() {
-        // Satellite of the fault suite: lanes whose tree delivered
-        // everything now retire instead of idling forever. Retirement
-        // must be schedule-neutral — an empty lane never accrued credit,
-        // so dropping it cannot change any pick — which the
+        // Lanes whose tree delivered everything retire instead of
+        // idling forever. Retirement must be schedule-neutral, which the
         // never-retiring reference oracle certifies by digest, and the
-        // pinned round count guards against future drift. The uneven
+        // pinned round count guards against future drift. A drained
+        // lane may still hold credit (a lane that won while another was
+        // active ends negative), but in a fault-free run a finished
+        // tree never carries a message again, so its lane never
+        // competes again. Under faults a repair can move a message onto
+        // a finished tree; its lane then restarts at credit 0, and
+        // `schedule::tests::weighted_run_matches_the_heap_reference_when_repair_reopens_lanes`
+        // pins that case against the heap-per-lane reference. The uneven
         // workload makes trees finish at very different times (pair
         // trees with weights 1/6..6/6 and loads drawn by the weighted
         // sampler), so lanes genuinely retire mid-run.

@@ -62,6 +62,12 @@ impl BitRows {
         self.bits.len()
     }
 
+    #[inline]
+    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        let w = self.words_per_row;
+        &mut self.bits[row * w..(row + 1) * w]
+    }
+
     /// One row per tree of `packing`: its members (edge endpoints, or
     /// the singleton).
     pub(crate) fn from_trees(packing: &DomTreePacking, n: usize) -> Self {
@@ -174,32 +180,6 @@ impl RelayPolicy for Greedy {
     }
 }
 
-/// `FLOOD` as a lane key (sorts after every real tree id).
-const FLOOD_LANE: u32 = u32::MAX;
-
-/// One (vertex, tree) lane of the weighted credit scheduler: its tree id
-/// (or [`FLOOD_LANE`]), how many pending messages it holds, and its credit
-/// accumulator.
-#[derive(Clone, Copy)]
-struct Lane {
-    tree: u32,
-    len: u32,
-    credit: f64,
-}
-
-/// One vertex's lanes, sorted by tree id so credit accrual and the
-/// arg-max walk visit trees in ascending-id order — the float-op order
-/// the reference oracle reproduces exactly. `pend` holds the lanes'
-/// pending messages: one ascending run per lane, the runs one after
-/// another in lane order. A run is a multiset (a reseed may queue a
-/// message that is already pending), and its first entry is the lane's
-/// next relay.
-#[derive(Default)]
-struct VertexLanes {
-    lanes: Vec<Lane>,
-    pend: Vec<u32>,
-}
-
 /// The weighted time-sharing reading of the fractional regime
 /// ([`GossipConfig::Weighted`](crate::gossip::GossipConfig::Weighted)):
 /// per round, every tree with an eligible pending message at a vertex
@@ -210,11 +190,28 @@ struct VertexLanes {
 /// anywhere retires — nothing can ever refill it, so keeping it would
 /// only let a finished tree's credit shadow live ones (and inflate the
 /// state peak). A lane created again starts at credit 0.
+///
+/// Layout: lane slot `t` is tree `t` and slot `T` (the tree count) the
+/// flood, so slot order is tree-id order with the flood last — the
+/// float-op order the reference oracle reproduces. `credit` is one flat
+/// table of `n · (T + 1)` `f64`s (10 MB at 50 000 vertices and 24
+/// trees), and `open` one bit per (vertex, slot), set while the lane
+/// lives. `pend[v]` holds `v`'s pending `(slot, message)` entries in
+/// ascending order: a lane's run is its slot's entries, a multiset (a
+/// reseed may queue a message already pending) led by its next relay.
+/// So a push finds its lane in O(1), and a pick walks the pending
+/// entries and `⌈(T + 1) / 64⌉` words of lane bits, never an idle lane.
 pub(crate) struct Weighted {
+    /// `x_τ` per slot; the flood lane earns 1.
     weight: Vec<f64>,
-    verts: Vec<VertexLanes>,
-    /// Incomplete messages per tree, the flood fallback last.
+    credit: Vec<f64>,
+    open: BitRows,
+    pend: Vec<Vec<(u32, u32)>>,
+    /// Incomplete messages per slot.
     tree_incomplete: Vec<usize>,
+    /// One bit per slot with no incomplete message left (every bit past
+    /// the last slot set too; no lane opens there).
+    finished: Vec<u64>,
     live_lanes: usize,
     peak_lanes: usize,
     entries: usize,
@@ -223,136 +220,134 @@ pub(crate) struct Weighted {
 
 impl Weighted {
     pub(crate) fn new(n: usize, packing: &DomTreePacking) -> Self {
+        let mut weight: Vec<f64> = packing.trees.iter().map(|t| t.weight).collect();
+        weight.push(1.0);
+        let slots = weight.len();
         Weighted {
-            weight: packing.trees.iter().map(|t| t.weight).collect(),
-            verts: (0..n).map(|_| VertexLanes::default()).collect(),
-            tree_incomplete: vec![0; packing.num_trees() + 1],
+            weight,
+            credit: vec![0.0; n * slots],
+            open: BitRows::new(n, slots),
+            pend: vec![Vec::new(); n],
+            tree_incomplete: vec![0; slots],
+            finished: vec![u64::MAX; slots.div_ceil(64)],
             live_lanes: 0,
             peak_lanes: 0,
             entries: 0,
             peak: 0,
         }
     }
+
+    /// `tree`'s lane slot ([`FLOOD`] takes the last).
+    #[inline]
+    fn slot(&self, tree: usize) -> usize {
+        tree.min(self.weight.len() - 1)
+    }
 }
 
 impl RelayPolicy for Weighted {
-    /// Creates the lane at credit 0 on first use (the flood lane's key
-    /// sorts last), and inserts `m` into its run in order.
+    /// Opens the lane at credit 0 if it is closed, and inserts `m` into
+    /// its run in order.
     fn push(&mut self, v: usize, tree: usize, m: u32) {
-        let key = if tree == FLOOD {
-            FLOOD_LANE
-        } else {
-            tree as u32
-        };
-        let VertexLanes { lanes, pend } = &mut self.verts[v];
-        let mut i = 0;
-        let mut start = 0;
-        while i < lanes.len() && lanes[i].tree < key {
-            start += lanes[i].len as usize;
-            i += 1;
-        }
-        if lanes.get(i).is_none_or(|l| l.tree != key) {
-            let lane = Lane {
-                tree: key,
-                len: 0,
-                credit: 0.0,
-            };
-            lanes.insert(i, lane);
+        let s = self.slot(tree);
+        if !self.open.get(v, s) {
+            self.open.set(v, s);
+            self.credit[v * self.weight.len() + s] = 0.0;
             self.live_lanes += 1;
         }
-        let run = &pend[start..start + lanes[i].len as usize];
-        pend.insert(start + run.partition_point(|&x| x < m), m);
-        lanes[i].len += 1;
+        let entry = (s as u32, m);
+        let pend = &mut self.pend[v];
+        pend.insert(pend.partition_point(|&e| e < entry), entry);
         self.entries += 1;
     }
 
     fn has_pending(&self, v: usize) -> bool {
-        !self.verts[v].pend.is_empty()
+        !self.pend[v].is_empty()
     }
 
     fn clear(&mut self, v: usize) {
-        let VertexLanes { lanes, pend } = &mut self.verts[v];
-        self.entries -= pend.len();
-        self.live_lanes -= lanes.len();
-        lanes.clear();
-        pend.clear();
+        self.entries -= self.pend[v].len();
+        self.pend[v].clear();
+        for w in self.open.row_mut(v) {
+            self.live_lanes -= w.count_ones() as usize;
+            *w = 0;
+        }
     }
 
-    /// One compacting pass drops each lane's stale head entries (a stale
-    /// entry behind a live head stays, as in a lazily discarded heap) and
-    /// retires drained lanes of finished trees. Then every active tree at
-    /// `v` (one with a pending message left) earns its weight in credit,
-    /// in ascending tree-id order; the highest-credit active tree wins
-    /// the relay slot, is charged the round's total accrual, and relays
-    /// its run's first entry.
+    /// Drops each lane's stale head entries (a stale entry behind a live
+    /// head stays, as in a lazily discarded heap) and retires the drained
+    /// lanes of finished trees. Then every active lane at `v` (one with a
+    /// pending message left) earns its weight in credit, in ascending
+    /// slot order; the highest-credit lane wins the relay slot, is
+    /// charged the round's total accrual, and relays its run's first
+    /// entry.
     fn pick(&mut self, v: usize, stale: impl Fn(u32) -> bool) -> Option<u32> {
         let Weighted {
             weight,
-            verts,
-            tree_incomplete,
+            credit,
+            open,
+            pend,
+            finished,
             live_lanes,
             entries,
             ..
         } = self;
-        let VertexLanes { lanes, pend } = &mut verts[v];
-        let (mut kept, mut read, mut write) = (0, 0, 0);
-        for i in 0..lanes.len() {
-            let mut lane = lanes[i];
-            let end = read + lane.len as usize;
-            while read < end && stale(pend[read]) {
-                read += 1;
-                *entries -= 1;
+        let pend = &mut pend[v];
+        let before = pend.len();
+        let (mut run, mut dropping) = (u32::MAX, false);
+        pend.retain(|&(s, m)| {
+            if s != run {
+                (run, dropping) = (s, true);
             }
-            let t = (lane.tree as usize).min(weight.len());
-            if read == end && tree_incomplete[t] == 0 {
-                *live_lanes -= 1;
-                continue;
-            }
-            if read != write {
-                pend.copy_within(read..end, write);
-            }
-            lane.len = (end - read) as u32;
-            write += end - read;
-            read = end;
-            lanes[kept] = lane;
-            kept += 1;
+            dropping = dropping && stale(m);
+            !dropping
+        });
+        *entries -= before - pend.len();
+        let mut retired = 0;
+        for (w, &f) in open.row_mut(v).iter_mut().zip(finished.iter()) {
+            retired += (*w & f).count_ones() as usize;
+            *w &= !f;
         }
-        lanes.truncate(kept);
-        pend.truncate(write);
+        // A lane with a pending entry stays open, its credit untouched.
+        for &(s, _) in pend.iter() {
+            if !open.get(v, s as usize) {
+                open.set(v, s as usize);
+                retired -= 1;
+            }
+        }
+        *live_lanes -= retired;
+        let credit = &mut credit[v * weight.len()..(v + 1) * weight.len()];
         let mut accrued = 0.0f64;
         let mut best: Option<(usize, usize)> = None;
-        let mut start = 0;
-        for i in 0..lanes.len() {
-            let len = lanes[i].len as usize;
-            if len == 0 {
+        for (i, &(s, _)) in pend.iter().enumerate() {
+            if i > 0 && pend[i - 1].0 == s {
                 continue;
             }
-            let w = if lanes[i].tree == FLOOD_LANE {
-                1.0
-            } else {
-                weight[lanes[i].tree as usize]
-            };
-            lanes[i].credit += w;
-            accrued += w;
+            let s = s as usize;
+            credit[s] += weight[s];
+            accrued += weight[s];
             best = match best {
-                Some((b, _)) if lanes[i].credit <= lanes[b].credit => best,
-                _ => Some((i, start)),
+                Some((b, _)) if credit[s] <= credit[b] => best,
+                _ => Some((s, i)),
             };
-            start += len;
         }
         let (b, head) = best?;
-        lanes[b].credit -= accrued;
-        lanes[b].len -= 1;
+        credit[b] -= accrued;
         *entries -= 1;
-        Some(pend.remove(head))
+        Some(pend.remove(head).1)
     }
 
     fn carried(&mut self, tree: usize) {
-        self.tree_incomplete[tree.min(self.weight.len())] += 1;
+        let s = self.slot(tree);
+        self.tree_incomplete[s] += 1;
+        self.finished[s / 64] &= !(1 << (s % 64));
     }
 
     fn dropped(&mut self, tree: usize) {
-        self.tree_incomplete[tree.min(self.weight.len())] -= 1;
+        let s = self.slot(tree);
+        self.tree_incomplete[s] -= 1;
+        if self.tree_incomplete[s] == 0 {
+            self.finished[s / 64] |= 1 << (s % 64);
+        }
     }
 
     fn note_peak(&mut self) {
@@ -360,12 +355,12 @@ impl RelayPolicy for Weighted {
         self.peak_lanes = self.peak_lanes.max(self.live_lanes);
     }
 
-    /// An accounting model, not the lanes' size in bytes: pending entries
-    /// count as u32s (2 per word) and each live lane as 5 words (a tree
-    /// id, a credit, and the heap header of the heap-per-lane layout this
-    /// replaced), so `peak_state_words` keeps its recorded values. Lanes
-    /// retire as their trees finish, so the lane term is the concurrent
-    /// peak, not the total ever created.
+    /// An accounting model, not the state's size in bytes: pending
+    /// entries count as u32s (2 per word) and each open lane as 5 words
+    /// (a tree id, a credit, and the heap header of the heap-per-lane
+    /// layout the first version kept), so `peak_state_words` keeps its
+    /// recorded values. Lanes retire as their trees finish, so the lane
+    /// term is the concurrent peak, not the total ever opened.
     fn peak_words(&self) -> usize {
         self.peak.div_ceil(2) + 5 * self.peak_lanes
     }
@@ -881,8 +876,19 @@ pub(crate) fn run_schedule<P: RelayPolicy, H: RepairHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gossip::{assign_trees, StaticRepair};
+    use decomp_congest::{Fault, FaultPlan, ScheduledFault};
+    use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
+    use decomp_core::cds::tree_extract::to_dom_tree_packing;
     use decomp_core::packing::WeightedDomTree;
+    use decomp_graph::generators;
     use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+
+    /// `FLOOD` as a lane key (sorts after every real tree id).
+    const FLOOD_LANE: u32 = u32::MAX;
 
     /// One (vertex, tree) lane of the heap-per-lane reference.
     struct TreeLane {
@@ -891,8 +897,10 @@ mod tests {
         heap: BinaryHeap<Reverse<u32>>,
     }
 
-    /// The heap-per-lane layout [`Weighted`] replaced, kept verbatim as
-    /// the reference its flat lanes must match pick for pick.
+    /// The first layout of [`Weighted`], a sorted lane list per vertex
+    /// with a heap per lane, kept verbatim as the reference the flat
+    /// credit table must match pick for pick. It also counts how often a
+    /// retired lane is created again.
     struct HeapLanes {
         weight: Vec<f64>,
         lanes: Vec<Vec<TreeLane>>,
@@ -901,6 +909,10 @@ mod tests {
         peak_lanes: usize,
         entries: usize,
         peak: usize,
+        /// Every (vertex, lane key) that has retired.
+        retired: BTreeSet<(usize, u32)>,
+        /// Lanes created again after retiring, shared with the caller.
+        recreated: Rc<Cell<usize>>,
     }
 
     impl HeapLanes {
@@ -913,6 +925,8 @@ mod tests {
                 peak_lanes: 0,
                 entries: 0,
                 peak: 0,
+                retired: BTreeSet::new(),
+                recreated: Rc::default(),
             }
         }
     }
@@ -928,6 +942,9 @@ mod tests {
             let i = match vl.binary_search_by_key(&key, |l| l.tree) {
                 Ok(i) => i,
                 Err(i) => {
+                    if self.retired.contains(&(v, key)) {
+                        self.recreated.set(self.recreated.get() + 1);
+                    }
                     vl.insert(
                         i,
                         TreeLane {
@@ -963,6 +980,7 @@ mod tests {
                 tree_incomplete,
                 live_lanes,
                 entries,
+                retired,
                 ..
             } = self;
             let vl = &mut lanes[v];
@@ -977,6 +995,7 @@ mod tests {
                 let t = (l.tree as usize).min(weight.len());
                 if l.heap.is_empty() && tree_incomplete[t] == 0 {
                     *live_lanes -= 1;
+                    retired.insert((v, l.tree));
                     false
                 } else {
                     true
@@ -1028,15 +1047,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The flat lanes take the heap-per-lane reference's choices on
-        /// random call sequences, including shapes no fault-free schedule
-        /// reaches: the same `(v, tree, m)` pending twice (a reseed's
-        /// duplicate), stale entries behind a live head, and lanes that
-        /// retire as their tree finishes and are created again at
-        /// credit 0. Weights repeat, so credit ties occur.
+        /// The credit table takes the heap-per-lane reference's choices
+        /// on random call sequences, including shapes no fault-free
+        /// schedule reaches: the same `(v, tree, m)` pending twice (a
+        /// reseed's duplicate), stale entries behind a live head, and
+        /// lanes that retire as their tree finishes and are created
+        /// again at credit 0. Weights repeat, so credit ties occur. Half
+        /// the cases hold 1–4 trees; the other half hold 63–130, so a
+        /// vertex's lane bits span up to three words and the flood slot
+        /// sits in the first, second or third.
         fn weighted_lanes_match_the_heap_per_lane_reference(
-            weights in collection::vec(0usize..4, 1..5),
-            ops in collection::vec((0u8..9, 0usize..3, 0usize..60, 0u32..6, any::<u32>()), 1..400),
+            weights in (any::<bool>(), collection::vec(0usize..4, 1..5), collection::vec(0usize..4, 63..131))
+                .prop_map(|(wide, narrow, broad)| if wide { broad } else { narrow }),
+            ops in collection::vec((0u8..9, 0usize..3, 0usize..262, 0u32..6, any::<u32>()), 1..400),
         ) {
             const N: usize = 3;
             let packing = DomTreePacking {
@@ -1094,5 +1117,82 @@ mod tests {
                 prop_assert_eq!(flat.peak_words(), heap.peak_words(), "step {}", step);
             }
         }
+    }
+
+    /// A fragmented CDS packing shaped like the benchmark's
+    /// `fragmented_harary`, at 600 vertices: 24 classes on harary(6, 600)
+    /// (each vertex sits in about 22 trees), and 64 spread origins.
+    fn fragmented_harary() -> (Graph, DomTreePacking, Vec<usize>) {
+        let g = generators::harary(6, 600);
+        let cds = cds_packing(&g, &CdsPackingConfig::with_classes(24, 1));
+        let packing = to_dom_tree_packing(&g, &cds).packing;
+        let origins = (0..64).map(|i| i * g.n() / 64).collect();
+        (g, packing, origins)
+    }
+
+    /// Seed 1's weighted tree assignment through the schedule core under
+    /// `plan` and the static hook, once with [`Weighted`] and once with
+    /// [`HeapLanes`]: both reports, and how many lanes the reference
+    /// created again after they retired.
+    fn both_layouts(
+        g: &Graph,
+        packing: &DomTreePacking,
+        origins: &[usize],
+        plan: &FaultPlan,
+    ) -> (GossipReport, GossipReport, usize) {
+        let tree_of = assign_trees(packing, origins.len(), 1, true);
+        let member = || BitRows::from_trees(packing, g.n());
+        let ft = || FaultState::new(plan, g.n());
+        let mut hook = StaticRepair { g, packing };
+        let flat = Weighted::new(g.n(), packing);
+        let flat = run_schedule(g, origins, member(), tree_of.clone(), flat, ft(), &mut hook);
+        let heap = HeapLanes::new(g.n(), packing);
+        let recreated = Rc::clone(&heap.recreated);
+        let heap = run_schedule(g, origins, member(), tree_of, heap, ft(), &mut hook);
+        (flat, heap, recreated.get())
+    }
+
+    #[test]
+    fn weighted_run_matches_the_heap_reference_on_a_fragmented_packing() {
+        let (g, packing, origins) = fragmented_harary();
+        let member = BitRows::from_trees(&packing, g.n());
+        let memberships: usize = (0..packing.num_trees())
+            .map(|t| (0..g.n()).filter(|&v| member.get(t, v)).count())
+            .sum();
+        assert!(memberships >= 20 * g.n(), "premise: 20 trees per vertex");
+        let (flat, heap, _) = both_layouts(&g, &packing, &origins, &FaultPlan::none());
+        assert_eq!(flat, heap);
+    }
+
+    #[test]
+    fn weighted_run_matches_the_heap_reference_when_repair_reopens_lanes() {
+        // Every tree finishes between rounds 108 and 114, tree 1 (three
+        // messages) at 108, and tree 0 carries none. At round 110 vertex
+        // 34 dies: it sits in every tree but tree 1, so the repair pass
+        // moves every incomplete message onto tree 1, and each holder
+        // whose tree-1 lane retired since round 108 opens it again at
+        // credit 0. The cut at round 112 is a tree-1 edge, so the rest
+        // of the run floods.
+        let (g, packing, origins) = fragmented_harary();
+        let member = BitRows::from_trees(&packing, g.n());
+        assert!((0..packing.num_trees()).all(|t| member.get(t, 34) == (t != 1)));
+        let cut = packing.trees[1].edges[0];
+        assert!(cut.0 != 34 && cut.1 != 34);
+        let plan = FaultPlan::new([
+            ScheduledFault {
+                round: 110,
+                fault: Fault::Vertex(34),
+            },
+            ScheduledFault {
+                round: 112,
+                fault: Fault::Edge(cut.0, cut.1),
+            },
+        ]);
+        let (flat, heap, recreated) = both_layouts(&g, &packing, &origins, &plan);
+        assert_eq!(flat, heap);
+        assert!(recreated > 0, "premise: a retired lane is created again");
+        let surviving: Vec<usize> = heap.waves.iter().map(|w| w.surviving_trees).collect();
+        assert_eq!(surviving, [1, 0], "premise: tree 1, then the flood");
+        assert!(heap.flood_rounds > 0 && heap.complete);
     }
 }

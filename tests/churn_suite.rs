@@ -45,27 +45,39 @@ use std::sync::OnceLock;
 fn pair_fixture(left: usize, right: usize) -> (Graph, CdsPacking, ClassState) {
     assert!(right >= 2 * left);
     let g = generators::complete_bipartite(left, right);
-    let n = g.n();
-    let layout = VirtualLayout::new(n, 4);
-    let mut state = ClassState::new(layout, left);
-    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); left];
+    let (cds, state) = hand_built_classes(&g, pair_classes(left));
+    (g, cds, state)
+}
+
+/// The pair fixtures' classes: class `i` is `{left_i, right_{2i},
+/// right_{2i+1}}`.
+fn pair_classes(left: usize) -> Vec<Vec<usize>> {
+    (0..left)
+        .map(|c| vec![c, left + 2 * c, left + 2 * c + 1])
+        .collect()
+}
+
+/// A packing and its class state with the given classes (each sorted):
+/// every member joins its class at layer 0, class by class in member
+/// order. Deterministic by construction (no RNG).
+fn hand_built_classes(g: &Graph, classes: Vec<Vec<usize>>) -> (CdsPacking, ClassState) {
+    let layout = VirtualLayout::new(g.n(), 4);
+    let mut state = ClassState::new(layout, classes.len());
     let mut class_of = vec![None; layout.total()];
-    for (c, members) in classes.iter_mut().enumerate() {
-        for v in [c, left + 2 * c, left + 2 * c + 1] {
-            state.join(&g, layout.vid(v, 0, VType::T1), c);
+    for (c, members) in classes.iter().enumerate() {
+        for &v in members {
+            state.join(g, layout.vid(v, 0, VType::T1), c);
             class_of[layout.vid(v, 0, VType::T1)] = Some(c as u32);
-            members.push(v);
         }
-        members.sort_unstable();
     }
     let cds = CdsPacking {
         layout,
-        num_classes: left,
+        num_classes: classes.len(),
         class_of,
         classes,
         trace: Vec::new(),
     };
-    (g, cds, state)
+    (cds, state)
 }
 
 /// The 10⁴-vertex scenario from the issue: alternating kill and arrive
@@ -248,25 +260,7 @@ fn growth_fixture(left: usize, right: usize, extra: usize) -> (Graph, CdsPacking
         }
     }
     let base = Graph::from_edges(bip.n() + extra, edges);
-    let layout = VirtualLayout::new(base.n(), 4);
-    let mut state = ClassState::new(layout, left);
-    let mut classes: Vec<Vec<usize>> = vec![Vec::new(); left];
-    let mut class_of = vec![None; layout.total()];
-    for (c, members) in classes.iter_mut().enumerate() {
-        for v in [c, left + 2 * c, left + 2 * c + 1] {
-            state.join(&base, layout.vid(v, 0, VType::T1), c);
-            class_of[layout.vid(v, 0, VType::T1)] = Some(c as u32);
-            members.push(v);
-        }
-        members.sort_unstable();
-    }
-    let cds = CdsPacking {
-        layout,
-        num_classes: left,
-        class_of,
-        classes,
-        trace: Vec::new(),
-    };
+    let (cds, state) = hand_built_classes(&base, pair_classes(left));
     (base, cds, state)
 }
 
@@ -576,11 +570,15 @@ fn survivors_stay_connected(g: &Graph, plan: &FaultPlan) -> bool {
     })
 }
 
+/// An edge the generated plans may activate late, and the edge they
+/// then cut, if any (see [`certificate_plan`]).
+type LateEdge = ((usize, usize), Option<(usize, usize)>);
+
 /// Tree edges of `packings` whose removal disconnects their tree's
 /// vertex set: activating one late leaves the tree's members split until
 /// it fires, so a holder that relayed may border needy members only
 /// across the activated edge.
-fn splitting_tree_edges(g: &Graph, packings: &[&DomTreePacking]) -> Vec<(usize, usize)> {
+fn splitting_tree_edges(g: &Graph, packings: &[&DomTreePacking]) -> Vec<LateEdge> {
     let trees = packings.iter().flat_map(|p| &p.trees);
     trees
         .flat_map(|t| {
@@ -591,20 +589,56 @@ fn splitting_tree_edges(g: &Graph, packings: &[&DomTreePacking]) -> Vec<(usize, 
                 !is_connected(&without.induced_subgraph(&members).0)
             })
         })
+        .map(|e| (e, None))
         .collect()
+}
+
+/// Pairs `(e, f)` of edges inside one tree's vertex set of `packing`
+/// that form a 2-edge cut of it, neither a bridge alone. With `e` late
+/// the members still hold together at round 0, so the churn hook
+/// certifies the class and messages ride it; once `f` is cut after `e`
+/// arrives, `e` is the only link, and a holder that relayed before `e`
+/// arrived may border needy members only across it. A late edge that
+/// splits the class outright never reaches that shape under the churn
+/// hook: the class carries nothing until the activation re-certifies
+/// it, and every message it then takes is reseeded.
+fn resplitting_edge_pairs(g: &Graph, packing: &DomTreePacking) -> Vec<LateEdge> {
+    let mut out = Vec::new();
+    for t in &packing.trees {
+        let (h, map) = g.induced_subgraph(&t.vertices(g.n()));
+        let connected_without = |cut: &[(usize, usize)]| {
+            is_connected(&h.edge_subgraph(|x, y| !cut.contains(&(x.min(y), x.max(y)))))
+        };
+        let edges: Vec<(usize, usize)> = h
+            .edges()
+            .iter()
+            .copied()
+            .filter(|&e| connected_without(&[e]))
+            .collect();
+        for &e in &edges {
+            for &f in edges
+                .iter()
+                .filter(|&&f| f != e && !connected_without(&[e, f]))
+            {
+                out.push(((map[e.0], map[e.1]), Some((map[f.0], map[f.1]))));
+            }
+        }
+    }
+    out
 }
 
 /// A seeded plan of `kills` kills (never an origin) and `arrivals`
 /// vertex arrivals at rounds 1–9, and `cuts` cuts at rounds 1–9 and
 /// `activations` activations at rounds 3–5 (after the first relays) of
 /// edges between vertices present from round 0; activations come from
-/// `pool` when it is not empty. An event that would disconnect the
-/// survivors at some round is left out.
+/// `pool` when it is not empty, and a pool entry's paired edge is cut in
+/// the activation's wave or up to two rounds later. An event that would
+/// disconnect the survivors at some round is left out.
 fn certificate_plan(
     g: &Graph,
     origins: &[usize],
     [kills, arrivals, cuts, activations]: [usize; 4],
-    pool: &[(usize, usize)],
+    pool: &[LateEdge],
     seed: u64,
 ) -> FaultPlan {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -629,10 +663,10 @@ fn certificate_plan(
         .map(|_| false)
         .chain((0..activations).map(|_| true))
     {
-        let (u, v) = if activate && !pool.is_empty() {
+        let ((u, v), then_cut) = if activate && !pool.is_empty() {
             pool[rng.gen_range(0..pool.len())]
         } else {
-            g.edges()[rng.gen_range(0..g.m())]
+            (g.edges()[rng.gen_range(0..g.m())], None)
         };
         if used[u] || used[v] || edges_used.contains(&(u, v)) {
             continue;
@@ -644,6 +678,16 @@ fn certificate_plan(
             (Fault::Edge(u, v), rng.gen_range(1..10))
         };
         events.push(ScheduledFault { round, fault });
+        let fresh =
+            |&(x, y): &(usize, usize)| !used[x] && !used[y] && !edges_used.contains(&(x, y));
+        if let Some((x, y)) = then_cut.filter(fresh) {
+            edges_used.push((x, y));
+            let round = round + rng.gen_range(0..3usize);
+            events.push(ScheduledFault {
+                round,
+                fault: Fault::Edge(x, y),
+            });
+        }
     }
     events.sort_by_key(|e| e.round);
     let mut kept: Vec<ScheduledFault> = Vec::new();
@@ -662,12 +706,14 @@ proptest! {
     /// The repair pass's coverage certificate against its BFS oracle on
     /// generated plans: kills, cuts, arrivals, and edge activations
     /// between vertices present from round 0 (the shape that needs
-    /// `FaultState::activated`), under the churn hook and the static
-    /// hook with both relay policies, over the CDS packing and a sparse
-    /// vertex-disjoint one. Each case runs an activations-only plan and
-    /// a mixed one. Every run completes; in debug builds the schedule's
-    /// `debug_assert!` re-runs the BFS on every message the certificate
-    /// vouches for.
+    /// `FaultState::activated`), some followed by a cut that leaves the
+    /// activated edge a class's only link. Runs the churn hook over the
+    /// CDS packing and over hand-built classes taken from a sparse
+    /// vertex-disjoint packing's trees, and the static hook with both
+    /// relay policies over both packings. Each case runs an
+    /// activations-only plan and a mixed one. Every run completes; in
+    /// debug builds the schedule's `debug_assert!` re-runs the BFS on
+    /// every message the certificate vouches for.
     fn coverage_certificate_holds_on_generated_plans(
         seed in any::<u64>(),
         pick in 0usize..6,
@@ -685,12 +731,24 @@ proptest! {
         let (cds, state) = cds_packing_with_state(g, &cfg);
         let packing = to_dom_tree_packing_with_state(g, &cds, &state).packing;
         let sparse = integral_cds_packing(g, 2 + (seed % 2) as usize, seed).packing;
-        let pool = splitting_tree_edges(g, &[&packing, &sparse]);
+        let mut pool = splitting_tree_edges(g, &[&packing, &sparse]);
+        pool.extend(resplitting_edge_pairs(g, &sparse));
+        // The churn hook over the sparse packing: one hand-built class
+        // per tree. Unlike the CDS classes, which hold every vertex, such
+        // a class can be split by a late edge, or held together by one
+        // once a cut fires (`resplitting_edge_pairs`).
+        let mut class_packings = vec![(cds, state)];
+        if sparse.num_trees() > 0 {
+            let classes = sparse.trees.iter().map(|t| t.vertices(g.n())).collect();
+            class_packings.push(hand_built_classes(g, classes));
+        }
         for counts in [[0, 0, 0, activations.max(1)], [kills, arrivals, cuts, activations]] {
             let plan = certificate_plan(g, &origins, counts, &pool, seed);
-            let mut st = state.clone();
-            let churn = gossip_under_churn(g, &cds, &mut st, &origins, seed, &plan).unwrap();
-            prop_assert!(churn.complete, "churn hook, plan {:?}", plan.events());
+            for (cds, state) in &class_packings {
+                let mut st = state.clone();
+                let churn = gossip_under_churn(g, cds, &mut st, &origins, seed, &plan).unwrap();
+                prop_assert!(churn.complete, "churn hook, plan {:?}", plan.events());
+            }
             for p in [&packing, &sparse].into_iter().filter(|p| p.num_trees() > 0) {
                 for config in [GossipConfig::default(), GossipConfig::weighted()] {
                     let r = gossip_via_trees_faulty(g, p, &origins, seed, config, &plan).unwrap();
