@@ -249,7 +249,7 @@ fn main() {
                 let (mut cds, mut st) =
                     cds_packing_with_state(g, &CdsPackingConfig::with_known_k(k, 2));
                 for &v in &newcomers {
-                    for cl in st.delete_vertex(g, v) {
+                    for cl in st.delete_vertex(g, |_, _| true, v) {
                         let ms = &mut cds.classes[cl as usize];
                         if let Ok(i) = ms.binary_search(&v) {
                             ms.remove(i);

@@ -37,22 +37,22 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// Certifies class `c` over the current survivors and re-extracts its
-/// dominating tree: non-empty, one component
-/// ([`ClassState::component_count`]), every live present vertex
-/// dominated through a usable edge, and the members spanning under the
-/// tracker's edge filter.
+/// dominating tree: one component ([`ClassState::component_count`]),
+/// every live present vertex dominated through a usable edge, and the
+/// members (row `c` of `member`) spanning under the tracker's edge
+/// filter.
 pub(crate) fn certify_class(
     g: &Graph,
     ft: &FaultState<'_>,
     state: &ClassState,
     member: &BitRows,
-    members_c: &[NodeId],
     c: usize,
 ) -> Option<WeightedDomTree> {
-    if members_c.is_empty() || state.component_count(c) != 1 || !dominates(g, ft, member, c) {
+    if state.component_count(c) != 1 || !dominates(g, ft, member, c) {
         return None;
     }
-    reextract_class_tree(g, c, members_c, |u, v| ft.deliverable(u, v))
+    let members: Vec<NodeId> = member.ones(c).collect();
+    reextract_class_tree(g, c, &members, |u, v| ft.deliverable(u, v))
 }
 
 /// Runs seeded greedy gossip over the CDS packing's classes while the
@@ -118,7 +118,6 @@ pub fn gossip_under_churn<'g>(
         // classes).
         original: (0..n).map(|v| state.classes_at(v).to_vec()).collect(),
         state,
-        members: cds.classes.clone(),
         trees: Vec::new(),
         applied: 0,
         dead_applied: vec![false; n],
@@ -132,16 +131,16 @@ pub fn gossip_under_churn<'g>(
     // events itself, as its first wave.
     let mut ft0 = FaultState::new(plan, n);
     ft0.advance_to(0);
-    let g0 = ft0.surviving_graph(g);
+    let keep0 = |u, v| ft0.deliverable(u, v);
     for v in (0..n).filter(|&v| ft0.is_dormant(v)) {
-        for c in hook.state.delete_vertex(&g0, v) {
-            hook.leave(&mut member, c as usize, v);
+        for c in hook.state.delete_vertex(g, keep0, v) {
+            member.clear(c as usize, v);
         }
     }
     for e in plan.events() {
         if let Fault::AddEdge(u, v) = e.fault {
             if e.round > 0 {
-                hook.state.delete_edge(&g0, u, v);
+                hook.state.delete_edge(g, keep0, u, v);
             }
         }
     }
@@ -150,7 +149,7 @@ pub fn gossip_under_churn<'g>(
     // together over the round-0 population, then a seeded assignment
     // over the certified classes.
     hook.trees = (0..t)
-        .map(|c| certify_class(g, &ft, hook.state, &member, &hook.members[c], c))
+        .map(|c| certify_class(g, &ft, hook.state, &member, c))
         .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let certified: Vec<usize> = (0..t).filter(|&c| hook.trees[c].is_some()).collect();
@@ -187,8 +186,6 @@ struct ChurnRepair<'a> {
     /// topology) or left to domination and flood (a settled one).
     admit: bool,
     original: Vec<Vec<u32>>,
-    /// Per class, its sorted members (the rows of the loop's `member`).
-    members: Vec<Vec<NodeId>>,
     /// Per class, its certified tree.
     trees: Vec<Option<WeightedDomTree>>,
     /// Plan events already applied to the class state.
@@ -200,39 +197,23 @@ struct ChurnRepair<'a> {
     flood_served: usize,
 }
 
-impl ChurnRepair<'_> {
-    fn leave(&mut self, member: &mut BitRows, c: usize, v: NodeId) {
-        member.clear(c, v);
-        if let Ok(i) = self.members[c].binary_search(&v) {
-            self.members[c].remove(i);
-        }
-    }
-
-    fn enter(&mut self, member: &mut BitRows, c: usize, v: NodeId) {
-        member.set(c, v);
-        if let Err(i) = self.members[c].binary_search(&v) {
-            self.members[c].insert(i, v);
-        }
-    }
-}
-
 impl RepairHook for ChurnRepair<'_> {
     const READMIT_FLOOD: bool = true;
 
     fn carriers(&mut self, ft: &FaultState<'_>, member: &mut BitRows) -> (Vec<bool>, usize) {
-        let g_live = ft.surviving_graph(self.g);
+        let keep = |u, v| ft.deliverable(u, v);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for e in &self.plan.events()[self.applied..ft.fired()] {
             match e.fault {
                 Fault::Vertex(v) => {
                     self.dead_applied[v] = true;
-                    for c in self.state.delete_vertex(&g_live, v) {
-                        self.leave(member, c as usize, v);
+                    for c in self.state.delete_vertex(self.g, keep, v) {
+                        member.clear(c as usize, v);
                         touched.insert(c as usize);
                     }
                 }
                 Fault::Edge(u, v) => {
-                    for c in self.state.delete_edge(&g_live, u, v) {
+                    for c in self.state.delete_edge(self.g, keep, u, v) {
                         touched.insert(c as usize);
                     }
                 }
@@ -245,9 +226,9 @@ impl RepairHook for ChurnRepair<'_> {
                     // incrementally (growth) or left to domination and
                     // flood (settled).
                     let entered = if !self.original[v].is_empty() {
-                        self.state.insert_vertex(&g_live, v, &self.original[v])
+                        self.state.insert_vertex(self.g, keep, v, &self.original[v])
                     } else if self.admit {
-                        self.state.admit_vertex(&g_live, v)
+                        self.state.admit_vertex(self.g, keep, v)
                     } else {
                         Vec::new()
                     };
@@ -259,7 +240,7 @@ impl RepairHook for ChurnRepair<'_> {
                         }
                     }
                     for c in entered {
-                        self.enter(member, c as usize, v);
+                        member.set(c as usize, v);
                         touched.insert(c as usize);
                     }
                 }
@@ -277,7 +258,7 @@ impl RepairHook for ChurnRepair<'_> {
         // which case the class floods until a later wave heals it.
         let mut reextracted = 0;
         for &c in &touched {
-            self.trees[c] = certify_class(self.g, ft, self.state, member, &self.members[c], c);
+            self.trees[c] = certify_class(self.g, ft, self.state, member, c);
             reextracted += self.trees[c].is_some() as usize;
         }
         // An untouched class keeps its members and member–member edges,
@@ -480,7 +461,7 @@ mod tests {
             // the final topology, then evict 7 — membership exactly as
             // if 7 had never joined.
             let (mut cds, mut st) = setup(&gfull, 3, 2);
-            for c in st.delete_vertex(&gfull, newcomer) {
+            for c in st.delete_vertex(&gfull, |_, _| true, newcomer) {
                 let ms = &mut cds.classes[c as usize];
                 if let Ok(i) = ms.binary_search(&newcomer) {
                     ms.remove(i);

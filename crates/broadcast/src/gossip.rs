@@ -194,6 +194,10 @@ pub enum GossipError {
     ZeroWeightPacking,
     /// The (final) topology is disconnected; no run can complete.
     Disconnected,
+    /// A two-phase protocol (faulty or churn) was asked for
+    /// [`GossipConfig::Rlnc`]: its repair phase re-injects on trees, so
+    /// it supports the tree regimes only.
+    UnsupportedRegime,
     /// A simulator phase exceeded its round cap.
     Sim(SimError),
 }
@@ -207,6 +211,9 @@ impl std::fmt::Display for GossipError {
                 write!(f, "weighted tree choice needs positive total weight")
             }
             GossipError::Disconnected => write!(f, "gossip requires a connected graph"),
+            GossipError::UnsupportedRegime => {
+                write!(f, "the two-phase protocols support the tree regimes only")
+            }
             GossipError::Sim(e) => write!(f, "simulator phase failed: {e}"),
         }
     }

@@ -455,12 +455,11 @@ const FLOOD_TOKEN: u32 = u32::MAX;
 /// [`crate::gossip::gossip_via_trees_faulty`].
 ///
 /// # Errors
-/// The plan is [validated](FaultPlan::validate) first; then the input
-/// checks of [`gossip_protocol_on`], and simulator round-limit errors
-/// from either phase as [`GossipError::Sim`].
-///
-/// # Panics
-/// Panics under [`GossipConfig::Rlnc`] (the repair reasons about trees).
+/// The plan is [validated](FaultPlan::validate) first, and
+/// [`GossipConfig::Rlnc`] is refused as [`GossipError::UnsupportedRegime`]
+/// (the repair reasons about trees); then the input checks of
+/// [`gossip_protocol_on`], and simulator round-limit errors from either
+/// phase as [`GossipError::Sim`].
 pub fn gossip_protocol_faulty(
     g: &Graph,
     packing: &DomTreePacking,
@@ -551,17 +550,17 @@ pub fn gossip_protocol_churn<'g>(
         // packing predates — is admitted incrementally on a growing
         // topology (tree service for the newcomer) and counted against
         // the flood fallback otherwise.
-        let g_surv = ft.surviving_graph(g);
+        let keep = |u, v| ft.deliverable(u, v);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for e in plan.events() {
             let entered = match e.fault {
-                Fault::Vertex(v) => state.delete_vertex(&g_surv, v),
-                Fault::Edge(u, v) => state.delete_edge(&g_surv, u, v),
+                Fault::Vertex(v) => state.delete_vertex(g, keep, v),
+                Fault::Edge(u, v) => state.delete_edge(g, keep, u, v),
                 Fault::AddVertex(v) if !ft.is_dead(v) && state.classes_at(v).is_empty() => {
                     let entered = if view.is_static() {
                         Vec::new()
                     } else {
-                        state.admit_vertex(&g_surv, v)
+                        state.admit_vertex(g, keep, v)
                     };
                     if entered.is_empty() {
                         flood_served += 1;
@@ -575,11 +574,9 @@ pub fn gossip_protocol_churn<'g>(
             touched.extend(entered.into_iter().map(|c| c as usize));
         }
         let mut member = BitRows::new(num_classes, n);
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_classes];
         for v in 0..n {
             for &c in state.classes_at(v) {
                 member.set(c as usize, v);
-                members[c as usize].push(v);
             }
         }
         // Re-extraction between the phases: untouched certified classes
@@ -593,7 +590,7 @@ pub fn gossip_protocol_churn<'g>(
         }
         let mut reextracted = 0;
         for &c in &touched {
-            certified[c] = certify_class(g, ft, state, &member, &members[c], c).is_some();
+            certified[c] = certify_class(g, ft, state, &member, c).is_some();
             reextracted += certified[c] as usize;
         }
         (member, certified, reextracted)
@@ -615,9 +612,7 @@ fn check_two_phase(g: &Graph, config: GossipConfig, plan: &FaultPlan) -> Result<
     // schedule-level `gossip_via_trees_faulty` covers RLNC under faults.
     match config {
         GossipConfig::Uniform | GossipConfig::Weighted => Ok(()),
-        GossipConfig::Rlnc { .. } => {
-            panic!("the two-phase protocols support the tree regimes only")
-        }
+        GossipConfig::Rlnc { .. } => Err(GossipError::UnsupportedRegime),
     }
 }
 
@@ -1172,7 +1167,7 @@ mod tests {
                 cds_packing_with_state(&gfull, &CdsPackingConfig::with_known_k(6, 4));
             // Evict the newcomer: membership exactly as if the packing
             // had been built before it existed.
-            for c in state.delete_vertex(&gfull, newcomer) {
+            for c in state.delete_vertex(&gfull, |_, _| true, newcomer) {
                 let ms = &mut cds.classes[c as usize];
                 if let Ok(i) = ms.binary_search(&newcomer) {
                     ms.remove(i);
@@ -1330,19 +1325,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tree regimes only")]
     fn faulty_protocol_rejects_the_rlnc_regime() {
+        // Both two-phase entry points refuse the coded regime with a
+        // typed error, never a panic.
+        use decomp_core::cds::centralized::cds_packing_with_state;
         let g = generators::harary(4, 16);
         let packing = packing_for(&g, 4, 2);
         let plan = FaultPlan::new([]);
-        let _ = gossip_protocol_faulty(
-            &g,
-            &packing,
-            &[0],
-            7,
-            GossipConfig::rlnc(4, 1),
-            &plan,
-            decomp_testkit::engine_from_env(),
+        let engine = decomp_testkit::engine_from_env();
+        let rlnc = GossipConfig::rlnc(4, 1);
+        let faulty = gossip_protocol_faulty(&g, &packing, &[0], 7, rlnc, &plan, engine);
+        assert!(
+            matches!(faulty, Err(GossipError::UnsupportedRegime)),
+            "{faulty:?}"
+        );
+        let (cds, mut state) = cds_packing_with_state(&g, &CdsPackingConfig::with_known_k(4, 2));
+        let churn = gossip_protocol_churn(&g, &cds, &mut state, &[0], 7, rlnc, &plan, engine);
+        assert!(
+            matches!(churn, Err(GossipError::UnsupportedRegime)),
+            "{churn:?}"
         );
     }
 

@@ -62,6 +62,17 @@ impl BitRows {
         self.bits.len()
     }
 
+    /// The set columns of `row`, ascending.
+    pub(crate) fn ones(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+        let w = self.words_per_row;
+        let words = self.bits[row * w..(row + 1) * w].iter().enumerate();
+        words.flat_map(|(i, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 != 0)
+                .map(move |b| i * 64 + b)
+        })
+    }
+
     #[inline]
     fn row_mut(&mut self, row: usize) -> &mut [u64] {
         let w = self.words_per_row;

@@ -427,12 +427,12 @@ fn draw_round(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
 }
 
 /// The live view of a plan: which faults have fired so far. The one
-/// fault tracker of the workspace — the engine's shards and the gossip
-/// schedules (tree and coded) advance it, and the churn paths read
-/// their survivor graphs from it ([`FaultState::surviving_graph`]).
-/// Each shard derives its own copy from the shared plan and advances it
-/// in lockstep — the state is a pure function of `(plan, round)`, so
-/// all shards agree without communication.
+/// fault tracker and survivor view of the workspace — the engine's
+/// shards and the gossip schedules (tree and coded) advance it, and the
+/// churn paths filter the plan's final graph through
+/// [`FaultState::deliverable`] instead of copying it. Each shard derives
+/// its own copy from the shared plan and advances it in lockstep — the
+/// state is a pure function of `(plan, round)`, so all shards agree.
 pub struct FaultState<'p> {
     plan: &'p FaultPlan,
     /// Index of the first unfired event.
@@ -575,14 +575,6 @@ impl<'p> FaultState<'p> {
             && self.inactive_edges.binary_search(&key).is_err()
     }
 
-    /// The live topology of `g` (the plan's final graph) in the current
-    /// state: the same vertex set, keeping exactly the edges
-    /// [`FaultState::deliverable`] passes — so dead and dormant vertices
-    /// are isolated, and cut and not-yet-activated edges are gone.
-    pub fn surviving_graph(&self, g: &Graph) -> Graph {
-        g.edge_subgraph(|u, v| self.deliverable(u, v))
-    }
-
     /// Vertices currently alive and present (dormant ones excluded until
     /// they arrive).
     pub fn live(&self) -> usize {
@@ -679,8 +671,24 @@ mod tests {
         );
     }
 
+    /// Degree of `v` over the edges of `g` that `ft` delivers.
+    fn live_degree(g: &Graph, ft: &FaultState<'_>, v: NodeId) -> usize {
+        g.neighbors(v)
+            .iter()
+            .filter(|&&u| ft.deliverable(v, u))
+            .count()
+    }
+
+    /// Number of edges of `g` that `ft` delivers.
+    fn live_edges(g: &Graph, ft: &FaultState<'_>) -> usize {
+        g.edges()
+            .iter()
+            .filter(|&&(u, v)| ft.deliverable(u, v))
+            .count()
+    }
+
     #[test]
-    fn surviving_graph_isolates_dead_vertices_and_drops_cut_edges() {
+    fn deliverable_isolates_dead_vertices_and_drops_cut_edges() {
         let g = generators::cycle(5);
         let plan = FaultPlan::new([
             ScheduledFault {
@@ -694,13 +702,12 @@ mod tests {
         ]);
         let mut ft = FaultState::new(&plan, g.n());
         ft.advance_to(1);
-        let after1 = ft.surviving_graph(&g);
-        assert_eq!(after1.n(), 5);
-        assert_eq!(after1.degree(0), 0);
-        assert_eq!(after1.m(), g.m() - 2);
+        // All 5 vertices stay in the view; the dead vertex 0 is isolated.
+        let degrees: Vec<usize> = g.vertices().map(|v| live_degree(&g, &ft, v)).collect();
+        assert_eq!(degrees, vec![0, 1, 2, 2, 1]);
+        assert_eq!(live_edges(&g, &ft), g.m() - 2);
         ft.advance_to(3);
-        let after3 = ft.surviving_graph(&g);
-        assert_eq!(after3.m(), g.m() - 3);
+        assert_eq!(live_edges(&g, &ft), g.m() - 3);
         let dead: Vec<NodeId> = (0..g.n()).filter(|&v| ft.is_dead(v)).collect();
         assert_eq!(dead, vec![0]);
     }
@@ -856,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn dormant_vertices_and_surviving_graph_track_arrivals() {
+    fn dormant_vertices_and_deliverable_edges_track_arrivals() {
         let g = generators::cycle(5);
         let plan = FaultPlan::new([
             ScheduledFault {
@@ -874,20 +881,18 @@ mod tests {
         };
         ft.advance_to(0);
         assert_eq!(dormant(&ft), vec![2]);
-        let before = ft.surviving_graph(&g);
         // Vertex 2 isolated (drops edges {1,2}, {2,3}) and edge {0,1}
         // inactive.
-        assert_eq!(before.degree(2), 0);
-        assert_eq!(before.m(), g.m() - 3);
+        assert_eq!(live_degree(&g, &ft, 2), 0);
+        assert_eq!(live_edges(&g, &ft), g.m() - 3);
         ft.advance_to(2);
         assert_eq!(dormant(&ft), vec![2]);
         ft.advance_to(3);
         assert!(dormant(&ft).is_empty());
-        let mid = ft.surviving_graph(&g);
-        assert_eq!(mid.m(), g.m() - 1, "vertex 2 arrived, {{0,1}} still off");
+        let mid = live_edges(&g, &ft);
+        assert_eq!(mid, g.m() - 1, "vertex 2 arrived, {{0,1}} still off");
         ft.advance_to(5);
-        let after = ft.surviving_graph(&g);
-        assert_eq!(after.m(), g.m());
+        assert_eq!(live_edges(&g, &ft), g.m());
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //! The state is also *deletion-aware*: when a vertex fails (the fault &
 //! churn suite), [`delete_vertex`](ClassState::delete_vertex) repairs
 //! exactly the classes the dead node belonged to — each touched class's
-//! union-find stride is dissolved and re-unioned over the member–member
-//! edges of the surviving graph — instead of rerunning the full layer
-//! loop.
+//! union-find stride is dissolved and re-unioned over the live
+//! member–member edges — instead of rerunning the full layer loop. The
+//! mutators read the survivors as a view, the final graph `g` plus an
+//! edge filter `keep(u, v)` (the churn paths pass
+//! `FaultState::deliverable`), tested after the occupancy check and
+//! before any union or find: the forest is the filtered subgraph's.
 //!
 //! The centralized layer loop ([`crate::cds::centralized`]) builds the
 //! jump start's state in bulk ([`from_bundles`](ClassState::from_bundles),
@@ -143,7 +146,7 @@ impl ClassState {
         let mut st = ClassState::new(layout, t);
         st.occupied = occupied;
         for class in 0..t {
-            st.sweep_class(g, class);
+            st.sweep_class(g, |_, _| true, class);
         }
         for (real, at) in st.classes_at.iter_mut().enumerate() {
             at.extend((0..t as u32).filter(|&c| st.occupied[c as usize * n + real]));
@@ -193,13 +196,19 @@ impl ClassState {
     /// every reachable neighbor.
     pub fn join(&mut self, g: &Graph, vid: VirtualId, class: usize) {
         let r = self.layout.real(vid);
-        self.join_real(g, r, class);
+        self.join_real(g, |_, _| true, r, class);
     }
 
-    /// [`join`](Self::join) addressed by real node id — the arrival path
-    /// ([`insert_vertex`](Self::insert_vertex)) re-admits a vertex's
-    /// bundles without synthesizing virtual ids.
-    fn join_real(&mut self, g: &Graph, r: NodeId, class: usize) -> bool {
+    /// [`join`](Self::join) addressed by real node id, over the edges
+    /// `keep` passes — the arrival path ([`insert_vertex`](Self::insert_vertex))
+    /// re-admits a vertex's bundles without synthesizing virtual ids.
+    fn join_real(
+        &mut self,
+        g: &Graph,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+        r: NodeId,
+        class: usize,
+    ) -> bool {
         let slot = self.slot(r, class);
         if self.occupied[slot] {
             return false;
@@ -217,7 +226,7 @@ impl ClassState {
                 continue;
             }
             let uslot = self.slot(u, class);
-            if self.occupied[uslot] && self.uf.union(slot, uslot) {
+            if self.occupied[uslot] && keep(r, u) && self.uf.union(slot, uslot) {
                 self.drop_one(class);
             }
         }
@@ -292,39 +301,46 @@ impl ClassState {
     /// it belongs to and repairs the component structure of exactly those
     /// classes, leaving every untouched class's forest intact. Returns the
     /// sorted touched classes (so a caller can re-verify or re-extract
-    /// only those). `g` is the current surviving graph — pass the graph
-    /// *after* any accompanying edge deletions.
+    /// only those). The live graph is `g`'s edges that pass `keep`, which
+    /// must already reject any accompanying edge deletions.
     ///
     /// Union-find cannot split, so each touched class's stride is
     /// dissolved ([`UnionFind::reset_block`]) and re-unioned directly over
-    /// the member–member edges of `g`: one pass over the stride and the
+    /// the live member–member edges: one pass over the stride and the
     /// members' adjacency, no full layer-loop rerun. The partition is
     /// that of a from-scratch rebuild — the same counts, excess and
     /// densified `comp_of` labels (the property suite cross-checks all
     /// three); raw [`CompId`]s may differ, as they are opaque.
-    pub fn delete_vertex(&mut self, g: &Graph, dead: NodeId) -> Vec<u32> {
+    pub fn delete_vertex(
+        &mut self,
+        g: &Graph,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+        dead: NodeId,
+    ) -> Vec<u32> {
         let touched = std::mem::take(&mut self.classes_at[dead]);
         for &class in &touched {
             let class = class as usize;
             let slot = self.slot(dead, class);
             self.occupied[slot] = false;
-            self.rebuild_class(g, class);
+            self.rebuild_class(g, &keep, class);
         }
         touched
     }
 
     /// Edge-deletion counterpart of [`delete_vertex`](Self::delete_vertex):
     /// repairs every class with a member on *both* endpoints (the only
-    /// classes whose projection can lose the edge). `g` is the graph
-    /// **without** the deleted edge. Returns the sorted touched classes.
-    pub fn delete_edge(&mut self, g: &Graph, u: NodeId, v: NodeId) -> Vec<u32> {
-        let touched: Vec<u32> = self.classes_at[u]
-            .iter()
-            .copied()
-            .filter(|c| self.classes_at[v].binary_search(c).is_ok())
-            .collect();
+    /// classes whose projection can lose the edge). `keep` must reject
+    /// the deleted edge. Returns the sorted touched classes.
+    pub fn delete_edge(
+        &mut self,
+        g: &Graph,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+        u: NodeId,
+        v: NodeId,
+    ) -> Vec<u32> {
+        let touched = self.shared_classes(u, v);
         for &class in &touched {
-            self.rebuild_class(g, class as usize);
+            self.rebuild_class(g, &keep, class as usize);
         }
         touched
     }
@@ -335,19 +351,25 @@ impl ClassState {
     /// members on adjacent nodes. Insertion only ever *merges*
     /// components, so no stride is dissolved and no certificate is
     /// recomputed — each class is O(deg(v) · α). If `v` lies beyond the
-    /// current layout, the state [`grow`](Self::grow)s first. `g` is the
-    /// live graph *with* `v`'s edges active. Returns the sorted classes
-    /// actually entered (already-occupied bundles are skipped), and is
-    /// bit-identical to a from-scratch repack over the same final
-    /// membership (the property suite cross-checks `comp_of` labels).
-    pub fn insert_vertex(&mut self, g: &Graph, v: NodeId, classes: &[u32]) -> Vec<u32> {
+    /// current layout, the state [`grow`](Self::grow)s first. `keep` must
+    /// pass `v`'s live edges. Returns the sorted classes actually entered
+    /// (already-occupied bundles are skipped), and is bit-identical to a
+    /// from-scratch repack over the same final membership (the property
+    /// suite cross-checks `comp_of` labels).
+    pub fn insert_vertex(
+        &mut self,
+        g: &Graph,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+        v: NodeId,
+        classes: &[u32],
+    ) -> Vec<u32> {
         if v >= self.layout.n() {
             self.grow(v + 1);
         }
         let mut touched: Vec<u32> = classes
             .iter()
             .copied()
-            .filter(|&c| self.join_real(g, v, c as usize))
+            .filter(|&c| self.join_real(g, &keep, v, c as usize))
             .collect();
         touched.sort_unstable();
         touched.dedup();
@@ -361,20 +383,26 @@ impl ClassState {
     /// the caller's flood-fallback signal).
     ///
     /// The rule: for each class `c`, let `d_c` be the number of
-    /// *distinct components* of `c` among `v`'s live neighbors (distinct
-    /// union-find roots of occupied neighbor bundles). Any class with
-    /// `d_c ≥ 1` can admit `v` without increasing the excess `M` — the
-    /// newcomer melts into an existing component. Joining merges those
-    /// `d_c` components into one, reducing `N_c` by `d_c − 1`, so the
-    /// greedy pick is the argmax of `d_c`, ties broken to the lowest
-    /// class id (deterministic across engines by construction: the rule
-    /// reads only the class partition, never engine state).
+    /// *distinct components* of `c` among `v`'s neighbors across edges
+    /// that pass `keep` (distinct union-find roots of occupied neighbor
+    /// bundles). Any class with `d_c ≥ 1` can admit `v` without
+    /// increasing the excess `M` — the newcomer melts into an existing
+    /// component. Joining merges those `d_c` components into one,
+    /// reducing `N_c` by `d_c − 1`, so the greedy pick is the argmax of
+    /// `d_c`, ties broken to the lowest class id (deterministic across
+    /// engines by construction: the rule reads only the class partition,
+    /// never engine state).
     ///
     /// Because admission delegates to `insert_vertex`, the post-admit
     /// state is bit-identical to a from-scratch repack over the same
     /// final membership (the property suite cross-checks `comp_of`
     /// labels against a fresh replay).
-    pub fn admit_vertex(&mut self, g: &Graph, v: NodeId) -> Vec<u32> {
+    pub fn admit_vertex(
+        &mut self,
+        g: &Graph,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+        v: NodeId,
+    ) -> Vec<u32> {
         let n = self.layout.n();
         // (d_c, class); iterate classes ascending and replace only on a
         // strictly larger d_c, so ties resolve to the lowest id.
@@ -386,7 +414,7 @@ impl ClassState {
                     continue;
                 }
                 let uslot = self.slot(u, class);
-                if !self.occupied[uslot] {
+                if !self.occupied[uslot] || !keep(v, u) {
                     continue;
                 }
                 let root = self.uf.find(uslot);
@@ -403,7 +431,7 @@ impl ClassState {
         }
         match best {
             None => Vec::new(),
-            Some((_, class)) => self.insert_vertex(g, v, &[class as u32]),
+            Some((_, class)) => self.insert_vertex(g, keep, v, &[class as u32]),
         }
     }
 
@@ -413,11 +441,7 @@ impl ClassState {
     /// O(1) per shared class, no rebuild. Returns the sorted touched
     /// classes (those present on both endpoints).
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Vec<u32> {
-        let touched: Vec<u32> = self.classes_at[u]
-            .iter()
-            .copied()
-            .filter(|c| self.classes_at[v].binary_search(c).is_ok())
-            .collect();
+        let touched = self.shared_classes(u, v);
         for &class in &touched {
             let class = class as usize;
             let (su, sv) = (self.slot(u, class), self.slot(v, class));
@@ -473,20 +497,28 @@ impl ClassState {
         // comp_count / excess are partition properties — unchanged.
     }
 
+    /// Sorted classes with a member bundle on both `u` and `v`.
+    fn shared_classes(&self, u: NodeId, v: NodeId) -> Vec<u32> {
+        let (at_u, at_v) = (self.classes_at[u].iter(), &self.classes_at[v]);
+        at_u.filter(|c| at_v.binary_search(c).is_ok())
+            .copied()
+            .collect()
+    }
+
     /// Dissolves one class's union-find stride and re-unions its surviving
     /// members ([`sweep_class`](Self::sweep_class)).
-    fn rebuild_class(&mut self, g: &Graph, class: usize) {
+    fn rebuild_class(&mut self, g: &Graph, keep: impl Fn(NodeId, NodeId) -> bool, class: usize) {
         let n = self.layout.n();
         let stride: Vec<usize> = (class * n..(class + 1) * n).collect();
         self.uf.reset_block(&stride);
-        self.sweep_class(g, class);
+        self.sweep_class(g, keep, class);
     }
 
     /// Unions the occupied bundles of one class's all-singleton stride
-    /// over every member–member edge of `g` (each once, from its higher
-    /// end) in one ascending sweep, fixing `comp_count` and the running
-    /// excess.
-    fn sweep_class(&mut self, g: &Graph, class: usize) {
+    /// over every member–member edge of `g` that passes `keep` (each once,
+    /// from its higher end) in one ascending sweep, fixing `comp_count`
+    /// and the running excess.
+    fn sweep_class(&mut self, g: &Graph, keep: impl Fn(NodeId, NodeId) -> bool, class: usize) {
         let n = self.layout.n();
         self.excess -= self.comp_count[class].saturating_sub(1);
         let mut count = 0;
@@ -498,7 +530,8 @@ impl ClassState {
             count += 1;
             // `u < v < n`: neighbours beyond the layout have no bundle.
             for &u in g.neighbors(v) {
-                if u < v && self.occupied[class * n + u] && self.uf.union(slot, class * n + u) {
+                let live = u < v && self.occupied[class * n + u] && keep(v, u);
+                if live && self.uf.union(slot, class * n + u) {
                     count -= 1;
                 }
             }
@@ -547,6 +580,11 @@ mod tests {
     use super::*;
     use crate::virtual_graph::VType;
     use decomp_graph::generators;
+
+    /// The unfiltered view: every edge of `g` is live.
+    fn all(_: NodeId, _: NodeId) -> bool {
+        true
+    }
 
     #[test]
     fn join_merges_same_real_bundle() {
@@ -635,7 +673,7 @@ mod tests {
             st.join(&g, layout.vid(v, 0, VType::T1), 0);
         }
         assert_eq!(st.component_count(0), 1);
-        let touched = st.delete_vertex(&g, 1);
+        let touched = st.delete_vertex(&g, all, 1);
         assert_eq!(touched, vec![0]);
         assert_eq!(st.component_count(0), 2, "losing the bridge splits 0 and 2");
         assert_eq!(st.excess(), 1);
@@ -655,7 +693,7 @@ mod tests {
         st.join(&g, layout.vid(3, 0, VType::T2), 2);
         // Node 3 sits in classes 1 and 2; class 0 must keep its forest.
         let root0 = st.comp_root(0, 0);
-        let touched = st.delete_vertex(&g, 3);
+        let touched = st.delete_vertex(&g, all, 3);
         assert_eq!(touched, vec![1, 2]);
         assert_eq!(st.comp_root(0, 0), root0, "untouched class keeps its roots");
         assert_eq!(st.component_count(2), 0, "class 2 lost its only member");
@@ -680,12 +718,12 @@ mod tests {
         st.join(&g, layout.vid(0, 0, VType::T2), 1);
         // Cutting one cycle edge keeps the class connected...
         let g1 = square(&[(1, 2), (2, 3), (3, 0)]);
-        assert_eq!(st.delete_edge(&g1, 0, 1), vec![0]);
+        assert_eq!(st.delete_edge(&g1, all, 0, 1), vec![0]);
         assert_eq!(st.component_count(0), 1);
         // ...cutting a second splits it; class 1 (no member on 2 or 3)
         // is never touched.
         let g2 = square(&[(1, 2), (3, 0)]);
-        assert_eq!(st.delete_edge(&g2, 2, 3), vec![0]);
+        assert_eq!(st.delete_edge(&g2, all, 2, 3), vec![0]);
         assert_eq!(st.component_count(0), 2);
         assert_eq!(st.excess(), 1);
         let (counts, excess) = st.recompute_from_scratch(&g2);
@@ -709,7 +747,7 @@ mod tests {
         }
         let mut deleted: Vec<usize> = Vec::new();
         for dead in [13usize, 0, 7, 19, 4] {
-            st.delete_vertex(&g, dead);
+            st.delete_vertex(&g, all, dead);
             deleted.push(dead);
             let (counts, excess) = st.recompute_from_scratch(&g);
             for (c, &want) in counts.iter().enumerate() {
@@ -737,11 +775,11 @@ mod tests {
         for v in 0..3 {
             st.join(&g, layout.vid(v, 0, VType::T1), 0);
         }
-        st.delete_vertex(&g, 1);
+        st.delete_vertex(&g, all, 1);
         assert_eq!(st.component_count(0), 2);
         // Re-admitting the bridge merges the halves back — and the
         // result is label-identical to a never-deleted fresh state.
-        let touched = st.insert_vertex(&g, 1, &[0]);
+        let touched = st.insert_vertex(&g, all, 1, &[0]);
         assert_eq!(touched, vec![0]);
         assert_eq!(st.component_count(0), 1);
         assert_eq!(st.excess(), 0);
@@ -759,7 +797,7 @@ mod tests {
         let layout = VirtualLayout::new(3, 4);
         let mut st = ClassState::new(layout, 2);
         st.join(&g, layout.vid(0, 0, VType::T1), 0);
-        let touched = st.insert_vertex(&g, 0, &[0, 1]);
+        let touched = st.insert_vertex(&g, all, 0, &[0, 1]);
         assert_eq!(touched, vec![1], "class 0 was already occupied");
         assert_eq!(st.classes_at(0), &[0, 1]);
     }
@@ -812,10 +850,10 @@ mod tests {
         st2.join(&g5, st2.layout().vid(0, 0, VType::T1), 0);
         st2.join(&g5, st2.layout().vid(2, 0, VType::T1), 0);
         assert_eq!(st2.component_count(0), 2);
-        st2.insert_vertex(&g5, 3, &[0]); // grows to n = 4, merges with 2
+        st2.insert_vertex(&g5, all, 3, &[0]); // grows to n = 4, merges with 2
         assert_eq!(st2.layout().n(), 4);
         assert_eq!(st2.component_count(0), 2, "3 melts into 2's component");
-        st2.insert_vertex(&g5, 1, &[0]); // bridges 0 and {2, 3}
+        st2.insert_vertex(&g5, all, 1, &[0]); // bridges 0 and {2, 3}
         assert_eq!(st2.component_count(0), 1);
         let (counts, excess) = st2.recompute_from_scratch(&g5);
         assert_eq!(st2.component_count(0), counts[0]);
@@ -855,11 +893,11 @@ mod tests {
         for (i, ev) in events.iter().enumerate() {
             match ev {
                 Ev::Kill(v) => {
-                    st.delete_vertex(&g, *v);
+                    st.delete_vertex(&g, all, *v);
                     member.retain(|&(m, _)| m != *v);
                 }
                 Ev::Arrive(v, classes) => {
-                    st.insert_vertex(&g, *v, classes);
+                    st.insert_vertex(&g, all, *v, classes);
                     for &c in classes {
                         member.push((*v, c as usize));
                     }
@@ -896,7 +934,7 @@ mod tests {
         st.join(&g, layout.vid(2, 0, VType::T1), 0);
         st.join(&g, layout.vid(0, 0, VType::T2), 1);
         assert_eq!(st.component_count(0), 2);
-        assert_eq!(st.admit_vertex(&g, 1), vec![0], "argmax d_c wins");
+        assert_eq!(st.admit_vertex(&g, all, 1), vec![0], "argmax d_c wins");
         assert_eq!(st.component_count(0), 1, "admission merged the halves");
         assert_eq!(st.excess(), 0);
         assert_eq!(st.classes_at(1), &[0]);
@@ -912,7 +950,7 @@ mod tests {
         // class, never the empty one.
         st.join(&g, layout.vid(1, 0, VType::T1), 1);
         st.join(&g, layout.vid(2, 0, VType::T1), 2);
-        assert_eq!(st.admit_vertex(&g, 0), vec![1]);
+        assert_eq!(st.admit_vertex(&g, all, 0), vec![1]);
         assert_eq!(st.classes_at(0), &[1]);
     }
 
@@ -924,7 +962,7 @@ mod tests {
         // The only member sits on 3 — not adjacent to 0.
         st.join(&g, layout.vid(3, 0, VType::T1), 0);
         let before = st.comp_of(0);
-        assert_eq!(st.admit_vertex(&g, 0), Vec::<u32>::new());
+        assert_eq!(st.admit_vertex(&g, all, 0), Vec::<u32>::new());
         assert_eq!(st.classes_at(0), &[] as &[u32], "state untouched");
         assert_eq!(st.comp_of(0), before);
     }
@@ -947,7 +985,7 @@ mod tests {
             .collect();
         let mut member: Vec<(usize, usize)> = joins.clone();
         for &v in &unjoined {
-            let entered = st.admit_vertex(&g, v);
+            let entered = st.admit_vertex(&g, all, v);
             assert_eq!(
                 entered.len(),
                 1,

@@ -126,30 +126,57 @@ impl Graph {
     /// The subgraph induced by `keep`, together with the mapping from new
     /// vertex ids to original ids.
     ///
-    /// Vertices are renumbered `0..keep.len()` in ascending original order.
+    /// Vertices are renumbered `0..` in ascending original order (`keep`
+    /// may be unsorted and repeat ids), which keeps the edges sorted.
     pub fn induced_subgraph(&self, keep: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let set: BTreeSet<NodeId> = keep.iter().copied().collect();
-        let order: Vec<NodeId> = set.iter().copied().collect();
+        let mut order = keep.to_vec();
+        order.sort_unstable();
+        order.dedup();
         let mut back = vec![usize::MAX; self.n()];
         for (new, &old) in order.iter().enumerate() {
             back[old] = new;
         }
-        let mut b = GraphBuilder::new(order.len());
-        for &(u, v) in &self.edges {
-            if back[u] != usize::MAX && back[v] != usize::MAX {
-                b.add_edge(back[u], back[v]);
-            }
-        }
-        (b.build(), order)
+        let relabelled = self.edges.iter().map(|&(u, v)| (back[u], back[v]));
+        let edges = relabelled
+            .filter(|&(u, v)| u != usize::MAX && v != usize::MAX)
+            .collect();
+        (Graph::from_sorted_edges(order.len(), edges), order)
     }
 
     /// The spanning subgraph containing exactly the edges for which
     /// `pred(u, v)` holds (same vertex set).
     pub fn edge_subgraph(&self, mut pred: impl FnMut(NodeId, NodeId) -> bool) -> Graph {
-        Graph::from_edges(
-            self.n(),
-            self.edges.iter().copied().filter(|&(u, v)| pred(u, v)),
-        )
+        let edges = self.edges.iter().copied().filter(|&(u, v)| pred(u, v));
+        Graph::from_sorted_edges(self.n(), edges.collect())
+    }
+
+    /// The one CSR writer, from sorted, duplicate-free `u < v < n` edges:
+    /// each vertex `w` receives its smaller neighbours (edges `(u, w)`) in
+    /// ascending order, then its larger ones (edges `(w, v)`), so every
+    /// adjacency list comes out sorted without a sort.
+    fn from_sorted_edges(n: usize, edges: Vec<(NodeId, NodeId)>) -> Graph {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges unsorted");
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0; offsets[n]];
+        for &(u, v) in &edges {
+            neighbors[cursor[u]] = v;
+            cursor[u] += 1;
+            neighbors[cursor[v]] = u;
+            cursor[v] += 1;
+        }
+        Graph {
+            offsets,
+            neighbors,
+            edges,
+        }
     }
 
     /// A DOT rendering of the graph, for the figure-reproduction examples.
@@ -240,41 +267,17 @@ impl GraphBuilder {
 
     /// Finalizes the CSR representation.
     pub fn build(self) -> Graph {
-        let mut deg = vec![0usize; self.n];
-        for &(u, v) in &self.edges {
-            deg[u] += 1;
-            deg[v] += 1;
-        }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0);
-        for v in 0..self.n {
-            offsets.push(offsets[v] + deg[v]);
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0; offsets[self.n]];
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u]] = v;
-            cursor[u] += 1;
-            neighbors[cursor[v]] = u;
-            cursor[v] += 1;
-        }
-        // BTreeSet iteration gives (u,v) sorted by u then v, so each list
-        // receives its smaller-endpoint entries in order; entries coming from
-        // the larger endpoint side still need a sort.
-        for v in 0..self.n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        Graph {
-            offsets,
-            neighbors,
-            edges: self.edges.into_iter().collect(),
-        }
+        Graph::from_sorted_edges(self.n, self.edges.into_iter().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn empty_graph() {
@@ -369,5 +372,69 @@ mod tests {
         let g = Graph::from_edges(2, [(0, 1)]);
         let dot = g.to_dot("g");
         assert!(dot.contains("0 -- 1"));
+    }
+
+    /// The builder route both subgraph methods took before they wrote the
+    /// CSR directly, kept as the reference: the induced subgraph through
+    /// a `BTreeSet` of kept ids and `GraphBuilder::add_edge`.
+    fn induced_via_builder(g: &Graph, keep: &[NodeId]) -> (Graph, Vec<NodeId>) {
+        let order: Vec<NodeId> = keep
+            .iter()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut back = vec![usize::MAX; g.n()];
+        for (new, &old) in order.iter().enumerate() {
+            back[old] = new;
+        }
+        let mut b = GraphBuilder::new(order.len());
+        for &(u, v) in g.edges() {
+            if back[u] != usize::MAX && back[v] != usize::MAX {
+                b.add_edge(back[u], back[v]);
+            }
+        }
+        (b.build(), order)
+    }
+
+    /// Each adjacency list recomputed from the edge list and sorted — the
+    /// check that the CSR writer's unsorted fill order is already sorted.
+    fn adjacency_from_edges(g: &Graph) -> Vec<Vec<NodeId>> {
+        let mut adj = vec![Vec::new(); g.n()];
+        for &(u, v) in g.edges() {
+            adj[u].push(v);
+            adj[v].push(u);
+        }
+        adj.iter_mut().for_each(|list| list.sort_unstable());
+        adj
+    }
+
+    proptest! {
+        /// `edge_subgraph` and `induced_subgraph` build exactly the graph
+        /// the `GraphBuilder` route builds, on random graphs, random edge
+        /// filters, and unsorted `keep` lists with repeated ids; every
+        /// adjacency list matches its edges.
+        fn subgraphs_match_the_builder_route(seed in any::<u64>(), n in 1usize..40) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::gnm(n, rng.gen_range(0..=n * (n - 1) / 2), seed);
+            let kept: Vec<bool> = g.edges().iter().map(|_| rng.gen_bool(0.6)).collect();
+            let pred = |u, v| kept[g.edge_index(u, v).expect("an edge of g")];
+            let kept_edges = g.edges().iter().copied().filter(|&(u, v)| pred(u, v));
+            let by_builder = Graph::from_edges(n, kept_edges);
+            let direct = g.edge_subgraph(pred);
+            prop_assert_eq!(&direct, &by_builder);
+            let len = rng.gen_range(0..2 * n);
+            let keep: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n)).collect();
+            let (h, map) = g.induced_subgraph(&keep);
+            let (want, want_map) = induced_via_builder(&g, &keep);
+            prop_assert_eq!(&map, &want_map);
+            prop_assert_eq!(&h, &want);
+            for graph in [&g, &direct, &h] {
+                let adj = adjacency_from_edges(graph);
+                for v in graph.vertices() {
+                    prop_assert_eq!(graph.neighbors(v), adj[v].as_slice(), "vertex {}", v);
+                }
+            }
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! `decomp-testkit`, so every PR exercises the same deterministic
 //! instances.
 
+use connectivity_decomposition::congest::{Fault, FaultPlan, FaultState, ScheduledFault};
 use connectivity_decomposition::core::cds::centralized::{cds_packing, CdsPackingConfig};
 use connectivity_decomposition::core::cds::class_state::ClassState;
 use connectivity_decomposition::core::cds::tree_extract::to_dom_tree_packing;
 use connectivity_decomposition::core::cds::verify::{verify_centralized, VerifyOutcome};
 use connectivity_decomposition::core::virtual_graph::{default_layers, VType, VirtualLayout};
-use connectivity_decomposition::graph::generators;
+use connectivity_decomposition::graph::{generators, Graph, NodeId};
 use decomp_testkit::{asserts, fixtures, golden, SEEDS, TOL};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -107,7 +108,7 @@ proptest! {
         for _ in 0..4 {
             let v = rng.gen_range(0..n);
             let classes = st.classes_at(v).to_vec();
-            st.delete_vertex(&g, v);
+            st.delete_vertex(&g, |_, _| true, v);
             // Mid-churn the counters must match the scratch oracle.
             let (counts, excess) = st.recompute_from_scratch(&g);
             for (c, &want) in counts.iter().enumerate() {
@@ -115,7 +116,7 @@ proptest! {
             }
             prop_assert_eq!(st.excess(), excess, "excess with {} out", v);
             // Undo: re-admit into exactly the original classes.
-            st.insert_vertex(&g, v, &classes);
+            st.insert_vertex(&g, |_, _| true, v, &classes);
             prop_assert_eq!(st.classes_at(v), classes.as_slice());
             // The round trip is bit-identical to the untouched replay.
             for c in 0..t {
@@ -159,7 +160,7 @@ proptest! {
         }
         let mut member = joins.clone();
         for &v in &outside {
-            let entered = st.admit_vertex(&g, v);
+            let entered = st.admit_vertex(&g, |_, _| true, v);
             prop_assert!(entered.len() <= 1, "admission picks at most one class");
             // Empty only when no neighbor carries any class.
             if entered.is_empty() {
@@ -232,6 +233,168 @@ proptest! {
         }
         for v in 0..n {
             prop_assert_eq!(bulk.classes_at(v), joined.classes_at(v), "classes at {}", v);
+        }
+    }
+}
+
+/// Whether `st` (mutated through the edge filter) and `reference`
+/// (mutated on the built survivor graph `built`) hold the same state —
+/// counts, excess, per-node classes, raw roots and `comp_of` labels — and
+/// both match the scratch oracle on `built`.
+fn same_state(
+    st: &mut ClassState,
+    reference: &mut ClassState,
+    built: &Graph,
+) -> Result<(), String> {
+    prop_assert_eq!(st.excess(), reference.excess());
+    for c in 0..st.num_classes() {
+        prop_assert_eq!(
+            st.component_count(c),
+            reference.component_count(c),
+            "class {}",
+            c
+        );
+        prop_assert_eq!(st.comp_of(c), reference.comp_of(c), "labels, class {}", c);
+        for v in built.vertices() {
+            let root = st.comp_root_frozen(v, c);
+            prop_assert_eq!(
+                root,
+                reference.comp_root_frozen(v, c),
+                "root of {} in {}",
+                v,
+                c
+            );
+        }
+    }
+    for v in built.vertices() {
+        prop_assert_eq!(
+            st.classes_at(v),
+            reference.classes_at(v),
+            "classes at {}",
+            v
+        );
+    }
+    for state in [&*st, &*reference] {
+        let (counts, excess) = state.recompute_from_scratch(built);
+        let live: Vec<usize> = (0..counts.len())
+            .map(|c| state.component_count(c))
+            .collect();
+        prop_assert_eq!(live, counts);
+        prop_assert_eq!(state.excess(), excess);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The churn paths mutate the class state through `FaultState`'s edge
+    /// filter instead of a copied survivor graph. Over random connected
+    /// graphs with partial memberships and generated plans of kills,
+    /// cuts, member arrivals, class-free arrivals and edge activations
+    /// (biased toward the arrivals' edges, so a newcomer often joins
+    /// while one of its edges is still off), a state mutated through
+    /// `(g, |u, v| ft.deliverable(u, v))` returns the same touched
+    /// classes as a clone mutated on `g.edge_subgraph(|u, v|
+    /// ft.deliverable(u, v))` under a true filter (the replaced route,
+    /// kept as the reference), and after the round-0 view and every wave
+    /// the two states are the same (see [`same_state`]).
+    fn filtered_mutators_match_the_built_survivor_graph(
+        seed in any::<u64>(),
+        n in 10usize..28,
+        extra in 0usize..24,
+        t in 1usize..4,
+    ) {
+        let g = generators::random_connected(n, extra, seed);
+        let layout = VirtualLayout::new(n, 4);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_f11e);
+        let waves = 4;
+        // Partial memberships: about one vertex in t + 1 is class-free,
+        // the others sit in one class and maybe more.
+        let mut st = ClassState::new(layout, t);
+        let mut classes_of: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (v, classes) in classes_of.iter_mut().enumerate() {
+            let first = rng.gen_range(0..t + 1);
+            for c in (0..t).filter(|&c| c == first || (first < t && rng.gen_range(0..4) == 0)) {
+                st.join(&g, layout.vid(v, 0, VType::ALL[c % VType::ALL.len()]), c);
+                classes.push(c as u32);
+            }
+        }
+        // One arrival or kill per chosen vertex, then edge events no
+        // earlier than either endpoint's arrival and no later than its
+        // death, as `FaultPlan::validate` requires.
+        let (mut arrive, mut kill) = (vec![0; n], vec![usize::MAX; n]);
+        let mut events = Vec::new();
+        for v in 0..n {
+            let (round, fault) = match rng.gen_range(0..5) {
+                0 => (&mut arrive[v], Fault::AddVertex(v)),
+                1 => (&mut kill[v], Fault::Vertex(v)),
+                _ => continue,
+            };
+            *round = rng.gen_range(1..=waves);
+            events.push(ScheduledFault { round: *round, fault });
+        }
+        for &(u, v) in g.edges() {
+            let (lo, hi) = (arrive[u].max(arrive[v]).max(1), kill[u].min(kill[v]).min(waves));
+            if lo > hi {
+                continue;
+            }
+            let round = rng.gen_range(lo..=hi);
+            let fault = match rng.gen_range(0..6) {
+                0 => Fault::Edge(u, v),
+                1 => Fault::AddEdge(u, v),
+                2 | 3 if arrive[u].max(arrive[v]) > 0 => Fault::AddEdge(u, v),
+                _ => continue,
+            };
+            events.push(ScheduledFault { round, fault });
+        }
+        let plan = FaultPlan::new(events);
+        prop_assert_eq!(plan.validate(&g), Ok(()));
+        let all = |_: NodeId, _: NodeId| true;
+        let mut reference = st.clone();
+        let mut ft = FaultState::new(&plan, n);
+        {
+            // The churn loop's round-0 view: dormant vertices and edges
+            // not yet active leave the state.
+            let built = g.edge_subgraph(|u, v| ft.deliverable(u, v));
+            let keep = |u, v| ft.deliverable(u, v);
+            for v in (0..n).filter(|&v| ft.is_dormant(v)) {
+                let touched = st.delete_vertex(&g, keep, v);
+                prop_assert_eq!(touched, reference.delete_vertex(&built, all, v));
+            }
+            for e in plan.events() {
+                if let Fault::AddEdge(u, v) = e.fault {
+                    let touched = st.delete_edge(&g, keep, u, v);
+                    prop_assert_eq!(touched, reference.delete_edge(&built, all, u, v));
+                }
+            }
+            same_state(&mut st, &mut reference, &built)?;
+        }
+        for round in 1..=waves {
+            let applied = ft.fired();
+            ft.advance_to(round);
+            let built = g.edge_subgraph(|u, v| ft.deliverable(u, v));
+            let keep = |u, v| ft.deliverable(u, v);
+            for e in &plan.events()[applied..ft.fired()] {
+                let (touched, want) = match e.fault {
+                    Fault::Vertex(v) => {
+                        (st.delete_vertex(&g, keep, v), reference.delete_vertex(&built, all, v))
+                    }
+                    Fault::Edge(u, v) => {
+                        (st.delete_edge(&g, keep, u, v), reference.delete_edge(&built, all, u, v))
+                    }
+                    Fault::AddVertex(v) if classes_of[v].is_empty() => {
+                        (st.admit_vertex(&g, keep, v), reference.admit_vertex(&built, all, v))
+                    }
+                    Fault::AddVertex(v) => (
+                        st.insert_vertex(&g, keep, v, &classes_of[v]),
+                        reference.insert_vertex(&built, all, v, &classes_of[v]),
+                    ),
+                    Fault::AddEdge(u, v) => (st.insert_edge(u, v), reference.insert_edge(u, v)),
+                };
+                prop_assert_eq!(touched, want, "touched by {:?} at round {}", e.fault, round);
+            }
+            same_state(&mut st, &mut reference, &built)?;
         }
     }
 }

@@ -565,7 +565,8 @@ fn survivors_stay_connected(g: &Graph, plan: &FaultPlan) -> bool {
             .vertices()
             .filter(|&v| !ft.is_dead(v) && !ft.is_dormant(v))
             .collect();
-        let (live, _) = ft.surviving_graph(g).induced_subgraph(&present);
+        let survivors = g.edge_subgraph(|u, v| ft.deliverable(u, v));
+        let (live, _) = survivors.induced_subgraph(&present);
         present.is_empty() || is_connected(&live)
     })
 }

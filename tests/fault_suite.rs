@@ -294,7 +294,7 @@ fn incremental_repack_is_bit_identical_to_scratch() {
         kills.sort_unstable();
         let mut deleted: Vec<usize> = Vec::new();
         for dead in kills {
-            let touched = st.delete_vertex(g, dead);
+            let touched = st.delete_vertex(g, |_, _| true, dead);
             deleted.push(dead);
             assert!(touched.len() <= t, "{}", f.name);
             let (counts, excess) = st.recompute_from_scratch(g);
