@@ -12,11 +12,16 @@
 //! registry + `distributed_vs_centralized`), so numbers here compare
 //! wall-clock only.
 //!
+//! One row times Theorem 1.1's distributed packing
+//! (`cds_packing_distributed`, Appendix B) on the one-shard simulator.
+//!
 //! `CDS_BENCH_MAX_N` (optional) caps the swept instance size, e.g.
 //! `CDS_BENCH_MAX_N=10000` for a quick local run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use decomp_congest::{Model, Simulator};
 use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
+use decomp_core::cds::distributed::cds_packing_distributed;
 use decomp_graph::{generators, Graph};
 
 const SEED: u64 = 5;
@@ -100,5 +105,38 @@ fn bench_workers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_harary, bench_random_regular, bench_workers);
+/// The distributed packing on rr(16 000, 8) with `k = 8` at seed 1 (the
+/// ROADMAP ledger's row). One untimed run first pins its rounds and
+/// messages, so a timing always belongs to the same protocol run.
+fn bench_distributed(c: &mut Criterion) {
+    let (n, d) = (16_000, 8);
+    if n > max_n() {
+        return;
+    }
+    let g = generators::random_regular(n, d, 1);
+    let cfg = CdsPackingConfig::with_known_k(d, 1);
+    let run = || {
+        let mut sim = Simulator::new(&g, Model::VCongest);
+        cds_packing_distributed(&mut sim, &cfg).expect("the floods quiesce");
+        sim.stats()
+    };
+    let stats = run();
+    assert_eq!(
+        (stats.rounds, stats.messages),
+        (294, 17_347_344),
+        "rr(16 000, 8) at seed 1 runs 294 rounds and 17 347 344 messages"
+    );
+    let mut group = c.benchmark_group("cds_layer_loop");
+    group.sample_size(2);
+    group.bench_function(&format!("distributed/rr_n{n}_d{d}_k{d}"), |b| b.iter(run));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_harary,
+    bench_random_regular,
+    bench_workers,
+    bench_distributed
+);
 criterion_main!(benches);

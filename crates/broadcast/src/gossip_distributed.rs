@@ -132,8 +132,9 @@ struct RlncGossipProgram {
     sizes: Vec<usize>,
     degree: usize,
     decoders: Vec<RlncDecoder>,
-    /// Per generation: neighbors that have broadcast it at full rank.
-    nbr_complete: Vec<std::collections::HashSet<NodeId>>,
+    /// Per generation: neighbors that have broadcast it at full rank,
+    /// ascending.
+    nbr_complete: Vec<Vec<NodeId>>,
     /// Per generation: whether this node has broadcast it at full rank.
     announced: Vec<bool>,
     /// Non-innovative receptions ([`RunStats::wasted_bandwidth`]).
@@ -168,7 +169,10 @@ impl NodeProgram for RlncGossipProgram {
             let sender_rank = (w0 >> 32) as usize;
             let size = self.sizes[gen];
             if sender_rank == size {
-                self.nbr_complete[gen].insert(from);
+                let done = &mut self.nbr_complete[gen];
+                if let Err(pos) = done.binary_search(&from) {
+                    done.insert(pos, from);
+                }
             }
             pkt.clear();
             pkt.resize(size + RLNC_PAYLOAD, 0);

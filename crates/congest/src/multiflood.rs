@@ -6,7 +6,11 @@
 //! proposals. Because each node belongs to `O(log n)` classes, all of these
 //! fit the same pattern:
 //!
-//! * every node holds a table `key → value` (`O(log n)` entries),
+//! * every node holds a table of `(key, value)` entries (`O(log n)` of
+//!   them) in strictly ascending key order — this module owns that format:
+//!   [`multikey_flood`] checks it, and [`find`] / [`get`] look keys up by
+//!   binary search, so every reader iterates in key order, never in hash
+//!   order,
 //! * an edge is *valid for a key* iff **both** endpoints hold the key,
 //! * at fixpoint, each node's value for a key is the min/max over the
 //!   key-connected component containing it.
@@ -19,7 +23,7 @@
 
 use crate::message::Message;
 use crate::sim::{Inbox, NodeCtx, NodeProgram, SimError, Simulator};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Combining operator for [`multikey_flood`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,39 +43,40 @@ impl Combine {
     }
 }
 
-struct FloodProgram {
-    table: HashMap<u64, u64>,
-    combine: Combine,
-    /// Keys whose current value still needs announcing, FIFO.
-    dirty: std::collections::VecDeque<u64>,
-    /// Dedup guard for the dirty queue.
-    queued: std::collections::HashSet<u64>,
+/// Position of `key` in a key-ordered table: `Ok(index)` if present,
+/// else `Err(insertion point)`.
+pub fn find(table: &[(u64, u64)], key: u64) -> Result<usize, usize> {
+    table.binary_search_by_key(&key, |&(k, _)| k)
 }
 
-impl FloodProgram {
-    fn mark_dirty(&mut self, key: u64) {
-        if self.queued.insert(key) {
-            self.dirty.push_back(key);
-        }
-    }
+/// The value `table` holds for `key`, if any.
+pub fn get(table: &[(u64, u64)], key: u64) -> Option<u64> {
+    find(table, key).ok().map(|i| table[i].1)
+}
+
+struct FloodProgram {
+    table: Vec<(u64, u64)>,
+    combine: Combine,
+    /// Entries whose current value still needs announcing, FIFO.
+    dirty: VecDeque<usize>,
+    /// `queued[i]`: entry `i` sits in `dirty`.
+    queued: Vec<bool>,
 }
 
 impl NodeProgram for FloodProgram {
     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &Inbox<'_>) {
         for (_, m) in inbox {
-            let words = m.words();
-            for pair in words.chunks(2) {
-                let (key, value) = (pair[0], pair[1]);
+            for pair in m.words().chunks(2) {
                 // Edge validity: receiver must hold the key too.
-                let mut improved = false;
-                if let Some(slot) = self.table.get_mut(&key) {
-                    if self.combine.better(value, *slot) {
-                        *slot = value;
-                        improved = true;
+                let Ok(i) = find(&self.table, pair[0]) else {
+                    continue;
+                };
+                if self.combine.better(pair[1], self.table[i].1) {
+                    self.table[i].1 = pair[1];
+                    if !self.queued[i] {
+                        self.queued[i] = true;
+                        self.dirty.push_back(i);
                     }
-                }
-                if improved {
-                    self.mark_dirty(key);
                 }
             }
         }
@@ -80,10 +85,9 @@ impl NodeProgram for FloodProgram {
             let mut words = Vec::with_capacity(2 * budget_pairs);
             while words.len() + 2 <= 2 * budget_pairs {
                 match self.dirty.pop_front() {
-                    Some(key) => {
-                        self.queued.remove(&key);
-                        words.push(key);
-                        words.push(self.table[&key]);
+                    Some(i) => {
+                        self.queued[i] = false;
+                        words.extend([self.table[i].0, self.table[i].1]);
                     }
                     None => break,
                 }
@@ -99,40 +103,44 @@ impl NodeProgram for FloodProgram {
 
 /// Floods every key's values to a component-wide min/max fixpoint.
 ///
-/// `tables[v]` is node `v`'s initial `key → value` table; a key's
-/// "subgraph" consists of the edges whose both endpoints hold the key.
-/// Returns the fixpoint tables.
+/// `tables[v]` is node `v`'s initial table of `(key, value)` entries in
+/// strictly ascending key order; a key's "subgraph" consists of the edges
+/// whose both endpoints hold the key. Returns the fixpoint tables: the
+/// same keys in the same order, so entry `i` of an output table belongs
+/// to entry `i` of its input, and callers may keep tables aligned with
+/// them entry for entry.
 ///
 /// The per-message budget is 4 `(key, value)` pairs (8 words, the default
 /// simulator budget); nodes with more dirty keys send across several
 /// rounds, which is the meta-round congestion the paper accounts for.
+/// Every entry starts dirty in key order, so that order decides which
+/// keys wait a round.
 ///
 /// # Errors
 /// Propagates simulator round-limit errors.
+///
+/// # Panics
+/// Panics unless there is one table per node and every table's keys are
+/// strictly ascending.
 pub fn multikey_flood(
     sim: &mut Simulator<'_>,
-    tables: Vec<HashMap<u64, u64>>,
+    tables: Vec<Vec<(u64, u64)>>,
     combine: Combine,
-) -> Result<Vec<HashMap<u64, u64>>, SimError> {
+) -> Result<Vec<Vec<(u64, u64)>>, SimError> {
     assert_eq!(tables.len(), sim.graph().n(), "one table per node");
     let programs = tables
         .into_iter()
         .map(|table| {
-            let mut p = FloodProgram {
-                table,
+            assert!(
+                table.windows(2).all(|w| w[0].0 < w[1].0),
+                "flood table keys must be strictly ascending"
+            );
+            FloodProgram {
                 combine,
-                dirty: Default::default(),
-                queued: Default::default(),
-            };
-            // Ascending keys, not hash order: once a node holds more
-            // keys than one message carries, this order decides which
-            // keys wait a round.
-            let mut keys: Vec<u64> = p.table.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                p.mark_dirty(k);
+                dirty: (0..table.len()).collect(),
+                queued: vec![true; table.len()],
+                table,
             }
-            p
         })
         .collect();
     let (programs, _) = sim.run_to_quiescence(programs)?;
@@ -145,11 +153,8 @@ mod tests {
     use crate::sim::Model;
     use decomp_graph::generators;
 
-    fn tables_from(entries: &[&[(u64, u64)]]) -> Vec<HashMap<u64, u64>> {
-        entries
-            .iter()
-            .map(|e| e.iter().copied().collect())
-            .collect()
+    fn tables_from(entries: &[&[(u64, u64)]]) -> Vec<Vec<(u64, u64)>> {
+        entries.iter().map(|e| e.to_vec()).collect()
     }
 
     #[test]
@@ -160,7 +165,7 @@ mod tests {
         let tables = tables_from(&[&[(7, 30)], &[(7, 10)], &[(7, 20)], &[(7, 40)]]);
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
         for t in &out {
-            assert_eq!(t[&7], 10);
+            assert_eq!(t, &[(7, 10)]);
         }
     }
 
@@ -172,22 +177,17 @@ mod tests {
         let mut sim = Simulator::new(&g, Model::VCongest);
         let tables = tables_from(&[&[(5, 9)], &[(5, 4)], &[], &[(5, 1)]]);
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
-        assert_eq!(out[0][&5], 4);
-        assert_eq!(out[1][&5], 4);
-        assert!(out[2].is_empty());
-        assert_eq!(out[3][&5], 1);
+        assert_eq!(out, tables_from(&[&[(5, 4)], &[(5, 4)], &[], &[(5, 1)]]));
     }
 
     #[test]
     fn max_combine() {
         let g = generators::cycle(5);
         let mut sim = Simulator::new(&g, Model::VCongest);
-        let tables: Vec<HashMap<u64, u64>> = (0..5)
-            .map(|v| [(1u64, v as u64)].into_iter().collect())
-            .collect();
+        let tables: Vec<Vec<(u64, u64)>> = (0..5).map(|v| vec![(1, v as u64)]).collect();
         let out = multikey_flood(&mut sim, tables, Combine::Max).unwrap();
         for t in &out {
-            assert_eq!(t[&1], 4);
+            assert_eq!(t, &[(1, 4)]);
         }
     }
 
@@ -197,17 +197,15 @@ mod tests {
         // takes several rounds but must still converge per key.
         let g = generators::path(6);
         let mut sim = Simulator::new(&g, Model::VCongest);
-        let tables: Vec<HashMap<u64, u64>> = (0..6)
+        let tables: Vec<Vec<(u64, u64)>> = (0..6)
             .map(|v| (0u64..20).map(|k| (k, (v as u64 + k) % 17)).collect())
             .collect();
-        let expect: Vec<u64> = (0u64..20)
-            .map(|k| (0..6).map(|v| (v as u64 + k) % 17).min().unwrap())
+        let expect: Vec<(u64, u64)> = (0u64..20)
+            .map(|k| (k, (0..6).map(|v| (v as u64 + k) % 17).min().unwrap()))
             .collect();
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
         for t in &out {
-            for k in 0..20u64 {
-                assert_eq!(t[&k], expect[k as usize], "key {k}");
-            }
+            assert_eq!(t, &expect);
         }
     }
 
@@ -218,16 +216,13 @@ mod tests {
         let g = generators::grid(3, 3);
         let holders_a: Vec<bool> = (0..9).map(|v| v % 2 == 0).collect();
         let holders_b: Vec<bool> = (0..9).map(|v| v < 6).collect();
-        let tables: Vec<HashMap<u64, u64>> = (0..9)
+        let tables: Vec<Vec<(u64, u64)>> = (0..9)
             .map(|v| {
-                let mut t = HashMap::new();
-                if holders_a[v] {
-                    t.insert(0, v as u64);
-                }
-                if holders_b[v] {
-                    t.insert(1, v as u64);
-                }
-                t
+                [(0, holders_a[v]), (1, holders_b[v])]
+                    .into_iter()
+                    .filter(|&(_, held)| held)
+                    .map(|(key, _)| (key, v as u64))
+                    .collect()
             })
             .collect();
         let mut sim = Simulator::new(&g, Model::VCongest);
@@ -244,7 +239,7 @@ mod tests {
                     .map(|(_, &orig)| orig as u64)
                     .min()
                     .unwrap();
-                assert_eq!(out[orig_u][&key], min_in_comp);
+                assert_eq!(get(&out[orig_u], key), Some(min_in_comp));
             }
         }
     }
@@ -253,7 +248,7 @@ mod tests {
     fn empty_tables_terminate_instantly() {
         let g = generators::path(3);
         let mut sim = Simulator::new(&g, Model::VCongest);
-        let out = multikey_flood(&mut sim, vec![HashMap::new(); 3], Combine::Min).unwrap();
+        let out = multikey_flood(&mut sim, vec![Vec::new(); 3], Combine::Min).unwrap();
         assert!(out.iter().all(|t| t.is_empty()));
     }
 
@@ -261,12 +256,10 @@ mod tests {
     fn works_in_econgest_too() {
         let g = generators::grid(3, 4);
         let mut sim = Simulator::new(&g, Model::ECongest);
-        let tables: Vec<HashMap<u64, u64>> = (0..12)
-            .map(|v| [(9u64, 100 - v as u64)].into_iter().collect())
-            .collect();
+        let tables: Vec<Vec<(u64, u64)>> = (0..12).map(|v| vec![(9, 100 - v as u64)]).collect();
         let out = multikey_flood(&mut sim, tables, Combine::Min).unwrap();
         for t in &out {
-            assert_eq!(t[&9], 89);
+            assert_eq!(t, &[(9, 89)]);
         }
     }
 
@@ -277,7 +270,7 @@ mod tests {
         let g = generators::path(10);
         let rounds_for = |keys: u64| {
             let mut sim = Simulator::new(&g, Model::VCongest);
-            let tables: Vec<HashMap<u64, u64>> = (0..10)
+            let tables: Vec<Vec<(u64, u64)>> = (0..10)
                 .map(|v| (0..keys).map(|k| (k, (v as u64 + k) % 7)).collect())
                 .collect();
             multikey_flood(&mut sim, tables, Combine::Min).unwrap();
@@ -289,5 +282,23 @@ mod tests {
             heavy > light,
             "40 keys over 4-pair messages must take more rounds: {light} vs {heavy}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unordered_tables_are_rejected() {
+        let g = generators::path(2);
+        let mut sim = Simulator::new(&g, Model::VCongest);
+        let tables = tables_from(&[&[(3, 0), (1, 0)], &[]]);
+        let _ = multikey_flood(&mut sim, tables, Combine::Min);
+    }
+
+    #[test]
+    fn find_and_get_read_key_ordered_tables() {
+        let table = [(2, 20), (5, 50), (9, 90)];
+        assert_eq!(find(&table, 5), Ok(1));
+        assert_eq!(find(&table, 6), Err(2));
+        assert_eq!(get(&table, 9), Some(90));
+        assert_eq!(get(&table, 0), None);
     }
 }

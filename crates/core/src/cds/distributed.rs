@@ -22,15 +22,28 @@
 //! charged one meta-round each — their message content is exactly the
 //! neighbor state being read, so round accounting matches the protocol.
 //! All component-wide steps run as real message-passing floods.
+//!
+//! A node's component table holds `(class, comp)` in ascending class
+//! order; its OR and max tables hold `(class · n + comp, value)` entry for
+//! entry beside it (the keys ascend with the classes), so seeds and reads
+//! go by entry index, and every list a node builds follows class order.
 
 use crate::cds::centralized::{CdsPacking, CdsPackingConfig, LayerTrace};
 use crate::virtual_graph::{default_layers, VType, VirtualLayout};
-use decomp_congest::multiflood::{multikey_flood, Combine};
+use decomp_congest::multiflood::{find, get, multikey_flood, Combine};
 use decomp_congest::{Model, SimError, Simulator};
 use decomp_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+
+/// What a closed neighbourhood reaches of one class: no component,
+/// exactly one, or several (a connector).
+#[derive(Clone, Copy, PartialEq)]
+enum Reach {
+    None,
+    One(u64),
+    Connector,
+}
 
 /// Runs the distributed CDS-packing construction on `sim` (V-CONGEST).
 ///
@@ -71,6 +84,13 @@ pub fn cds_packing_distributed(
             oc[v].insert(pos, c);
         }
     };
+    // Component identification per class: key = class, value = real id;
+    // fixpoint = component-min per class.
+    let class_tables = |oc: &[Vec<u32>]| -> Vec<Vec<(u64, u64)>> {
+        (0..n)
+            .map(|v| oc[v].iter().map(|&c| (c as u64, v as u64)).collect())
+            .collect()
+    };
 
     // --- Jump start (local coin flips; no communication) ----------------
     for layer in 0..half {
@@ -84,28 +104,43 @@ pub fn cds_packing_distributed(
     }
 
     let graph = sim.graph().clone();
-    let neighborhood = |v: usize| -> Vec<usize> {
-        let mut out = Vec::with_capacity(1 + graph.degree(v));
-        out.push(v);
-        out.extend_from_slice(graph.neighbors(v));
-        out
-    };
+    let closed = |v: usize| std::iter::once(v).chain(graph.neighbors(v).iter().copied());
     let comp_key = |class: u32, comp: u64| -> u64 { class as u64 * n as u64 + comp };
 
     let mut trace = Vec::with_capacity(layers - half);
+    // (1) Component identification of the old nodes; each later layer's
+    // runs at the end of the layer before it.
+    let mut comp = multikey_flood(sim, class_tables(&old_classes), Combine::Min)?;
+    let mut comps = components_per_class(&comp, t);
     for layer in half..layers {
-        // (1) Component identification per class: key = class,
-        //     value = real id; fixpoint = component-min per class.
-        let tables: Vec<HashMap<u64, u64>> = (0..n)
-            .map(|v| {
-                old_classes[v]
-                    .iter()
-                    .map(|&c| (c as u64, v as u64))
+        let excess_before = excess(&comps);
+        // OR / max tables, zeroed, entry for entry beside `comp`.
+        let zeroed: Vec<Vec<(u64, u64)>> = comp
+            .iter()
+            .map(|tbl| {
+                tbl.iter()
+                    .map(|&(c, cid)| (comp_key(c as u32, cid), 0))
                     .collect()
             })
             .collect();
-        let comp = multikey_flood(sim, tables, Combine::Min)?;
-        let excess_before = excess_components(&comp, t, n);
+        let reach = |v: usize, class: u32| -> Reach {
+            let mut out = Reach::None;
+            for cid in closed(v).filter_map(|x| get(&comp[x], class as u64)) {
+                match out {
+                    Reach::None => out = Reach::One(cid),
+                    Reach::One(first) if first != cid => return Reach::Connector,
+                    _ => {}
+                }
+            }
+            out
+        };
+        // Entry index of component `(class, cid)` in `y`'s table, if `y`
+        // is one of its old nodes.
+        let entry = |y: usize, class: u32, cid: u64| -> Option<usize> {
+            find(&comp[y], class as u64)
+                .ok()
+                .filter(|&j| comp[y][j].1 == cid)
+        };
 
         // One meta-round: everyone learns the neighbors' (class, comp)
         // tables.
@@ -119,127 +154,67 @@ pub fn cds_packing_distributed(
             class_of[layout.vid(v, layer, VType::T3)] = Some(c3[v]);
         }
 
-        // Deactivation: type-1 connectors announce; adjacent components
-        // deactivate and flood the flag component-wide.
-        let mut deactivate_seed: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n];
-        let mut deactivated_count = 0usize;
+        // Deactivation: type-1 connectors announce; the adjacent old
+        // nodes seed the component-wide OR flood, in which every member
+        // of a component takes part with default 0.
+        let mut or_tables = zeroed.clone();
         for v in 0..n {
-            let i = c1[v];
-            let mut seen: Vec<u64> = Vec::new();
-            for x in neighborhood(v) {
-                if let Some(&cid) = comp[x].get(&(i as u64)) {
-                    if !seen.contains(&cid) {
-                        seen.push(cid);
-                    }
-                }
-            }
-            if seen.len() >= 2 {
-                // The connector message reaches the adjacent old nodes,
-                // which seed the component-wide OR flood.
-                for x in neighborhood(v) {
-                    if let Some(&cid) = comp[x].get(&(i as u64)) {
-                        deactivate_seed[x].insert(comp_key(i, cid), 1);
+            if reach(v, c1[v]) == Reach::Connector {
+                for x in closed(v) {
+                    if let Ok(j) = find(&comp[x], c1[v] as u64) {
+                        or_tables[x][j].1 = 1;
                     }
                 }
             }
         }
         sim.charge_rounds(1); // connector announcement meta-round
-                              // Component-wide OR: every member of a component must learn the
-                              // flag, so all members participate with default 0.
-        let or_tables: Vec<HashMap<u64, u64>> = (0..n)
-            .map(|v| {
-                let mut tbl: HashMap<u64, u64> = comp[v]
-                    .iter()
-                    .map(|(&c, &cid)| (comp_key(c as u32, cid), 0))
-                    .collect();
-                for (k, &flag) in &deactivate_seed[v] {
-                    tbl.insert(*k, flag);
-                }
-                tbl
-            })
+        let deactivated = multikey_flood(sim, or_tables, Combine::Max)?;
+        let mut flagged: Vec<u64> = deactivated
+            .iter()
+            .flatten()
+            .filter(|&&(_, flag)| flag == 1)
+            .map(|&(key, _)| key)
             .collect();
-        let deactivated_flags = multikey_flood(sim, or_tables, Combine::Max)?;
-        let is_deactivated = |v: usize, class: u32, cid: u64| -> bool {
-            deactivated_flags[v]
-                .get(&comp_key(class, cid))
-                .copied()
-                .unwrap_or(0)
-                == 1
-        };
-        {
-            let mut seen: HashSet<u64> = HashSet::new();
-            for v in 0..n {
-                for (&c, &cid) in &comp[v] {
-                    let key = comp_key(c as u32, cid);
-                    if deactivated_flags[v].get(&key).copied().unwrap_or(0) == 1 && seen.insert(key)
-                    {
-                        deactivated_count += 1;
-                    }
-                }
-            }
-        }
+        flagged.sort_unstable();
+        flagged.dedup();
 
         // (3) Bridging graph: type-3 announcements -> type-2 lists.
-        //     mw = None | One(comp) | Connector, per type-3 node.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mw {
-            None,
-            One(u64),
-            Connector,
-        }
-        let mw: Vec<Mw> = (0..n)
-            .map(|v| {
-                let i = c3[v] as u64;
-                let mut seen: Vec<u64> = Vec::new();
-                for x in neighborhood(v) {
-                    if let Some(&cid) = comp[x].get(&i) {
-                        if !seen.contains(&cid) {
-                            seen.push(cid);
-                        }
-                    }
-                }
-                match seen.len() {
-                    0 => Mw::None,
-                    1 => Mw::One(seen[0]),
-                    _ => Mw::Connector,
-                }
-            })
-            .collect();
+        let mw: Vec<Reach> = (0..n).map(|v| reach(v, c3[v])).collect();
         sim.charge_rounds(1); // type-3 announcement meta-round
 
         // Type-2 node x's neighbor list: active components (class i, comp c)
-        // with an old node in the closed neighborhood, passing condition (c).
+        // with an old node in the closed neighborhood, passing condition
+        // (c); per neighbour in ascending class order. A class of one
+        // component cannot pass (c), so its entries are skipped.
         let mut lists: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
         for x in 0..n {
-            let mut list: Vec<(u32, u64)> = Vec::new();
-            for y in neighborhood(x) {
-                for (&cu, &cid) in &comp[y] {
-                    let class = cu as u32;
-                    if is_deactivated(y, class, cid) {
+            for y in closed(x) {
+                for (j, &(class, cid)) in comp[y].iter().enumerate() {
+                    let class = class as u32;
+                    if comps[class as usize] < 2 || deactivated[y][j].1 == 1 {
                         continue;
                     }
                     // condition (c): some type-3 new neighbor w of x joined
                     // `class` and reaches a component != cid (or connector).
-                    let ok = neighborhood(x).into_iter().any(|w| {
+                    let ok = closed(x).any(|w| {
                         c3[w] == class
                             && match mw[w] {
-                                Mw::None => false,
-                                Mw::One(other) => other != cid,
-                                Mw::Connector => true,
+                                Reach::None => false,
+                                Reach::One(other) => other != cid,
+                                Reach::Connector => true,
                             }
                     });
-                    if ok && !list.contains(&(class, cid)) {
-                        list.push((class, cid));
+                    if ok && !lists[x].contains(&(class, cid)) {
+                        lists[x].push((class, cid));
                     }
                 }
             }
-            lists[x] = list;
         }
 
         // (4) Maximal matching in O(log n) proposal stages.
         let stages = 2 * ((n.max(2) as f64).log2().ceil() as usize) + 2;
         let mut c2: Vec<Option<u32>> = vec![None; n];
-        let mut matched_components: HashSet<u64> = HashSet::new();
+        let mut is_matched = vec![false; t * n]; // by comp_key
         let mut matched = 0usize;
         for _stage in 0..stages {
             // Unmatched type-2 nodes propose to their best random option.
@@ -265,50 +240,40 @@ pub fn cds_packing_distributed(
                 break;
             }
             sim.charge_rounds(1); // proposal meta-round
-                                  // Old nodes adjacent to proposers seed the component-wide max.
-            let mut max_tables: Vec<HashMap<u64, u64>> = (0..n)
-                .map(|v| {
-                    comp[v]
-                        .iter()
-                        .map(|(&c, &cid)| (comp_key(c as u32, cid), 0))
-                        .collect()
-                })
-                .collect();
+
+            // Old nodes adjacent to proposers seed the component-wide max.
+            let mut max_tables = zeroed.clone();
             for x in 0..n {
                 if let Some((class, cid, val)) = proposals[x] {
-                    for y in neighborhood(x) {
-                        if comp[y].get(&(class as u64)) == Some(&cid) {
-                            let key = comp_key(class, cid);
-                            let slot = max_tables[y].entry(key).or_insert(0);
-                            *slot = (*slot).max(val);
+                    for y in closed(x) {
+                        if let Some(j) = entry(y, class, cid) {
+                            max_tables[y][j].1 = max_tables[y][j].1.max(val);
                         }
                     }
                 }
             }
             let accepted = multikey_flood(sim, max_tables, Combine::Max)?;
             sim.charge_rounds(1); // acceptance announcement meta-round
-                                  // Winners join; losers prune accepted components from lists.
+
+            // Winners join; losers prune accepted components from lists.
             for x in 0..n {
                 if let Some((class, cid, val)) = proposals[x] {
-                    let key = comp_key(class, cid);
+                    let key = comp_key(class, cid) as usize;
                     // x hears the accepted value from any adjacent member.
-                    let heard = neighborhood(x)
-                        .into_iter()
-                        .filter(|&y| comp[y].get(&(class as u64)) == Some(&cid))
-                        .filter_map(|y| accepted[y].get(&key).copied())
+                    let heard = closed(x)
+                        .filter_map(|y| entry(y, class, cid).map(|j| accepted[y][j].1))
                         .max()
                         .unwrap_or(0);
-                    if heard == val && !matched_components.contains(&key) {
+                    if heard == val && !is_matched[key] {
                         c2[x] = Some(class);
-                        matched_components.insert(key);
+                        is_matched[key] = true;
                         matched += 1;
                     }
                 }
             }
             // Prune matched components from every list.
             for x in 0..n {
-                lists[x]
-                    .retain(|&(class, cid)| !matched_components.contains(&comp_key(class, cid)));
+                lists[x].retain(|&(class, cid)| !is_matched[comp_key(class, cid) as usize]);
             }
         }
         // Unmatched type-2 nodes pick random classes.
@@ -328,24 +293,23 @@ pub fn cds_packing_distributed(
             add_class(&mut old_classes, v, c2[v].unwrap());
         }
 
-        // Post-layer instrumentation (driver-side; not a protocol step).
-        let tables: Vec<HashMap<u64, u64>> = (0..n)
-            .map(|v| {
-                old_classes[v]
-                    .iter()
-                    .map(|&c| (c as u64, v as u64))
-                    .collect()
-            })
-            .collect();
-        let mut probe = Simulator::new(&graph, Model::VCongest).with_engine(sim.engine());
-        let comp_after = multikey_flood(&mut probe, tables, Combine::Min)?;
-        let excess_after = excess_components(&comp_after, t, n);
+        // The next layer's step (1) gives this layer's excess; after the
+        // last layer a driver-side probe does (not a protocol step, so
+        // not charged).
+        let tables = class_tables(&old_classes);
+        comp = if layer + 1 < layers {
+            multikey_flood(sim, tables, Combine::Min)?
+        } else {
+            let mut probe = Simulator::new(&graph, Model::VCongest).with_engine(sim.engine());
+            multikey_flood(&mut probe, tables, Combine::Min)?
+        };
+        comps = components_per_class(&comp, t);
         trace.push(LayerTrace {
             layer,
             excess_before,
-            excess_after,
+            excess_after: excess(&comps),
             matched,
-            deactivated: deactivated_count,
+            deactivated: flagged.len(),
         });
     }
 
@@ -365,19 +329,22 @@ pub fn cds_packing_distributed(
     })
 }
 
-/// Counts `Σ_i max(0, N_i − 1)` from per-node component tables.
-#[allow(clippy::needless_range_loop)]
-fn excess_components(comp: &[HashMap<u64, u64>], t: usize, n: usize) -> usize {
-    let mut comps_per_class: Vec<HashSet<u64>> = vec![HashSet::new(); t];
-    for v in 0..n {
-        for (&c, &cid) in &comp[v] {
-            comps_per_class[c as usize].insert(cid);
-        }
+/// `N_i`, the number of components of each class `i < t`, from per-node
+/// component tables (a sort and dedup of their `(class, comp)` pairs).
+fn components_per_class(comp: &[Vec<(u64, u64)>], t: usize) -> Vec<usize> {
+    let mut pairs: Vec<(u64, u64)> = comp.iter().flatten().copied().collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut count = vec![0; t];
+    for (class, _) in pairs {
+        count[class as usize] += 1;
     }
-    comps_per_class
-        .into_iter()
-        .map(|s| s.len().saturating_sub(1))
-        .sum()
+    count
+}
+
+/// The excess `Σ_i max(0, N_i − 1)`.
+fn excess(comps: &[usize]) -> usize {
+    comps.iter().map(|c| c.saturating_sub(1)).sum()
 }
 
 #[cfg(test)]

@@ -16,13 +16,12 @@
 //! passes; an invalid one is rejected w.h.p. (the tests exercise both
 //! sides).
 
-use decomp_congest::multiflood::{multikey_flood, Combine};
+use decomp_congest::multiflood::{find, get, multikey_flood, Combine};
 use decomp_congest::{Model, Simulator};
 use decomp_graph::domination::is_cds;
 use decomp_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Outcome of a packing test.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,12 +113,15 @@ pub fn verify_distributed(
     // --- Connectivity test ------------------------------------------------
     // Component identification per class: key = class, value = real id;
     // the key-subgraph is exactly the class's induced projection.
-    let tables: Vec<HashMap<u64, u64>> = (0..n)
+    let tables: Vec<Vec<(u64, u64)>> = (0..n)
         .map(|v| {
-            membership[v]
+            let mut tbl: Vec<(u64, u64)> = membership[v]
                 .iter()
                 .map(|&c| (c as u64, v as u64))
-                .collect()
+                .collect();
+            tbl.sort_unstable();
+            tbl.dedup();
+            tbl
         })
         .collect();
     let comp = multikey_flood(sim, tables, Combine::Min)?;
@@ -128,14 +130,13 @@ pub fn verify_distributed(
     // node adjacent to two different components of one class detects the
     // disconnect immediately.
     for v in 0..n {
-        for (&c, &id) in &comp[v] {
-            for &u in g.neighbors(v) {
-                if let Some(&other) = comp[u].get(&c) {
-                    if other != id {
-                        sim.charge_rounds(1 + d);
-                        return Ok(VerifyOutcome::ConnectivityFailure);
-                    }
-                }
+        for &(c, id) in &comp[v] {
+            if g.neighbors(v)
+                .iter()
+                .any(|&u| get(&comp[u], c).is_some_and(|o| o != id))
+            {
+                sim.charge_rounds(1 + d);
+                return Ok(VerifyOutcome::ConnectivityFailure);
             }
         }
     }
@@ -149,15 +150,15 @@ pub fn verify_distributed(
     // path mechanism of Appendix E.
     let mut rng = StdRng::seed_from_u64(seed);
     let rounds = 2 * (n.max(2) as f64).log2().ceil() as usize + 2;
-    // known[v]: class -> set of ids heard (own and neighbors')
-    let mut known: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n];
-    for v in 0..n {
-        for (&c, &id) in &comp[v] {
-            known[v].insert(c, id);
-        }
+    // known[v]: (class, id) heard, own first, then neighbors' in
+    // neighbor order; key-ordered, and a class keeps its first id.
+    let mut known = comp.clone();
+    for (v, heard) in known.iter_mut().enumerate() {
         for &u in g.neighbors(v) {
-            for (&c, &id) in &comp[u] {
-                known[v].entry(c).or_insert(id);
+            for &(c, id) in &comp[u] {
+                if let Err(pos) = find(heard, c) {
+                    heard.insert(pos, (c, id));
+                }
             }
         }
     }
@@ -167,21 +168,18 @@ pub fn verify_distributed(
             if known[v].is_empty() {
                 continue;
             }
-            // Draw by index into the sorted keys, not hash order.
-            let mut keys: Vec<u64> = known[v].keys().copied().collect();
-            keys.sort_unstable();
-            let c = keys[rng.gen_range(0..keys.len())];
-            let id = known[v][&c];
+            let (c, id) = known[v][rng.gen_range(0..known[v].len())];
             for &u in g.neighbors(v) {
-                if let Some(&other) = known[u].get(&c) {
-                    if other != id {
+                match find(&known[u], c) {
+                    Ok(j) if known[u][j].1 != id => {
                         sim.charge_rounds(d);
                         return Ok(VerifyOutcome::ConnectivityFailure);
                     }
+                    Ok(_) => {}
+                    // Receivers learn announced ids (and can forward them
+                    // in later rounds).
+                    Err(pos) => known[u].insert(pos, (c, id)),
                 }
-                // Receivers learn announced ids (and can forward them in
-                // later rounds).
-                known[u].entry(c).or_insert(id);
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Prints an FNV digest of `cds_packing` outputs on a fixed instance
-//! roster — the bit-identity reference for perf work on the layer loop.
-//! CI diffs the output against `.github/cds-digests.txt`.
+//! roster — the bit-identity reference for perf work on the layer loop —
+//! and then of `cds_packing_distributed` (Theorem 1.1) outputs, with
+//! their rounds and messages, on two small fragmented instances. CI
+//! diffs the output against `.github/cds-digests.txt`.
 //!
 //! Only `harary_k6_n2000_t24` and `gnm_n2000_m6000_t16` leave classes
 //! fragmented after the jump start (nonzero `excess0`), so only they run
@@ -10,8 +12,14 @@
 //! stream, `n`, `t` and the layer count. So `harary_k16_n1000_t4` and
 //! `rr_n1000_d16_t4`, which share all four, print the same digest at
 //! every seed.
+//!
+//! The `distributed/` rows keep classes split after the jump start too,
+//! so type-2 nodes propose over bridging lists naming several
+//! components, and the order of those lists decides the proposal draws.
 
+use decomp_congest::{Model, Simulator};
 use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
+use decomp_core::cds::distributed::cds_packing_distributed;
 use decomp_graph::generators;
 
 fn digest(p: &decomp_core::cds::centralized::CdsPacking) -> u64 {
@@ -84,6 +92,25 @@ fn main() {
             println!(
                 "{name}/s{seed}: {:#018x} (excess0 {excess0}, matched {matched}, deactivated {deact})",
                 digest(&p)
+            );
+        }
+    }
+    let distributed: Vec<(&str, decomp_graph::Graph, usize)> = vec![
+        ("gnm_n300_m900_t16", generators::gnm(300, 900, 7), 16),
+        ("harary_k6_n200_t24", generators::harary(6, 200), 24),
+    ];
+    for (name, g, t) in distributed {
+        for seed in [1u64, 5, 42] {
+            let mut sim = Simulator::new(&g, Model::VCongest);
+            let p = cds_packing_distributed(&mut sim, &CdsPackingConfig::with_classes(t, seed))
+                .expect("the floods quiesce");
+            let matched: usize = p.trace.iter().map(|l| l.matched).sum();
+            let stats = sim.stats();
+            println!(
+                "distributed/{name}/s{seed}: {:#018x} (rounds {}, messages {}, matched {matched})",
+                digest(&p),
+                stats.rounds,
+                stats.messages
             );
         }
     }

@@ -8,9 +8,10 @@
 //! `RunStats::locality_blind`.
 //!
 //! Coverage: raw primitives (BFS, multi-key flooding in both models), the
-//! full Appendix B distributed CDS pipeline, the Appendix E distributed
-//! verifier, the error path, and a proptest sweep over random connected
-//! graphs with a message-heavy program.
+//! full Appendix B distributed CDS pipeline (on the well-connected
+//! fixtures, and on two fragmented instances also rerun in one process),
+//! the Appendix E distributed verifier, the error path, and a proptest
+//! sweep over random connected graphs with a message-heavy program.
 
 use connectivity_decomposition::congest::bfs::distributed_bfs;
 use connectivity_decomposition::congest::multiflood::{multikey_flood, Combine};
@@ -24,7 +25,6 @@ use connectivity_decomposition::graph::{generators, Graph};
 use decomp_testkit::{fixtures, golden};
 use proptest::prelude::*;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Runs `f` under every engine in the sweep and asserts all observations
 /// equal the sequential baseline.
@@ -56,26 +56,13 @@ fn bfs_bit_identical_on_every_fixture() {
 fn multiflood_bit_identical_in_both_models() {
     for f in fixtures::small() {
         for model in [Model::VCongest, Model::ECongest] {
-            let tables: Vec<HashMap<u64, u64>> = (0..f.graph.n())
-                .map(|v| {
-                    [(0u64, v as u64), (v as u64 % 3 + 1, (v * v) as u64)]
-                        .into_iter()
-                        .collect()
-                })
+            let tables: Vec<Vec<(u64, u64)>> = (0..f.graph.n())
+                .map(|v| vec![(0, v as u64), (v as u64 % 3 + 1, (v * v) as u64)])
                 .collect();
             assert_equivalent(&format!("{} {model}", f.name), |engine| {
                 let mut sim = Simulator::new(&f.graph, model).with_engine(engine);
                 let fixpoint = multikey_flood(&mut sim, tables.clone(), Combine::Min).unwrap();
-                // HashMaps compare unordered; canonicalize for the tuple.
-                let canon: Vec<Vec<(u64, u64)>> = fixpoint
-                    .into_iter()
-                    .map(|t| {
-                        let mut kv: Vec<_> = t.into_iter().collect();
-                        kv.sort_unstable();
-                        kv
-                    })
-                    .collect();
-                (canon, sim.stats().locality_blind())
+                (fixpoint, sim.stats().locality_blind())
             });
         }
     }
@@ -93,6 +80,37 @@ fn cds_pipeline_bit_identical_on_well_connected_fixtures() {
             let p = cds_packing_distributed(&mut sim, &cfg).unwrap();
             (p.classes, p.class_of, p.trace, sim.stats().locality_blind())
         });
+    }
+}
+
+/// Many classes relative to the connectivity (`t ≫ k/4`) leave classes
+/// split after the jump start, so type-2 nodes propose over bridging
+/// lists that name several components. The packing must still be a pure
+/// function of the seed: equal across reruns in one process and across
+/// shard counts.
+#[test]
+fn cds_pipeline_is_deterministic_on_fragmented_instances() {
+    let cases = [
+        ("gnm(300, 900, 7)", generators::gnm(300, 900, 7), 16),
+        ("harary(6, 200)", generators::harary(6, 200), 24),
+    ];
+    for (name, g, t) in &cases {
+        let cfg = CdsPackingConfig::with_classes(*t, 5);
+        let run = |engine| {
+            let mut sim = Simulator::new(g, Model::VCongest).with_engine(engine);
+            let p = cds_packing_distributed(&mut sim, &cfg).unwrap();
+            (p.class_of, p.classes, p.trace, sim.stats().locality_blind())
+        };
+        let baseline = run(EngineKind::Sequential);
+        assert!(
+            baseline.2.iter().any(|l| l.matched > 0),
+            "{name}: the matching step must run"
+        );
+        assert_eq!(run(EngineKind::Sequential), baseline, "{name}: rerun");
+        for shards in [2, 4] {
+            let engine = EngineKind::Sharded { shards };
+            assert_eq!(run(engine), baseline, "{name}: {engine}");
+        }
     }
 }
 
