@@ -80,28 +80,20 @@ fn bench_random_regular(c: &mut Criterion) {
     bench_family(c, "random_regular", d, &instances);
 }
 
-/// Worker scaling of the farmed per-class steps (2a–2b). Many classes
-/// relative to the connectivity (`t = 24 ≫ k/4`) keeps classes
-/// fragmented after the jump start, so the parallel half genuinely
-/// runs; outputs are bit-identical for every worker count
-/// (`examples/cds_digest.rs` is the oracle), so this compares
-/// wall-clock only. Track per-core curves in `BENCH_SIM.md`.
-fn bench_workers(c: &mut Criterion) {
+/// The fragmented regime: many classes relative to the connectivity
+/// (`t = 24 ≫ k/4`) keep classes split after the jump start, so every
+/// recursive layer runs deactivation, bridging and matching (steps
+/// 2a–3), not only coin flips.
+fn bench_fragmented(c: &mut Criterion) {
     let (k, t) = (6, 24);
     let n = 20_000.min(max_n());
     let g = generators::harary(k, n);
+    let cfg = CdsPackingConfig::with_classes(t, SEED);
     let mut group = c.benchmark_group("cds_layer_loop");
     group.sample_size(5);
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("fragmented_harary", format!("n{n}_k{k}_t{t}_w{workers}")),
-            &workers,
-            |b, &workers| {
-                let cfg = CdsPackingConfig::with_classes(t, SEED).with_workers(workers);
-                b.iter(|| cds_packing(&g, &cfg));
-            },
-        );
-    }
+    group.bench_function(&format!("fragmented_harary/n{n}_k{k}_t{t}"), |b| {
+        b.iter(|| cds_packing(&g, &cfg))
+    });
     group.finish();
 }
 
@@ -136,7 +128,7 @@ criterion_group!(
     benches,
     bench_harary,
     bench_random_regular,
-    bench_workers,
+    bench_fragmented,
     bench_distributed
 );
 criterion_main!(benches);

@@ -88,7 +88,6 @@ fn main() {
             num_classes: tcls,
             layers_factor: 1.0,
             seed: 9,
-            workers: 1,
         };
         let packing = cds_packing(&g, &cfg);
         let ex = to_dom_tree_packing(&g, &packing);

@@ -34,7 +34,6 @@ fn main() {
             num_classes: tcls,
             layers_factor: 1.0,
             seed,
-            workers: 1,
         };
         let p = cds_packing(&g, &cfg);
         for tr in &p.trace {

@@ -50,7 +50,6 @@ fn main() {
             num_classes: tcls,
             layers_factor: 1.0,
             seed: 9,
-            workers: 1,
         };
         let p = cds_packing(&g, &cfg);
         let trees = to_dom_tree_packing(&g, &p).packing;

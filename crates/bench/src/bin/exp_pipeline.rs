@@ -1,5 +1,5 @@
 //! Full-pipeline scale driver: CDS packing → tree extraction → gossip
-//! protocol, at million-node scale, on a chosen engine and worker count.
+//! protocol, at million-node scale, on a chosen engine.
 //!
 //! This is the measurement harness for the sharded engine's scaling
 //! curves (BENCH_SIM.md "PR 7"): one process runs every stage of the
@@ -17,11 +17,11 @@
 //! ```text
 //! cargo run --release --bin exp_pipeline -- \
 //!     --n 1000000 --degree 8 --seed 1 --engine sharded:4 \
-//!     --workers 4 --msgs 64 --family rr
+//!     --msgs 64 --family rr
 //! ```
 //!
 //! Defaults: `--n 100000 --degree 8 --seed 1 --engine sequential
-//! --workers 1 --msgs 64 --family rr`. `--family harary` builds the
+//! --msgs 64 --family rr`. `--family harary` builds the
 //! `harary(degree, n)` circulant instead of a random-regular instance
 //! (ids correlate with topology, the contiguous shard split's best
 //! case; `rr` is its worst case).
@@ -42,7 +42,6 @@ struct Args {
     /// packing are built once and the dissemination stage sweeps the
     /// engines, so an n = 10⁶ scaling curve is one process.
     engines: Vec<EngineKind>,
-    workers: usize,
     msgs: usize,
     family: String,
 }
@@ -53,7 +52,6 @@ fn parse_args() -> Args {
         degree: 8,
         seed: 1,
         engines: vec![EngineKind::Sequential],
-        workers: 1,
         msgs: 64,
         family: "rr".into(),
     };
@@ -71,7 +69,6 @@ fn parse_args() -> Args {
                     .map(|e| EngineKind::parse(e).expect("--engine"))
                     .collect()
             }
-            "--workers" => args.workers = val.parse().expect("--workers"),
             "--msgs" => args.msgs = val.parse().expect("--msgs"),
             "--family" => args.family = val.into(),
             other => panic!("unknown flag {other}"),
@@ -100,17 +97,16 @@ fn main() {
         a.seed
     );
 
-    // Stage 1: CDS packing (the parallel layer loop's worker knob).
-    let cfg = CdsPackingConfig::with_known_k(a.degree, a.seed).with_workers(a.workers);
+    // Stage 1: CDS packing.
+    let cfg = CdsPackingConfig::with_known_k(a.degree, a.seed);
     let t0 = Instant::now();
     let packing = cds_packing(&g, &cfg);
     let t_cds = t0.elapsed().as_secs_f64();
     let excess0 = packing.trace.first().map(|l| l.excess_before).unwrap_or(0);
     println!(
-        "cds_packing: t={} layers={} workers={} excess0={excess0} final_excess={} ({t_cds:.1}s)",
+        "cds_packing: t={} layers={} excess0={excess0} final_excess={} ({t_cds:.1}s)",
         packing.num_classes(),
         packing.layout.layers(),
-        a.workers,
         packing.trace.last().map(|l| l.excess_after).unwrap_or(0),
     );
 
@@ -172,8 +168,7 @@ fn main() {
     }
 
     println!(
-        "stages[workers={}]: gen {t_gen:.1}s + cds {t_cds:.1}s + trees {t_trees:.1}s \
-         (+ per-engine gossip above)",
-        a.workers,
+        "stages: gen {t_gen:.1}s + cds {t_cds:.1}s + trees {t_trees:.1}s \
+         (+ per-engine gossip above)"
     );
 }

@@ -34,11 +34,10 @@
 //! The centralized layer loop ([`crate::cds::centralized`]) builds the
 //! jump start's state in bulk ([`from_bundles`](ClassState::from_bundles),
 //! one union sweep per class stride), joins each recursive layer's nodes,
-//! and reads components through
-//! [`comp_root_frozen`](ClassState::comp_root_frozen) (behind a per-layer
-//! memo of its own, since roots are stable between joins); the tree
-//! extraction ([`crate::cds::tree_extract`]) uses `N_i` as its
-//! connectivity certificate; the connector analysis
+//! and reads components through [`comp_root`](ClassState::comp_root)
+//! (behind a per-layer memo of its own, since roots are stable between
+//! joins); the tree extraction ([`crate::cds::tree_extract`]) uses `N_i`
+//! as its connectivity certificate; the connector analysis
 //! ([`crate::cds::connector`]) builds its
 //! [`ProjectionView`](crate::cds::connector::ProjectionView)s from
 //! [`comp_of`](ClassState::comp_of); and the distributed port's
@@ -94,9 +93,8 @@ pub struct ClassState {
     /// `Θ(log n)`× smaller (it is what keeps the layer loop
     /// cache-resident at `n = 10⁵`). Class-major order makes every
     /// class's stride one contiguous range — unions never leave it, so
-    /// the parallel layer loop can hand each worker a disjoint per-class
-    /// slice of its scratch tables, and `comp_of` / `rebuild_class`
-    /// become linear scans.
+    /// `comp_of` / `rebuild_class` become linear scans, and the layer
+    /// loop's scratch tables share this slot index.
     uf: UnionFind,
     /// Whether the `(real, class)` bundle has any member yet.
     occupied: Vec<bool>,
@@ -254,22 +252,6 @@ impl ClassState {
         let slot = self.slot(real, class);
         if self.occupied[slot] {
             Some(self.uf.find(slot))
-        } else {
-            None
-        }
-    }
-
-    /// [`comp_root`](Self::comp_root) through a shared reference: the
-    /// identical root, found without path compression
-    /// ([`UnionFind::find_root`]). This is what lets the parallel layer
-    /// loop's per-class workers query components of one shared frozen
-    /// state concurrently — between two [`join`](Self::join) calls the
-    /// forest is immutable and roots are stable, so readers need no
-    /// synchronization at all.
-    pub fn comp_root_frozen(&self, real: NodeId, class: usize) -> Option<CompId> {
-        let slot = self.slot(real, class);
-        if self.occupied[slot] {
-            Some(self.uf.find_root(slot))
         } else {
             None
         }
@@ -509,8 +491,7 @@ impl ClassState {
     /// members ([`sweep_class`](Self::sweep_class)).
     fn rebuild_class(&mut self, g: &Graph, keep: impl Fn(NodeId, NodeId) -> bool, class: usize) {
         let n = self.layout.n();
-        let stride: Vec<usize> = (class * n..(class + 1) * n).collect();
-        self.uf.reset_block(&stride);
+        self.uf.reset_block(class * n..(class + 1) * n);
         self.sweep_class(g, keep, class);
     }
 
@@ -1007,25 +988,6 @@ mod tests {
                     fresh.comp_of(c),
                     "labels after admitting {v}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_root_matches_mutable_root() {
-        // The non-compressing read path (what parallel layer-loop
-        // workers use) must report exactly the roots the mutable find
-        // does, for every bundle, at every point of a join sequence.
-        let g = generators::grid(4, 5);
-        let layout = VirtualLayout::new(20, 4);
-        let mut st = ClassState::new(layout, 3);
-        for (i, v) in [7usize, 0, 13, 19, 2, 11, 5, 16, 9, 4].iter().enumerate() {
-            st.join(&g, layout.vid(*v, 0, VType::ALL[i % 3]), i % 3);
-            for real in 0..20 {
-                for class in 0..3 {
-                    let frozen = st.comp_root_frozen(real, class);
-                    assert_eq!(frozen, st.comp_root(real, class), "({real}, {class})");
-                }
             }
         }
     }

@@ -4,6 +4,8 @@
 //! virtual subgraph with exactly this structure; it is also the engine of
 //! Kruskal's MST and of Karger-sample connectivity checks.
 
+use std::ops::Range;
+
 /// Disjoint-set forest over elements `0..n`.
 ///
 /// # Example
@@ -58,22 +60,6 @@ impl UnionFind {
         x
     }
 
-    /// Representative of `x`'s set **without** path compression — the
-    /// same root [`find`](Self::find) would return, reachable through a
-    /// shared reference. Lets concurrent readers (the parallel CDS layer
-    /// loop farms per-class component queries onto worker threads) share
-    /// one forest; compression only shortens paths, never changes roots,
-    /// so skipping it cannot change any answer.
-    ///
-    /// # Panics
-    /// Panics if `x` is out of range.
-    pub fn find_root(&self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            x = self.parent[x];
-        }
-        x
-    }
-
     /// Merges the sets of `x` and `y`; returns `true` if they were distinct.
     pub fn union(&mut self, x: usize, y: usize) -> bool {
         let (mut rx, mut ry) = (self.find(x), self.find(y));
@@ -101,18 +87,21 @@ impl UnionFind {
         self.num_sets
     }
 
-    /// Dissolves a *closed* block of elements back into singletons.
+    /// Dissolves a *closed* contiguous block of elements back into
+    /// singletons.
     ///
-    /// `block` must be duplicate-free and closed under set membership: no
-    /// element outside the block may share a set with an element inside it
-    /// (unions that only ever touch the block — per-stride rebuilds — keep
-    /// a block closed by construction). Afterwards every block element is
-    /// its own singleton set and `num_sets` is adjusted accordingly. Union-
-    /// find cannot split, so dissolving and re-unioning the affected block
-    /// from fresh data is the deletion primitive.
+    /// `block` must be closed under set membership: no element outside
+    /// the block may share a set with an element inside it (unions that
+    /// only ever touch the block — per-stride rebuilds — keep a block
+    /// closed by construction). Then every root of a block element lies
+    /// in the block, so the block holds as many sets as it has elements
+    /// that are their own parent. Afterwards every block element is its
+    /// own singleton set and `num_sets` is adjusted accordingly. Union-
+    /// find cannot split, so dissolving and re-unioning the affected
+    /// block from fresh data is the deletion primitive.
     ///
     /// # Panics
-    /// Panics if any element is out of range.
+    /// Panics if the block reaches past the last element.
     ///
     /// # Example
     ///
@@ -122,17 +111,15 @@ impl UnionFind {
     /// let mut uf = UnionFind::new(4);
     /// uf.union(0, 1);
     /// uf.union(2, 3);
-    /// uf.reset_block(&[0, 1]);
+    /// uf.reset_block(0..2);
     /// assert!(!uf.same(0, 1));
     /// assert!(uf.same(2, 3)); // untouched sets keep their structure
     /// assert_eq!(uf.num_sets(), 3);
     /// ```
-    pub fn reset_block(&mut self, block: &[usize]) {
-        let mut roots: Vec<usize> = block.iter().map(|&x| self.find(x)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        self.num_sets += block.len() - roots.len();
-        for &x in block {
+    pub fn reset_block(&mut self, block: Range<usize>) {
+        let roots = block.clone().filter(|&x| self.parent[x] == x).count();
+        self.num_sets += block.len() - roots;
+        for x in block {
             self.parent[x] = x;
             self.rank[x] = 0;
         }
@@ -206,7 +193,7 @@ mod tests {
         uf.union(4, 5);
         uf.union(6, 7);
         assert_eq!(uf.num_sets(), 3 + 1); // {0,1,2} {3} {4,5} {6,7}
-        uf.reset_block(&[0, 1, 2, 3]);
+        uf.reset_block(0..4);
         assert_eq!(uf.num_sets(), 6); // four singletons + {4,5} + {6,7}
         for x in 0..4 {
             assert_eq!(uf.find(x), x);
@@ -224,7 +211,7 @@ mod tests {
         uf.union(2, 3);
         uf.union(3, 4);
         // Dissolve everything and re-union a strict subset of the chain.
-        uf.reset_block(&[0, 1, 2, 3, 4]);
+        uf.reset_block(0..5);
         uf.union(0, 1);
         uf.union(3, 4);
         let mut fresh = UnionFind::new(5);
@@ -232,17 +219,6 @@ mod tests {
         fresh.union(3, 4);
         assert_eq!(uf.num_sets(), fresh.num_sets());
         assert_eq!(uf.labels(), fresh.labels());
-    }
-
-    #[test]
-    fn find_root_agrees_with_find() {
-        let mut uf = UnionFind::new(10);
-        for (a, b) in [(0, 1), (1, 2), (5, 6), (6, 7), (2, 7), (8, 9)] {
-            uf.union(a, b);
-            for x in 0..10 {
-                assert_eq!(uf.find_root(x), uf.find(x), "element {x}");
-            }
-        }
     }
 
     proptest! {

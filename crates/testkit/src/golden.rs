@@ -11,14 +11,48 @@
 //! [`f4`] (4 decimal places, enough to notice real drift while ignoring
 //! nothing — the pipelines are bit-deterministic given the vendored RNG).
 
+use decomp_core::cds::centralized::CdsPacking;
+
 /// Formats a float for the registry (4 decimal places).
 pub fn f4(x: f64) -> String {
     format!("{x:.4}")
 }
 
+/// FNV-1a fold, one 64-bit word at a time, of a CDS packing: the class
+/// of every virtual node, each class's real members, and each recursive
+/// layer's trace. `examples/cds_digest.rs` prints it (in `{:#018x}` form)
+/// for its roster, and the registry pins it for the roster's fragmented
+/// rows.
+pub fn cds_digest(p: &CdsPacking) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut eat = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x100000001b3);
+    };
+    for c in &p.class_of {
+        eat(c.map(|v| v as u64 + 1).unwrap_or(0));
+    }
+    for (i, class) in p.classes.iter().enumerate() {
+        eat(i as u64 ^ 0xdead);
+        for &v in class {
+            eat(v as u64);
+        }
+    }
+    for t in &p.trace {
+        eat(t.excess_before as u64);
+        eat(t.excess_after as u64);
+        eat(t.matched as u64);
+        eat(t.deactivated as u64);
+    }
+    h
+}
+
 /// The registry. Keys are `<fixture>/<pipeline>/<quantity>`. Keep sorted.
 const GOLDEN: &[(&str, &str)] = &[
     ("clustered_barbell_c8_b3/bfs0/rounds", "8"),
+    ("gnm_n2000_m6000_t16/cds_s1/digest", "0xb7ee2426eaf4510f"),
+    ("gnm_n2000_m6000_t16/cds_s42/digest", "0x00a7f4b571eb1d13"),
+    ("gnm_n2000_m6000_t16/cds_s5/digest", "0xf5bd93e40b47696d"),
     ("harary_k12_n48/cds_s1/invalid", "0"),
     ("harary_k12_n48/cds_s1/num_trees", "3"),
     ("harary_k12_n48/cds_s1/size", "1.0000"),
@@ -72,6 +106,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("harary_k4_n24/rlnc/digest", "9091721286111269509"),
     ("harary_k4_n24/rlnc/rounds", "14"),
     ("harary_k4_n24/stp_mwu/size", "2.0259"),
+    ("harary_k6_n2000_t24/cds_s1/digest", "0x9b61e14e402a57eb"),
+    ("harary_k6_n2000_t24/cds_s42/digest", "0x82920558537d99d2"),
+    ("harary_k6_n2000_t24/cds_s5/digest", "0xd8136a8810f1bc4a"),
     ("harary_k8_n40/bfs0/rounds", "7"),
     ("harary_k8_n40/cds_s1/invalid", "0"),
     ("harary_k8_n40/cds_s1/num_trees", "2"),

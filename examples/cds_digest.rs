@@ -2,7 +2,9 @@
 //! roster — the bit-identity reference for perf work on the layer loop —
 //! and then of `cds_packing_distributed` (Theorem 1.1) outputs, with
 //! their rounds and messages, on two small fragmented instances. CI
-//! diffs the output against `.github/cds-digests.txt`.
+//! diffs the output against `.github/cds-digests.txt`. The digest is
+//! `decomp_testkit::golden::cds_digest`; the golden registry pins the
+//! six fragmented `cds_packing` rows, so `cargo test` checks them too.
 //!
 //! Only `harary_k6_n2000_t24` and `gnm_n2000_m6000_t16` leave classes
 //! fragmented after the jump start (nonzero `excess0`), so only they run
@@ -21,30 +23,7 @@ use decomp_congest::{Model, Simulator};
 use decomp_core::cds::centralized::{cds_packing, CdsPackingConfig};
 use decomp_core::cds::distributed::cds_packing_distributed;
 use decomp_graph::generators;
-
-fn digest(p: &decomp_core::cds::centralized::CdsPacking) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for c in &p.class_of {
-        eat(c.map(|v| v as u64 + 1).unwrap_or(0));
-    }
-    for (i, class) in p.classes.iter().enumerate() {
-        eat(i as u64 ^ 0xdead);
-        for &v in class {
-            eat(v as u64);
-        }
-    }
-    for t in &p.trace {
-        eat(t.excess_before as u64);
-        eat(t.excess_after as u64);
-        eat(t.matched as u64);
-        eat(t.deactivated as u64);
-    }
-    h
-}
+use decomp_testkit::golden::cds_digest;
 
 fn main() {
     // (name, graph, explicit class count t). Large t relative to the
@@ -91,7 +70,7 @@ fn main() {
             let excess0 = p.trace.first().map(|l| l.excess_before).unwrap_or(0);
             println!(
                 "{name}/s{seed}: {:#018x} (excess0 {excess0}, matched {matched}, deactivated {deact})",
-                digest(&p)
+                cds_digest(&p)
             );
         }
     }
@@ -108,7 +87,7 @@ fn main() {
             let stats = sim.stats();
             println!(
                 "distributed/{name}/s{seed}: {:#018x} (rounds {}, messages {}, matched {matched})",
-                digest(&p),
+                cds_digest(&p),
                 stats.rounds,
                 stats.messages
             );

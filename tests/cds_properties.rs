@@ -51,6 +51,30 @@ fn pipeline_outputs_match_golden_registry() {
 }
 
 #[test]
+fn fragmented_packings_match_golden_digests() {
+    // The two `cds_digest` roster instances whose classes stay split
+    // after the jump start, so deactivation, bridging and matching
+    // (steps 2a–3) run in the recursive layers.
+    let instances = [
+        ("harary_k6_n2000_t24", generators::harary(6, 2000), 24),
+        ("gnm_n2000_m6000_t16", generators::gnm(2000, 6000, 7), 16),
+    ];
+    for (name, g, t) in &instances {
+        for seed in [1u64, 5, 42] {
+            let p = cds_packing(g, &CdsPackingConfig::with_classes(*t, seed));
+            assert!(
+                p.trace.iter().any(|l| l.matched > 0),
+                "{name} seed {seed}: no layer matches"
+            );
+            golden::check(
+                &format!("{name}/cds_s{seed}/digest"),
+                format!("{:#018x}", golden::cds_digest(&p)),
+            );
+        }
+    }
+}
+
+#[test]
 fn class_count_sweeps_never_break_feasibility() {
     // Even deliberately bad class counts (t way above k/4) must never
     // produce an infeasible *packing* — only invalid classes that the
@@ -256,14 +280,8 @@ fn same_state(
         );
         prop_assert_eq!(st.comp_of(c), reference.comp_of(c), "labels, class {}", c);
         for v in built.vertices() {
-            let root = st.comp_root_frozen(v, c);
-            prop_assert_eq!(
-                root,
-                reference.comp_root_frozen(v, c),
-                "root of {} in {}",
-                v,
-                c
-            );
+            let root = st.comp_root(v, c);
+            prop_assert_eq!(root, reference.comp_root(v, c), "root of {} in {}", v, c);
         }
     }
     for v in built.vertices() {
